@@ -17,27 +17,26 @@
 //! scan evaluates exactly the documents the serial scan would, in the same
 //! document order.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use xqdb_obs::{Counter, Gauge, Histogram, Obs, Trace};
+use xqdb_obs::{Counter, Gauge, Histogram, Obs, SpanId, Trace};
 use xqdb_runtime::{chunk_ranges, WorkerPool};
 use xqdb_xdm::{Budget, ErrorCode, ExpandedName, Item, Limits, Sequence, XdmError};
-use xqdb_xmlindex::ProbeStats;
 use xqdb_xqeval::{CollectionProvider, DynamicContext};
 use xqdb_xquery::ast::{ConstructorContent, Expr, FlworClause, Step};
 use xqdb_xquery::Query;
 use xqdb_storage::SqlValue;
 
+use crate::access::{self, AccessConfig, AccessPaths, SourcePaths, Survivors};
 use crate::catalog::Catalog;
 use crate::eligibility::{
     analyze_query_root, compile, diagnose, diagnose_misestimate, restrict_to_source, AnalysisEnv,
     Cond, IndexCond, Note, Rejection,
 };
 use crate::prefilter::{extract_prefilters, SourcePrefilter};
-use crate::twig::{extract_twigs, PreparedTwig, SourceTwig};
+use crate::twig::{extract_twigs, SourceTwig};
 
 /// Per-collection access decision.
 #[derive(Debug, Clone)]
@@ -175,6 +174,17 @@ impl ExecStats {
         ExecStats { parallel_workers: 1, parallel_shards: 1, ..ExecStats::default() }
     }
 
+    /// [`ExecStats::new`] carrying what the cost model did for the plan.
+    pub(crate) fn for_plan(cost: &PlanCost) -> ExecStats {
+        let mut stats = ExecStats::new();
+        if cost.costed {
+            stats.plans_costed = 1;
+            stats.index_candidates_costed = cost.candidates;
+            stats.cost_est_rows = cost.est_rows.unwrap_or(0);
+        }
+        stats
+    }
+
     /// Documents evaluated, summed over all sources.
     pub fn docs_evaluated_total(&self) -> usize {
         self.docs_evaluated.values().sum()
@@ -200,15 +210,15 @@ pub fn plan_query(catalog: &Catalog, query: Query, env: &AnalysisEnv) -> QueryPl
 }
 
 /// [`plan_query`] recording a `plan` span with an `eligibility check`
-/// child when the trace is live. Costing follows the `XQDB_COST`
-/// environment switch.
+/// child when the trace is live. Costing follows the environment
+/// ([`AccessConfig::from_env`]).
 pub fn plan_query_traced(
     catalog: &Catalog,
     query: Query,
     env: &AnalysisEnv,
     trace: &Trace,
 ) -> QueryPlan {
-    plan_query_costed(catalog, query, env, trace, cost_env_enabled())
+    plan_query_costed(catalog, query, env, trace, AccessConfig::from_env().cost)
 }
 
 /// [`plan_query_traced`] with the cost model explicitly enabled or
@@ -289,8 +299,12 @@ pub fn run_xquery_with_limits(
     run_xquery_with_options(catalog, text, &ExecOptions { limits, ..ExecOptions::default() })
 }
 
-/// Execution options: resource limits, the parallelism degree, and the
-/// observability handle.
+/// Execution options: resource limits, the parallelism degree, the
+/// observability handle and the caller's [`AccessConfig`] switches, kept
+/// as three flat fields. Each run resolves them against the environment
+/// once ([`AccessConfig::resolve`]): the environment wins, so the flags
+/// only let benches and tests compare both paths in-process without
+/// racing on the environment.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Resource limits for the run.
@@ -300,19 +314,15 @@ pub struct ExecOptions {
     /// Observability: metrics registry + tracing configuration. The default
     /// is the free disabled handle.
     pub obs: Obs,
-    /// Apply the structural pre-filter (on by default). The
-    /// `XQDB_PREFILTER=off` environment variable disables it regardless of
-    /// this flag; the flag exists so benches and tests can compare both
-    /// paths in-process without racing on the environment.
+    /// Apply the structural pre-filter (on by default;
+    /// [`AccessConfig::prefilter`]).
     pub prefilter: bool,
     /// Apply the holistic twig join over structural labels (on by
-    /// default). `XQDB_TWIG=off` disables it regardless of this flag,
-    /// same contract as `prefilter`.
+    /// default; [`AccessConfig::twig`]).
     pub twig: bool,
-    /// Use the synopsis-backed cost model at plan time (on by default).
-    /// `XQDB_COST=off` disables it regardless of this flag. Unlike
-    /// `prefilter`/`twig` this is a *planning* switch: with costing off
-    /// the planner is the original rule-based first-eligible-index one.
+    /// Use the synopsis-backed cost model at plan time (on by default;
+    /// [`AccessConfig::cost`]). With costing off the planner is the
+    /// original rule-based first-eligible-index one.
     pub cost: bool,
 }
 
@@ -326,33 +336,6 @@ impl Default for ExecOptions {
             twig: true,
             cost: true,
         }
-    }
-}
-
-/// True unless `XQDB_PREFILTER` is set to `off`/`0`/`false` (case-insensitive).
-pub fn prefilter_env_enabled() -> bool {
-    match std::env::var("XQDB_PREFILTER") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
-}
-
-/// True unless `XQDB_TWIG` is set to `off`/`0`/`false` (case-insensitive).
-/// The same switch gates label *construction* at ingest, so flipping it
-/// mid-process also stops twig execution on tables whose labels went
-/// incomplete.
-pub fn twig_env_enabled() -> bool {
-    xqdb_twig::enabled_in_env()
-}
-
-/// True unless `XQDB_COST` is set to `off`/`0`/`false` (case-insensitive).
-/// Gates the cost model at plan time; results are byte-identical either
-/// way (Definition 1 — probes are conservative pre-filters), only the
-/// access-path choice changes.
-pub fn cost_env_enabled() -> bool {
-    match std::env::var("XQDB_COST") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
     }
 }
 
@@ -382,12 +365,9 @@ fn run_traced(
     let started = obs.metrics_enabled().then(Instant::now);
     obs.incr(Counter::QueriesExecuted);
     let result: Result<(Arc<QueryPlan>, ExecOutcome), XdmError> = (|| {
-        // The cost flag is part of the cache key: a costed and a
-        // rule-based plan for the same text are different plans, and a
-        // cost-off run must never leave a plan a cost-on run reuses.
-        let use_cost = opts.cost && cost_env_enabled();
-        let key: Cow<str> =
-            if use_cost { Cow::Borrowed(text) } else { Cow::Owned(format!("#nocost\n{text}")) };
+        let access =
+            AccessConfig { prefilter: opts.prefilter, twig: opts.twig, cost: opts.cost }.resolve();
+        let key = access.plan_key(text);
         let cached = catalog.cached_plan(&key);
         let cache_hit = cached.is_some();
         obs.incr(if cache_hit { Counter::PlanCacheHits } else { Counter::PlanCacheMisses });
@@ -405,7 +385,7 @@ fn run_traced(
                     query,
                     &AnalysisEnv::new(),
                     trace,
-                    use_cost,
+                    access.cost,
                 ));
                 if obs.metrics_enabled() {
                     let diagnoses = diagnose(&plan.rejections, &plan.notes);
@@ -417,9 +397,7 @@ fn run_traced(
         };
         let budget = Arc::new(Budget::new(opts.limits.clone()));
         let ctx = DynamicContext::new().with_budget(budget);
-        let mut outcome = ParallelExecutor::new(opts.threads)
-            .with_prefilter(opts.prefilter && prefilter_env_enabled())
-            .with_twig(opts.twig && twig_env_enabled())
+        let mut outcome = ParallelExecutor::with_access(opts.threads, access)
             .execute_observed(catalog, &plan, &ctx, obs, trace)?;
         outcome.stats.plan_cache_hits = u64::from(cache_hit);
         outcome.stats.plan_cache_misses = u64::from(!cache_hit);
@@ -454,7 +432,7 @@ pub fn explain_analyze_xquery(
     Ok((report, outcome))
 }
 
-fn elapsed_ns(from: Instant) -> u64 {
+pub(crate) fn elapsed_ns(from: Instant) -> u64 {
     u64::try_from(from.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -475,67 +453,6 @@ pub fn execute_plan(
     ParallelExecutor::new(1).execute(catalog, plan, ctx)
 }
 
-/// Index probes for every access in the plan, with graceful degradation on
-/// `StorageFault`. Runs serially *before* any parallel evaluation, so fault
-/// injection on probes fires at the same points whatever the thread count.
-fn probe_phase(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    ctx: &DynamicContext,
-    stats: &mut ExecStats,
-    obs: &Obs,
-    trace: &Trace,
-) -> Result<HashMap<String, BTreeSet<u64>>, XdmError> {
-    let mut filters: HashMap<String, BTreeSet<u64>> = HashMap::new();
-    for access in &plan.accesses {
-        let total = catalog
-            .db
-            .resolve_xml_column(&access.source)
-            .map(|(t, _)| t.len())
-            .unwrap_or(0);
-        stats.docs_total.insert(access.source.clone(), total);
-        match &access.access {
-            Some(cond) => {
-                let mut span = trace.span("index probe");
-                span.tag_with("source", || access.source.clone());
-                let indexes = catalog.indexes_for_source(&access.source);
-                let mut pstats = ProbeStats::default();
-                let t0 = obs.metrics_enabled().then(Instant::now);
-                let probed = cond.execute(&indexes, &mut pstats, &ctx.budget);
-                if let Some(t0) = t0 {
-                    obs.observe_ns(Histogram::ProbeNanos, elapsed_ns(t0));
-                }
-                stats.index_entries_scanned += pstats.entries_scanned;
-                stats.index_probes += pstats.probes;
-                stats.btree_nodes_touched += pstats.nodes_touched;
-                stats.multi_index_intersections += pstats.intersections as u64;
-                span.add_count(pstats.entries_scanned as u64);
-                match probed {
-                    Ok(rows) => {
-                        span.tag_str("outcome", "index hit");
-                        span.tag_with("survivors", || rows.len().to_string());
-                        stats.cost_actual_rows += rows.len() as u64;
-                        stats.docs_evaluated.insert(access.source.clone(), rows.len());
-                        filters.insert(access.source.clone(), rows);
-                    }
-                    Err(e) if e.code == ErrorCode::StorageFault => {
-                        // Graceful degradation: no filter for this source.
-                        span.tag_str("outcome", "degraded to scan");
-                        stats.index_faults += 1;
-                        stats.degraded_sources.push(access.source.clone());
-                        stats.docs_evaluated.insert(access.source.clone(), total);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            None => {
-                stats.docs_evaluated.insert(access.source.clone(), total);
-            }
-        }
-    }
-    Ok(filters)
-}
-
 /// Executes plans over the worker pool, sharding the partitionable
 /// fragment of the language (see [`partition_plan`]) and falling back to
 /// the serial path for everything else.
@@ -546,32 +463,20 @@ fn probe_phase(
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelExecutor {
     pool: WorkerPool,
-    prefilter: bool,
-    twig: bool,
+    access: AccessConfig,
 }
 
 impl ParallelExecutor {
-    /// Executor with the given parallelism degree (0 and 1 mean serial).
-    /// The structural pre-filter and the twig join default to their
-    /// environment settings (`XQDB_PREFILTER`, `XQDB_TWIG`).
+    /// Executor with the given parallelism degree (0 and 1 mean serial)
+    /// and the environment's access switches ([`AccessConfig::from_env`]).
     pub fn new(threads: usize) -> Self {
-        ParallelExecutor {
-            pool: WorkerPool::new(threads),
-            prefilter: prefilter_env_enabled(),
-            twig: twig_env_enabled(),
-        }
+        ParallelExecutor::with_access(threads, AccessConfig::from_env())
     }
 
-    /// Override whether the structural pre-filter is applied.
-    pub fn with_prefilter(mut self, prefilter: bool) -> Self {
-        self.prefilter = prefilter;
-        self
-    }
-
-    /// Override whether the holistic twig join is applied.
-    pub fn with_twig(mut self, twig: bool) -> Self {
-        self.twig = twig;
-        self
+    /// Executor running the access pipeline under already-resolved
+    /// switches.
+    pub(crate) fn with_access(threads: usize, access: AccessConfig) -> Self {
+        ParallelExecutor { pool: WorkerPool::new(threads), access }
     }
 
     /// The effective degree.
@@ -602,27 +507,34 @@ impl ParallelExecutor {
         obs: &Obs,
         trace: &Trace,
     ) -> Result<ExecOutcome, XdmError> {
-        let mut stats = ExecStats::new();
-        if plan.cost.costed {
-            stats.plans_costed = 1;
-            stats.index_candidates_costed = plan.cost.candidates;
-            stats.cost_est_rows = plan.cost.est_rows.unwrap_or(0);
-        }
+        let mut stats = ExecStats::for_plan(&plan.cost);
         let pool_baseline = catalog.pool_stats();
-        let mut filters = probe_phase(catalog, plan, ctx, &mut stats, obs, trace)?;
-        if self.twig {
-            // Like the pre-filter below: strictly after the serial probe
-            // phase, purely in-memory (label streams never touch the
-            // pager), so it adds no fault-injection points and the chaos
-            // matrix stays byte-identical with the join on or off.
-            twig_phase(catalog, plan, &mut filters, &mut stats, &self.pool, trace);
-        }
-        if self.prefilter {
-            // Runs strictly after the (serial) probe phase so probe-side
-            // fault injection fires at the same points with or without the
-            // pre-filter, and applies equally to the serial and sharded
-            // scans below (both consume `filters`).
-            prefilter_phase(catalog, plan, &mut filters, &mut stats, trace);
+        // Serial, before any parallel evaluation: probe-side fault
+        // injection fires at the same points whatever the thread count.
+        let sources: Vec<SourcePaths<'_>> = plan
+            .accesses
+            .iter()
+            .map(|a| SourcePaths {
+                source: &a.source,
+                key: &a.source,
+                index: a.access.as_ref(),
+                twigs: plan.twig.get(&a.source).map(std::slice::from_ref).unwrap_or_default(),
+                prefilters: plan
+                    .prefilter
+                    .get(&a.source)
+                    .map(std::slice::from_ref)
+                    .unwrap_or_default(),
+            })
+            .collect();
+        let paths =
+            AccessPaths { catalog, config: self.access, pool: self.pool, obs, trace };
+        let filters = paths.survivors(&sources, &ctx.budget, &mut stats)?;
+        for a in &plan.accesses {
+            let total =
+                catalog.db.resolve_xml_column(&a.source).map(|(t, _)| t.len()).unwrap_or(0);
+            let evaluated = filters.get(&a.source).map_or(total, BTreeSet::len);
+            stats.docs_total.insert(a.source.clone(), total);
+            stats.docs_evaluated.insert(a.source.clone(), evaluated);
         }
         if self.pool.threads() > 1 {
             if let Some(part) = partition_plan(&plan.query) {
@@ -673,28 +585,12 @@ impl ParallelExecutor {
         let mut span = trace.span("scan");
         span.tag_str("mode", "sharded");
         span.tag_with("source", || part.source.clone());
-        let parent = span.id();
         let task = |i: usize| {
             let shard = Shard { source: &part.source, rows: &rows[ranges[i].clone()] };
             let provider = FilteredProvider { catalog, filters, shard: Some(shard) };
             xqdb_xqeval::eval_query(&plan.query, &provider, ctx)
         };
-        // The disabled path stays on plain `try_run`: no observation
-        // plumbing at all when nothing records.
-        let chunks = if trace.enabled() {
-            self.pool.try_run_observed(ranges.len(), task, |t| {
-                trace.record_finished(
-                    parent,
-                    "worker task",
-                    t.started,
-                    t.nanos,
-                    0,
-                    vec![("worker", t.worker.to_string()), ("task", t.task.to_string())],
-                );
-            })?
-        } else {
-            self.pool.try_run(ranges.len(), task)?
-        };
+        let chunks = try_run_traced(&self.pool, ranges.len(), task, trace, span.id())?;
         let mut sequence: Sequence = Vec::new();
         for chunk in chunks {
             sequence.extend(chunk);
@@ -709,132 +605,12 @@ impl ParallelExecutor {
     }
 }
 
-/// Holistic twig-join pass: for each source with compiled twig patterns,
-/// drop candidate rows no pattern structurally matches. Labels live
-/// entirely in RAM (no heap or page fetches), matching is conservative
-/// by construction (see [`crate::twig`]), and the pass composes with the
-/// probe filters exactly like [`prefilter_phase`] — it intersects
-/// whatever row set survives so far. Sources whose label store cannot
-/// vouch for every row (recovery adopted rows without re-parsing, or
-/// `XQDB_TWIG=off` at ingest) are declined untouched.
-///
-/// With more than one worker the row set is sharded over the pool in
-/// contiguous chunks and the per-chunk survivor lists are concatenated
-/// in chunk order, so the surviving set — and therefore everything
-/// downstream — is independent of the thread count.
-fn twig_phase(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    filters: &mut HashMap<String, BTreeSet<u64>>,
-    stats: &mut ExecStats,
-    pool: &WorkerPool,
-    trace: &Trace,
-) {
-    for (source, twig) in &plan.twig {
-        let Ok((table, _col)) = catalog.db.resolve_xml_column(source) else { continue };
-        let mut span = trace.span("twig join");
-        span.tag_with("source", || source.clone());
-        span.tag_with("patterns", || twig.patterns.len().to_string());
-        let Some(prepared) = PreparedTwig::prepare(twig, table) else {
-            span.tag_str("outcome", "declined: labels incomplete");
-            continue;
-        };
-        let base: Vec<u64> = match filters.get(source) {
-            Some(rows) => rows.iter().copied().collect(),
-            None => (0..table.len() as u64).collect(),
-        };
-        let check = |rows: &[u64]| {
-            let mut kept = Vec::new();
-            let mut candidates = 0usize;
-            for &row in rows {
-                let candidate = prepared.is_candidate(row);
-                candidates += usize::from(candidate);
-                if candidate && prepared.accepts(row) {
-                    kept.push(row);
-                }
-            }
-            (kept, candidates)
-        };
-        let (survivors, candidates) = if pool.threads() > 1 && base.len() > 1 {
-            let ranges = chunk_ranges(base.len(), pool.default_chunks(base.len()));
-            let chunks = pool.run(ranges.len(), |i| check(&base[ranges[i].clone()]));
-            let mut kept = Vec::new();
-            let mut candidates = 0usize;
-            for (chunk, n) in chunks {
-                kept.extend(chunk);
-                candidates += n;
-            }
-            (kept, candidates)
-        } else {
-            check(&base)
-        };
-        let skipped = base.len() - survivors.len();
-        span.add_count(skipped as u64);
-        span.tag_with("candidates", || candidates.to_string());
-        span.tag_with("survivors", || survivors.len().to_string());
-        stats.twig_joins += 1;
-        stats.twig_candidates += candidates;
-        stats.twig_docs_skipped += skipped;
-        stats.docs_evaluated.insert(source.clone(), survivors.len());
-        filters.insert(source.clone(), survivors.into_iter().collect());
-    }
-}
-
-/// Structural pre-filter pass: for each source with required-path groups,
-/// drop candidate rows whose stored signature satisfies no group. The
-/// check is conservative by construction (see [`crate::prefilter`]), so
-/// survivors are a superset of the rows that can contribute — Definition
-/// 1's contract, same as the index probes — and it composes with them:
-/// it intersects whatever row filter the probe phase produced, including
-/// none at all for fault-degraded sources.
-fn prefilter_phase(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    filters: &mut HashMap<String, BTreeSet<u64>>,
-    stats: &mut ExecStats,
-    trace: &Trace,
-) {
-    for (source, pf) in &plan.prefilter {
-        let Ok((table, _col)) = catalog.db.resolve_xml_column(source) else { continue };
-        let mut span = trace.span("prefilter");
-        span.tag_with("source", || source.clone());
-        span.tag_with("groups", || pf.groups.len().to_string());
-        let mut skipped = 0usize;
-        let survivors: BTreeSet<u64> = match filters.get(source) {
-            Some(rows) => rows
-                .iter()
-                .copied()
-                .filter(|row| {
-                    let keep = table
-                        .signature(*row as usize)
-                        .is_none_or(|sig| pf.accepts(sig));
-                    skipped += usize::from(!keep);
-                    keep
-                })
-                .collect(),
-            None => (0..table.len() as u64)
-                .filter(|row| {
-                    let keep = table
-                        .signature(*row as usize)
-                        .is_none_or(|sig| pf.accepts(sig));
-                    skipped += usize::from(!keep);
-                    keep
-                })
-                .collect(),
-        };
-        span.add_count(skipped as u64);
-        span.tag_with("survivors", || survivors.len().to_string());
-        stats.prefilter_docs_skipped += skipped;
-        stats.docs_evaluated.insert(source.clone(), survivors.len());
-        filters.insert(source.clone(), survivors);
-    }
-}
-
 /// Charge this run's physical page traffic to its stats: the delta of the
 /// catalog's aggregated pool counters ([`Catalog::pool_stats`]) since the
-/// baseline taken on entry to the executor. Runs after evaluation so the
-/// bracket covers probes, pre-filter signature reads, and document scans.
-fn apply_pool_delta(
+/// baseline taken once per statement, on entry to the executor (SQL: to
+/// SELECT or DML execution). Runs after evaluation so the bracket covers
+/// probes, document fetches and, for DML, the mutation itself.
+pub(crate) fn apply_pool_delta(
     stats: &mut ExecStats,
     catalog: &Catalog,
     baseline: &xqdb_pager::PoolStats,
@@ -843,6 +619,35 @@ fn apply_pool_delta(
     stats.buffer_pool_hits = delta.hits;
     stats.buffer_pool_misses = delta.misses;
     stats.pages_evicted = delta.evictions;
+}
+
+/// Run fallible tasks on `pool` in task order. When `trace` records, each
+/// finished task becomes a `worker task` span under `parent`; the disabled
+/// path stays on plain `try_run`, with no observation plumbing at all.
+pub(crate) fn try_run_traced<R, F>(
+    pool: &WorkerPool,
+    tasks: usize,
+    task: F,
+    trace: &Trace,
+    parent: Option<SpanId>,
+) -> Result<Vec<R>, XdmError>
+where
+    R: Send,
+    F: Fn(usize) -> Result<R, XdmError> + Sync,
+{
+    if !trace.enabled() {
+        return pool.try_run(tasks, task);
+    }
+    pool.try_run_observed(tasks, task, |t| {
+        trace.record_finished(
+            parent,
+            "worker task",
+            t.started,
+            t.nanos,
+            0,
+            vec![("worker", t.worker.to_string()), ("task", t.task.to_string())],
+        );
+    })
 }
 
 /// Record a finished run's [`ExecStats`] into the metrics registry — the
@@ -882,7 +687,7 @@ pub(crate) fn record_exec_metrics(obs: &Obs, stats: &ExecStats) {
 /// of the partition source (monotone document ids), and the partition.
 #[derive(Clone, Copy)]
 struct ShardedScan<'a> {
-    filters: &'a HashMap<String, BTreeSet<u64>>,
+    filters: &'a Survivors,
     rows: &'a [u64],
     part: &'a Partition,
 }
@@ -996,22 +801,17 @@ fn monotone_surviving_rows(
     let (table, col) = catalog.db.resolve_xml_column(source).ok()?;
     let mut rows = Vec::new();
     let mut last_doc: Option<u64> = None;
-    for item in table.scan() {
+    for item in access::fetch(filter, table) {
         // A page fault here means the serial path will surface the same
         // typed error; declining the parallel plan is enough.
         let (row, values) = item.ok()?;
-        if let Some(f) = filter {
-            if !f.contains(&(row as u64)) {
-                continue;
-            }
-        }
         if let SqlValue::Xml(n) = &values[col] {
             let doc = n.doc.id.0;
             if last_doc.is_some_and(|d| d >= doc) {
                 return None;
             }
             last_doc = Some(doc);
-            rows.push(row as u64);
+            rows.push(row);
         }
     }
     Some(rows)
@@ -1102,14 +902,7 @@ pub fn explain(plan: &QueryPlan) -> String {
 pub fn explain_analyze_report(plan: &QueryPlan, outcome: &ExecOutcome, threads: usize) -> String {
     let mut out = explain_with_threads(plan, threads);
     render_execution_sections(&mut out, &outcome.stats, &outcome.trace);
-    let mut diagnoses = diagnose(&plan.rejections, &plan.notes);
-    if outcome.stats.plans_costed > 0 {
-        diagnoses.extend(diagnose_misestimate(
-            outcome.stats.cost_est_rows,
-            outcome.stats.cost_actual_rows,
-        ));
-    }
-    render_doctor_section(&mut out, &diagnoses);
+    render_doctor_section(&mut out, &plan.rejections, &plan.notes, &outcome.stats);
     out
 }
 
@@ -1187,14 +980,25 @@ pub(crate) fn render_dml_line(s: &ExecStats) -> String {
     )
 }
 
-/// The `QUERY DOCTOR` section: one line per diagnosis, naming the paper
-/// Tip (or rule) that disqualified the index.
-pub(crate) fn render_doctor_section(out: &mut String, diagnoses: &[crate::eligibility::Diagnosis]) {
+/// The `QUERY DOCTOR` section of an `EXPLAIN ANALYZE` report, shared by
+/// both front ends: one line per diagnosis, naming the paper Tip (or rule)
+/// that disqualified the index, plus a misestimate line when the run's plan
+/// was costed and its estimate was far off.
+pub(crate) fn render_doctor_section(
+    out: &mut String,
+    rejections: &[Rejection],
+    notes: &[Note],
+    stats: &ExecStats,
+) {
+    let mut diagnoses = diagnose(rejections, notes);
+    if stats.plans_costed > 0 {
+        diagnoses.extend(diagnose_misestimate(stats.cost_est_rows, stats.cost_actual_rows));
+    }
     if diagnoses.is_empty() {
         return;
     }
     out.push_str("QUERY DOCTOR\n");
-    for d in diagnoses {
+    for d in &diagnoses {
         out.push_str(&format!("  {}\n", d.render()));
     }
 }
@@ -1212,7 +1016,7 @@ struct Shard<'a> {
 /// partition source.
 struct FilteredProvider<'a> {
     catalog: &'a Catalog,
-    filters: &'a HashMap<String, BTreeSet<u64>>,
+    filters: &'a Survivors,
     shard: Option<Shard<'a>>,
 }
 

@@ -10,6 +10,9 @@
 //! Layering:
 //!
 //! * [`catalog`] — tables + XML indexes, with maintenance on insert;
+//! * [`access`] — the one access-path pipeline (index probe → twig join →
+//!   signature pre-filter) both front ends and DML narrow their sources
+//!   with, under one resolved [`AccessConfig`];
 //! * [`eligibility`] — candidate extraction (filtering-context analysis),
 //!   pattern containment, type matching, between-merging;
 //! * [`engine`] — the standalone XQuery interface (the paper's `db2-fn:xmlcolumn`
@@ -17,6 +20,7 @@
 //! * [`sqlxml`] — the SQL/XML interface: `XMLQUERY`, `XMLEXISTS`,
 //!   `XMLTABLE`, `XMLCAST`, with SQL comparison semantics.
 
+pub mod access;
 pub mod catalog;
 pub mod durability;
 pub mod eligibility;
@@ -28,6 +32,7 @@ pub mod sqlxml;
 pub mod twig;
 pub mod verify;
 
+pub use access::AccessConfig;
 pub use catalog::Catalog;
 pub use durability::{
     open_durable_catalog, recover_catalog, snapshot_records, Durability, RecoveryReport,
@@ -38,7 +43,7 @@ pub use eligibility::{
     Cond, CostModel, Diagnosis, Est, IndexCond, Note, Pitfall, RejectReason,
 };
 pub use engine::{
-    cost_env_enabled, execute_plan, explain, explain_analyze_report, explain_analyze_xquery,
+    execute_plan, explain, explain_analyze_report, explain_analyze_xquery,
     explain_with_threads, partition_plan, plan_query, plan_query_costed, plan_query_traced,
     run_xquery, run_xquery_with_limits, run_xquery_with_options, ExecOptions, ExecOutcome,
     ExecStats, ParallelExecutor, Partition, PlanCost, QueryPlan,

@@ -43,7 +43,9 @@
 //!   (covering every later use, including in `return`); each recognized
 //!   use of `$v` adds its own, stricter group. `let $v := collection()`
 //!   emits an **empty** group — no filtering — because `count($v)` must
-//!   see every document.
+//!   see every document. A `let` over a `for` variable's path emits
+//!   nothing (the tuple survives an empty `$v`); uses of `$v` tighten the
+//!   `for` group as the `for` variable's own uses would.
 //! * `where` conjuncts (after `and`-flattening): a rooted path requires
 //!   itself; general/value comparisons require their rooted-path operands
 //!   (existential semantics: an empty operand makes the conjunct false).
@@ -52,10 +54,10 @@
 //!
 //! Two guards close the remaining holes:
 //!
-//! * **Occurrence count** (engine only): if the query mentions
-//!   `db2-fn:xmlcolumn('S')` more times than the extractor recognized as
-//!   uses (e.g. inside `count(...)`), every requirement for `S` is
-//!   dropped.
+//! * **Occurrence count**: if the query mentions `db2-fn:xmlcolumn('S')`
+//!   (engine) or a PASSING variable bound to `S` (SQL) more times than the
+//!   extractor recognized as uses (e.g. inside `count(...)`, or a bare
+//!   `$d` in a `return`), every requirement for `S` is dropped.
 //! * **SQL row filtering** (`recognize_xmlcolumn = false`): inside an SQL
 //!   `XMLEXISTS`, only PASSING-variable uses say anything about *which
 //!   row* passes; an embedded `xmlcolumn()` call is collection-global, so
@@ -179,6 +181,7 @@ pub fn extract_prefilters(
     let mut ex = Extractor {
         groups: HashMap::new(),
         recognized: HashMap::new(),
+        var_uses: HashMap::new(),
         recognize_xmlcolumn,
     };
     let vars: Vars = env
@@ -203,6 +206,9 @@ pub fn extract_prefilters(
             total.get(src).copied().unwrap_or(0) == ex.recognized.get(src).copied().unwrap_or(0)
         });
     }
+    for src in unguarded_doc_sources(body, env, &ex.var_uses) {
+        ex.groups.remove(&src);
+    }
 
     ex.groups
         .into_iter()
@@ -225,6 +231,40 @@ pub fn extract_prefilters(
             Some((src, SourcePrefilter { groups }))
         })
         .collect()
+}
+
+/// The sources of doc-level variables (SQL PASSING bindings) that occur in
+/// `body` more often than `recognized` counts uses of their name. Such an
+/// occurrence — a bare `$d` in a `return`, an aggregate argument — lets a
+/// row contribute without satisfying any extracted requirement, so the
+/// source must not be filtered. Shadowing bindings share the name and only
+/// make the guard drop more.
+pub(crate) fn unguarded_doc_sources(
+    body: &Expr,
+    env: &AnalysisEnv,
+    recognized: &HashMap<ExpandedName, usize>,
+) -> Vec<String> {
+    env.doc_bindings()
+        .filter(|(var, _)| {
+            let mut total = 0usize;
+            visit_exprs(body, &mut |e| {
+                total += usize::from(matches!(e, Expr::VarRef(v) if v == *var));
+            });
+            total != recognized.get(*var).copied().unwrap_or(0)
+        })
+        .map(|(_, b)| b.source.clone())
+        .collect()
+}
+
+/// True if `expr` is a path (possibly filtered) rooted at a `for`
+/// variable's binding.
+fn rooted_at_for_var(expr: &Expr, vars: &Vars) -> bool {
+    match expr.unparen() {
+        Expr::Path { init, .. } => rooted_at_for_var(init, vars),
+        Expr::Filter { expr, .. } => rooted_at_for_var(expr, vars),
+        Expr::VarRef(v) => matches!(vars.get(v), Some(Binding::For { .. })),
+        _ => false,
+    }
 }
 
 /// Variable bindings the extractor tracks. Anything else (positional
@@ -259,6 +299,8 @@ struct Extractor {
     groups: HashMap<String, Vec<Vec<RequiredPath>>>,
     /// Per-source count of `xmlcolumn()` occurrences the walk recognized.
     recognized: HashMap<String, usize>,
+    /// Per-name count of variable occurrences the walk resolved as uses.
+    var_uses: HashMap<ExpandedName, usize>,
     recognize_xmlcolumn: bool,
 }
 
@@ -318,6 +360,30 @@ impl Extractor {
                         vars.remove(p);
                     }
                 }
+                FlworClause::Let { var, expr } if rooted_at_for_var(expr, &vars) => {
+                    // `let` binds an empty sequence instead of dropping the
+                    // tuple, so a path below a `for` variable must not
+                    // tighten that variable's group. Walk it only for the
+                    // position it binds and discard what it emitted; uses
+                    // of the let variable in `where` conjuncts and nested
+                    // `for`s then tighten the group like the for
+                    // variable's own uses do.
+                    let saved =
+                        (self.groups.clone(), self.recognized.clone(), self.var_uses.clone());
+                    let target = self.use_target(expr, &vars);
+                    (self.groups, self.recognized, self.var_uses) = saved;
+                    match target {
+                        Some(Target { source, group, prefix, exact }) => {
+                            vars.insert(
+                                var.clone(),
+                                Binding::For { source, group, prefix, exact },
+                            );
+                        }
+                        None => {
+                            vars.remove(var);
+                        }
+                    }
+                }
                 FlworClause::Let { var, expr } => {
                     match self.use_target(expr, &vars) {
                         Some(t) => {
@@ -369,9 +435,7 @@ impl Extractor {
     /// One `where` conjunct (or `XMLEXISTS` conjunct).
     fn condition(&mut self, cond: &Expr, vars: &Vars) {
         match cond.unparen() {
-            Expr::Path { init, steps } => {
-                self.rooted_use(init, steps, vars);
-            }
+            Expr::Path { .. } | Expr::VarRef(_) => self.operand(cond, vars),
             Expr::Flwor(f) => self.flwor(f, vars),
             Expr::GeneralCmp(_, a, b) | Expr::ValueCmp(_, a, b) => {
                 // Existential semantics: an empty operand makes the
@@ -387,8 +451,14 @@ impl Extractor {
     }
 
     fn operand(&mut self, e: &Expr, vars: &Vars) {
-        if let Expr::Path { init, steps } = e.unparen() {
-            self.rooted_use(init, steps, vars);
+        match e.unparen() {
+            Expr::Path { init, steps } => self.rooted_use(init, steps, vars),
+            // A bare `for`-bound variable (a `let` over a `for` path binds
+            // one too) is a path with no steps: required like any other.
+            v @ Expr::VarRef(name) if matches!(vars.get(name), Some(Binding::For { .. })) => {
+                self.rooted_use(v, &[], vars);
+            }
+            _ => {}
         }
     }
 
@@ -457,17 +527,21 @@ impl Extractor {
     /// use's group (so step predicates have somewhere to emit).
     fn resolve_init(&mut self, init: &Expr, vars: &Vars) -> Option<Target> {
         match init.unparen() {
-            Expr::VarRef(v) => match vars.get(v)? {
-                Binding::For { source, group, prefix, exact } => Some(Target {
-                    source: source.clone(),
-                    group: *group,
-                    prefix: prefix.clone(),
-                    exact: *exact,
-                }),
-                Binding::Seed { source, prefix } => {
-                    Some(self.new_group(source.clone(), prefix.clone()))
+            Expr::VarRef(v) => {
+                let binding = vars.get(v)?;
+                *self.var_uses.entry(v.clone()).or_insert(0) += 1;
+                match binding {
+                    Binding::For { source, group, prefix, exact } => Some(Target {
+                        source: source.clone(),
+                        group: *group,
+                        prefix: prefix.clone(),
+                        exact: *exact,
+                    }),
+                    Binding::Seed { source, prefix } => {
+                        Some(self.new_group(source.clone(), prefix.clone()))
+                    }
                 }
-            },
+            }
             // `$x[pred]/...` — resolve the inner root, then apply the
             // filter predicates at its position.
             Expr::Filter { expr, predicates } => {

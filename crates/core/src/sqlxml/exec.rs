@@ -12,34 +12,32 @@
 //!   eliminate rows, so candidates found there surface as EXPLAIN notes
 //!   (Queries 5 and 12), never as index probes.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use xqdb_obs::{Counter, Histogram, Obs, Trace};
+use xqdb_obs::{Counter, Obs, Trace};
 use xqdb_runtime::{chunk_ranges, WorkerPool};
 use xqdb_xdm::{cast, AtomicType, AtomicValue, ErrorCode, ExpandedName, Item, Sequence, XdmError};
-use xqdb_xmlindex::ProbeStats;
 use xqdb_xqeval::{eval_query, DynamicContext};
 use xqdb_xquery::Query;
-use xqdb_storage::{sql_compare, SqlType, SqlValue};
+use xqdb_storage::{sql_compare, SqlType, SqlValue, Table};
 
+use crate::access::{self, AccessConfig, AccessPaths, SourcePaths, Survivors};
 use crate::catalog::Catalog;
 use crate::durability::{open_durable_catalog, Durability, RecoveryReport};
 use crate::eligibility::{
-    analyze_filtering, analyze_non_filtering, compile, diagnose, diagnose_misestimate,
-    restrict_to_source, AnalysisEnv, Cond, IndexCond, Note, Rejection,
+    analyze_filtering, analyze_non_filtering, compile, restrict_to_source, AnalysisEnv, Cond,
+    IndexCond, Note, Rejection,
 };
 use crate::engine::{
-    cost_env_enabled, prefilter_env_enabled, record_exec_metrics, render_doctor_section,
-    render_execution_sections, twig_env_enabled, ExecStats, PlanCost,
+    apply_pool_delta, record_exec_metrics, render_doctor_section, render_execution_sections,
+    try_run_traced, ExecStats, PlanCost,
 };
 use crate::plancache::PlanCache;
 use crate::prefilter::{extract_prefilters, SourcePrefilter};
-use crate::twig::{extract_twigs, PreparedTwig, SourceTwig};
+use crate::twig::{extract_twigs, SourceTwig};
 
 use super::ast::*;
 use super::parser::parse_sql;
@@ -154,16 +152,12 @@ pub struct SqlSession {
     pub parse_limits: xqdb_xmlparse::ParseLimits,
     /// Observability handle shared by every statement of the session.
     pub obs: Obs,
-    /// Apply the structural pre-filter to row selection (on by default;
-    /// `XQDB_PREFILTER=off` in the environment also disables it).
-    pub prefilter: bool,
-    /// Apply the holistic twig join to row selection (on by default;
-    /// `XQDB_TWIG=off` in the environment also disables it).
-    pub twig: bool,
-    /// Cost index choices against synopsis statistics (on by default;
-    /// `XQDB_COST=off` in the environment also disables it). Off, the
-    /// planner takes the first eligible index in catalog order.
-    pub cost: bool,
+    /// The caller's access-path switches (all on by default). The
+    /// environment still wins: each statement runs under these AND the
+    /// environment's switches, which the session read once when built.
+    pub access: AccessConfig,
+    /// The environment's switches, read when the session was built.
+    env_access: AccessConfig,
     /// The durability layer, when the session is backed by a data
     /// directory (see [`SqlSession::open_durable`]).
     durability: Option<Arc<Durability>>,
@@ -179,9 +173,8 @@ impl Default for SqlSession {
             catalog: Catalog::default(),
             parse_limits: xqdb_xmlparse::ParseLimits::default(),
             obs: Obs::default(),
-            prefilter: true,
-            twig: true,
-            cost: true,
+            access: AccessConfig::default(),
+            env_access: AccessConfig::from_env(),
             durability: None,
             stmt_cache: Mutex::new(PlanCache::default()),
         }
@@ -254,6 +247,12 @@ impl SqlSession {
         session.catalog = catalog;
         session.durability = Some(durability);
         Ok((session, report))
+    }
+
+    /// The switches statements run under: [`SqlSession::access`] with the
+    /// environment folded in.
+    pub(crate) fn access_config(&self) -> AccessConfig {
+        self.access.and(self.env_access)
     }
 
     /// The durability layer, when this session has one.
@@ -400,8 +399,8 @@ impl SqlSession {
                 return Err(XdmError::internal(format!("run_dml on non-DML {other:?}")))
             }
         };
-        let mut stats = ExecStats::new();
-        let matches = self.dml_matching_rows(table, where_cond, &mut stats, trace, &budget)?;
+        let pool_baseline = self.catalog.pool_stats();
+        let (matches, mut stats) = self.dml_matching_rows(table, where_cond, trace, &budget)?;
         let message = match stmt {
             SqlStmt::Delete { .. } => {
                 let rowids: Vec<u64> = matches.iter().map(|(rid, _)| *rid).collect();
@@ -429,53 +428,54 @@ impl SqlSession {
             }
             _ => unreachable!(),
         };
+        apply_pool_delta(&mut stats, &self.catalog, &pool_baseline);
         record_exec_metrics(&self.obs, &stats);
         Ok(SqlResult { message: Some(message), stats, trace: trace.clone(), ..Default::default() })
     }
 
     /// The rows of `table` whose WHERE evaluation is TRUE, as
-    /// `(rowid, stored values)` pairs in row order. `None` matches every
-    /// live row (SQL semantics of a missing WHERE).
+    /// [`DmlMatches`] in row order, plus the matching run's stats. `None` matches every live row (SQL semantics of a
+    /// missing WHERE). The WHERE is planned like a single-table SELECT's,
+    /// so only the access pipeline's survivors are fetched; the whole
+    /// condition is then evaluated on each of them.
     fn dml_matching_rows(
         &self,
         table: &str,
         where_cond: &Option<SqlCond>,
-        stats: &mut ExecStats,
         trace: &Trace,
         budget: &Arc<xqdb_xdm::Budget>,
-    ) -> Result<Vec<(u64, Vec<SqlValue>)>, XdmError> {
-        let t = self.catalog.db.table(table).ok_or_else(|| {
-            XdmError::new(ErrorCode::SqlType, format!("unknown table {table:?}"))
-        })?;
-        let alias = t.name.clone();
+    ) -> Result<(DmlMatches, ExecStats), XdmError> {
+        let t = self.table(table)?;
+        let sel = SelectStmt {
+            items: Vec::new(),
+            from: vec![FromItem::Table { name: t.name.clone(), alias: t.name.clone() }],
+            where_cond: where_cond.clone(),
+        };
+        let plan = self.plan_select_traced(&sel, trace)?;
+        let mut stats = ExecStats::for_plan(&plan.cost);
+        let pool = WorkerPool::new(self.catalog.runtime.effective_threads());
+        let filters = self.survivors(&plan, pool, trace, budget, &mut stats)?;
         let mut span = trace.span("scan");
         stats.docs_total.insert(t.name.clone(), t.len());
-        let mut scanned = 0usize;
+        let mut fetched = 0usize;
         let mut out = Vec::new();
-        for item in t.scan() {
-            let (rid, values) = item?;
-            scanned += 1;
+        for row in access::fetch(filters.get(&t.name), t) {
+            let (rid, values) = row?;
+            fetched += 1;
             let pass = match where_cond {
                 None => true,
                 Some(cond) => {
-                    let mut ctx = RowCtx::default();
-                    for (ci, col) in t.columns.iter().enumerate() {
-                        ctx.values.insert(
-                            (alias.clone(), col.name.clone()),
-                            Scalar::from_stored(&values[ci]),
-                        );
-                        ctx.order.push((alias.clone(), col.name.clone()));
-                    }
+                    let ctx = RowCtx::default().with_row(&t.name, t, &values);
                     self.eval_cond(cond, &ctx, budget)? == Some(true)
                 }
             };
             if pass {
-                out.push((rid as u64, values));
+                out.push((rid, values));
             }
         }
-        stats.docs_evaluated.insert(t.name.clone(), scanned);
+        stats.docs_evaluated.insert(t.name.clone(), fetched);
         span.add_count(out.len() as u64);
-        Ok(out)
+        Ok((out, stats))
     }
 
     /// Build the replacement row for one UPDATE target: unlisted columns
@@ -491,16 +491,8 @@ impl SqlSession {
         old: &[SqlValue],
         budget: &Arc<xqdb_xdm::Budget>,
     ) -> Result<Vec<SqlValue>, XdmError> {
-        let t = self.catalog.db.table(table).ok_or_else(|| {
-            XdmError::new(ErrorCode::SqlType, format!("unknown table {table:?}"))
-        })?;
-        let alias = t.name.clone();
-        let mut ctx = RowCtx::default();
-        for (ci, col) in t.columns.iter().enumerate() {
-            ctx.values
-                .insert((alias.clone(), col.name.clone()), Scalar::from_stored(&old[ci]));
-            ctx.order.push((alias.clone(), col.name.clone()));
-        }
+        let t = self.table(table)?;
+        let ctx = RowCtx::default().with_row(&t.name, t, old);
         let mut row = old.to_vec();
         for (col, expr) in set {
             let upper = col.to_ascii_uppercase();
@@ -513,18 +505,7 @@ impl SqlSession {
             let ty = &t.columns[ci].ty;
             row[ci] = match (expr, ty) {
                 // String literal into an XML column: XMLPARSE, as INSERT.
-                (SqlExpr::Varchar(s), SqlType::Xml) => {
-                    let doc = xqdb_xmlparse::parse_document_with(s, &self.parse_limits)
-                        .map_err(|pe| {
-                            let code = if pe.limit_exceeded {
-                                ErrorCode::ParseLimit
-                            } else {
-                                ErrorCode::XPST0003
-                            };
-                            XdmError::new(code, format!("XMLPARSE: {pe}"))
-                        })?;
-                    SqlValue::Xml(doc.root())
-                }
+                (SqlExpr::Varchar(s), SqlType::Xml) => self.xmlparse(s)?,
                 (SqlExpr::Varchar(s), SqlType::Date) => {
                     SqlValue::Date(xqdb_xdm::Date::parse(s)?)
                 }
@@ -577,9 +558,7 @@ impl SqlSession {
         // *shared* catalog, so a DDL — or heavy DML drift — committed by
         // any other session of a server invalidates this session's
         // cached plans on the next lookup.
-        let use_cost = self.cost && cost_env_enabled();
-        let key: Cow<str> =
-            if use_cost { Cow::Borrowed(sql) } else { Cow::Owned(format!("#nocost\n{sql}")) };
+        let key = self.access_config().plan_key(sql);
         let epoch = self.catalog.plan_epoch();
         let cached = match self.stmt_cache.lock() {
             Ok(mut cache) => cache.get(&key, epoch),
@@ -682,16 +661,26 @@ impl SqlSession {
         let result = self.run_select_planned(sel, plan, cache_hit, trace, budget)?;
         let mut report = render_plan(plan);
         render_execution_sections(&mut report, &result.stats, trace);
-        let mut diagnoses = diagnose(&plan.rejections, &plan.notes);
-        if result.stats.plans_costed > 0 {
-            diagnoses.extend(diagnose_misestimate(
-                result.stats.cost_est_rows,
-                result.stats.cost_actual_rows,
-            ));
-        }
-        render_doctor_section(&mut report, &diagnoses);
+        render_doctor_section(&mut report, &plan.rejections, &plan.notes, &result.stats);
         report.push_str(&format!("-- executed: {} row(s) produced\n", result.rows.len()));
         Ok(SqlResult { message: Some(report), stats: result.stats, ..Default::default() })
+    }
+
+    /// The named table, or a typed "unknown table" error.
+    fn table(&self, name: &str) -> Result<&Table, XdmError> {
+        self.catalog.db.table(name).ok_or_else(|| {
+            XdmError::new(ErrorCode::SqlType, format!("unknown table {name:?}"))
+        })
+    }
+
+    /// XMLPARSE under the session's parse limits: a document value, or a
+    /// typed parse (or parse-limit) error.
+    fn xmlparse(&self, text: &str) -> Result<SqlValue, XdmError> {
+        let doc = xqdb_xmlparse::parse_document_with(text, &self.parse_limits).map_err(|pe| {
+            let code = if pe.limit_exceeded { ErrorCode::ParseLimit } else { ErrorCode::XPST0003 };
+            XdmError::new(code, format!("XMLPARSE: {pe}"))
+        })?;
+        Ok(SqlValue::Xml(doc.root()))
     }
 
     /// INSERT values: strings targeting XML columns are parsed as XML.
@@ -700,25 +689,12 @@ impl SqlSession {
         table: &str,
         values: Vec<SqlExpr>,
     ) -> Result<Vec<SqlValue>, XdmError> {
-        let t = self.catalog.db.table(table).ok_or_else(|| {
-            XdmError::new(ErrorCode::SqlType, format!("unknown table {table:?}"))
-        })?;
+        let t = self.table(table)?;
         let mut out = Vec::with_capacity(values.len());
         for (i, e) in values.into_iter().enumerate() {
             let target = t.columns.get(i).map(|c| &c.ty);
             let v = match (e, target) {
-                (SqlExpr::Varchar(s), Some(SqlType::Xml)) => {
-                    let doc = xqdb_xmlparse::parse_document_with(&s, &self.parse_limits)
-                        .map_err(|pe| {
-                            let code = if pe.limit_exceeded {
-                                ErrorCode::ParseLimit
-                            } else {
-                                ErrorCode::XPST0003
-                            };
-                            XdmError::new(code, format!("XMLPARSE: {pe}"))
-                        })?;
-                    SqlValue::Xml(doc.root())
-                }
+                (SqlExpr::Varchar(s), Some(SqlType::Xml)) => self.xmlparse(&s)?,
                 (SqlExpr::Varchar(s), Some(SqlType::Date)) => {
                     SqlValue::Date(xqdb_xdm::Date::parse(&s)?)
                 }
@@ -748,9 +724,7 @@ impl SqlSession {
         // Map alias → (table, xml columns).
         for item in &sel.from {
             if let FromItem::Table { name, alias } = item {
-                let t = self.catalog.db.table(name).ok_or_else(|| {
-                    XdmError::new(ErrorCode::SqlType, format!("unknown table {name:?}"))
-                })?;
+                let t = self.table(name)?;
                 plan.tables.insert(alias.clone(), t.name.clone());
             }
         }
@@ -801,7 +775,7 @@ impl SqlSession {
         // synopsis statistics when the session (and environment) allow it.
         // Sources are visited in sorted order so cost notes and candidate
         // tallies are deterministic across runs.
-        let use_cost = self.cost && cost_env_enabled();
+        let use_cost = self.access_config().cost;
         let mut all_conds: Vec<_> = plan.conds.clone().into_iter().collect();
         all_conds.sort_by(|a, b| a.0.cmp(&b.0));
         for (source, conds) in all_conds {
@@ -917,6 +891,39 @@ impl SqlSession {
         Ok(Arc::new(plan))
     }
 
+    /// Run the access pipeline over every source the plan narrows, in
+    /// source order. Survivors are keyed by table: a row passes only if
+    /// every filtering conjunct over any of its XML columns does.
+    fn survivors(
+        &self,
+        plan: &SqlPlan,
+        pool: WorkerPool,
+        trace: &Trace,
+        budget: &xqdb_xdm::Budget,
+        stats: &mut ExecStats,
+    ) -> Result<Survivors, XdmError> {
+        let sources: BTreeSet<&String> =
+            plan.accesses.keys().chain(plan.twigs.keys()).chain(plan.prefilters.keys()).collect();
+        let sources: Vec<SourcePaths<'_>> = sources
+            .into_iter()
+            .map(|source| SourcePaths {
+                source,
+                key: source.split('.').next().unwrap_or(""),
+                index: plan.accesses.get(source),
+                twigs: plan.twigs.get(source).map_or(&[], Vec::as_slice),
+                prefilters: plan.prefilters.get(source).map_or(&[], Vec::as_slice),
+            })
+            .collect();
+        let paths = AccessPaths {
+            catalog: &self.catalog,
+            config: self.access_config(),
+            pool,
+            obs: &self.obs,
+            trace,
+        };
+        paths.survivors(&sources, budget, stats)
+    }
+
     /// Execute a SELECT against an already-compiled plan. `cache_hit`
     /// records whether the plan came from the statement cache (the matching
     /// counter was incremented by the caller).
@@ -928,164 +935,12 @@ impl SqlSession {
         trace: &Trace,
         budget: &Arc<xqdb_xdm::Budget>,
     ) -> Result<SqlResult, XdmError> {
-        let mut stats = ExecStats::new();
+        let mut stats = ExecStats::for_plan(&plan.cost);
         stats.plan_cache_hits = u64::from(cache_hit);
         stats.plan_cache_misses = u64::from(!cache_hit);
-        if plan.cost.costed {
-            stats.plans_costed = 1;
-            stats.index_candidates_costed = plan.cost.candidates;
-            stats.cost_est_rows = plan.cost.est_rows.unwrap_or(0);
-        }
-        // Resolve per-table row filters from compiled accesses. Iterate in
-        // source order so spans and degradations are deterministic.
-        let mut row_filters: HashMap<String, BTreeSet<u64>> = HashMap::new();
-        let mut sources: Vec<_> = plan.accesses.iter().collect();
-        sources.sort_by_key(|(s, _)| s.as_str());
-        for (source, access) in sources {
-            let mut span = trace.span("index probe");
-            span.tag_with("source", || source.clone());
-            let indexes = self.catalog.indexes_for_source(source);
-            let mut pstats = ProbeStats::default();
-            let t0 = self.obs.metrics_enabled().then(Instant::now);
-            let probed = access.execute(&indexes, &mut pstats, budget);
-            if let Some(t0) = t0 {
-                self.obs.observe_ns(Histogram::ProbeNanos, elapsed_ns(t0));
-            }
-            stats.index_entries_scanned += pstats.entries_scanned;
-            stats.index_probes += pstats.probes;
-            stats.btree_nodes_touched += pstats.nodes_touched;
-            stats.multi_index_intersections += pstats.intersections as u64;
-            span.add_count(pstats.entries_scanned as u64);
-            let rows = match probed {
-                Ok(rows) => rows,
-                Err(e) if e.code == xqdb_xdm::ErrorCode::StorageFault => {
-                    // Degrade to an unfiltered scan of this source (correct
-                    // by Definition 1); record it for observability.
-                    span.tag_str("outcome", "degraded to scan");
-                    stats.index_faults += 1;
-                    stats.degraded_sources.push(source.clone());
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            span.tag_str("outcome", "index hit");
-            span.tag_with("survivors", || rows.len().to_string());
-            stats.cost_actual_rows += rows.len() as u64;
-            let table = source.split('.').next().unwrap_or("").to_string();
-            // Intersect if several XML columns of one table are filtered.
-            row_filters
-                .entry(table)
-                .and_modify(|r| *r = r.intersection(&rows).copied().collect())
-                .or_insert(rows);
-        }
-
-        // Holistic twig join: drop rows no conjunct's twig patterns can
-        // structurally match (conservative per Definition 1 — survivors
-        // are still re-checked by the WHERE phase). Runs strictly after
-        // the index-probe loop, before the signature pre-filter; label
-        // streams live in RAM, so the pass adds no fault points. Tables
-        // whose labels cannot vouch for every row are declined untouched.
-        if self.twig && twig_env_enabled() {
-            let mut tw_sources: Vec<_> = plan.twigs.keys().collect();
-            tw_sources.sort();
-            for source in tw_sources {
-                let tws = &plan.twigs[source];
-                if tws.is_empty() {
-                    continue;
-                }
-                let Some(t) = source
-                    .split('.')
-                    .next()
-                    .and_then(|name| self.catalog.db.table(name))
-                else {
-                    continue;
-                };
-                let table = t.name.clone();
-                let mut span = trace.span("twig join");
-                span.tag_with("source", || source.clone());
-                let prepared: Vec<PreparedTwig<'_>> = match tws
-                    .iter()
-                    .map(|tw| PreparedTwig::prepare(tw, t))
-                    .collect::<Option<Vec<_>>>()
-                {
-                    Some(p) => p,
-                    None => {
-                        span.tag_str("outcome", "declined: labels incomplete");
-                        continue;
-                    }
-                };
-                let mut skipped = 0usize;
-                let mut candidates = 0usize;
-                // Each filtering conjunct must hold, so a row survives
-                // only if every conjunct's twig matches it.
-                let mut keep = |rid: u64| {
-                    let candidate = prepared.iter().all(|p| p.is_candidate(rid));
-                    candidates += usize::from(candidate);
-                    let ok = candidate && prepared.iter().all(|p| p.accepts(rid));
-                    skipped += usize::from(!ok);
-                    ok
-                };
-                let survivors: BTreeSet<u64> = match row_filters.get(&table) {
-                    Some(rows) => rows.iter().copied().filter(|r| keep(*r)).collect(),
-                    None => (0..t.len() as u64).filter(|r| keep(*r)).collect(),
-                };
-                span.add_count(skipped as u64);
-                span.tag_with("candidates", || candidates.to_string());
-                span.tag_with("survivors", || survivors.len().to_string());
-                stats.twig_joins += 1;
-                stats.twig_candidates += candidates;
-                stats.twig_docs_skipped += skipped;
-                row_filters.insert(table, survivors);
-            }
-        }
-
-        // Structural pre-filter: drop rows whose path signature cannot
-        // satisfy some filtering conjunct (conservative per Definition 1 —
-        // false positives only, so survivors are still re-checked by the
-        // WHERE phase). Runs strictly after the index-probe loop so probe
-        // spans and fault degradations are unchanged by the filter.
-        if self.prefilter && prefilter_env_enabled() {
-            let mut pf_sources: Vec<_> = plan.prefilters.keys().collect();
-            pf_sources.sort();
-            for source in pf_sources {
-                let pfs = &plan.prefilters[source];
-                if pfs.is_empty() {
-                    continue;
-                }
-                let Some(t) = source
-                    .split('.')
-                    .next()
-                    .and_then(|name| self.catalog.db.table(name))
-                else {
-                    continue;
-                };
-                let table = t.name.clone();
-                let mut span = trace.span("prefilter");
-                span.tag_with("source", || source.clone());
-                let mut skipped = 0usize;
-                // Each filtering conjunct must hold, so a row survives only
-                // if its signature satisfies every conjunct's pre-filter.
-                // Rows without a signature (no XML cell) are kept: the
-                // residual WHERE decides them, never the pre-filter.
-                let mut keep = |rid: u64| {
-                    let ok = t
-                        .signature(rid as usize)
-                        .is_none_or(|sig| pfs.iter().all(|pf| pf.accepts(sig)));
-                    if !ok {
-                        skipped += 1;
-                    }
-                    ok
-                };
-                let survivors: BTreeSet<u64> = match row_filters.get(&table) {
-                    Some(rows) => rows.iter().copied().filter(|r| keep(*r)).collect(),
-                    None => (0..t.len() as u64).filter(|r| keep(*r)).collect(),
-                };
-                span.add_count(skipped as u64);
-                span.tag_with("survivors", || survivors.len().to_string());
-                stats.prefilter_docs_skipped += skipped;
-                row_filters.insert(table, survivors);
-            }
-        }
+        let pool_baseline = self.catalog.pool_stats();
+        let pool = WorkerPool::new(self.catalog.runtime.effective_threads());
+        let filters = self.survivors(plan, pool, trace, budget, &mut stats)?;
 
         let mut scan_span = trace.span("scan");
         // Build the row stream via nested loops.
@@ -1094,33 +949,22 @@ impl SqlSession {
             let mut next = Vec::new();
             match item {
                 FromItem::Table { name, alias } => {
-                    let t = self.catalog.db.table(name).ok_or_else(|| {
-                        XdmError::new(ErrorCode::SqlType, format!("unknown table {name:?}"))
-                    })?;
-                    let filter = row_filters.get(&t.name);
+                    let t = self.table(name)?;
                     stats.docs_total.insert(t.name.clone(), t.len());
-                    let mut scanned = 0usize;
-                    for item in t.scan() {
-                        let (rid, values) = item?;
-                        if let Some(f) = filter {
-                            if !f.contains(&(rid as u64)) {
-                                continue;
-                            }
-                        }
-                        scanned += 1;
+                    // Survivors narrow a table under every alias, so a table
+                    // joined with itself is fetched whole: a conjunct over
+                    // one alias says nothing about the other's rows.
+                    let joined_once = plan.tables.values().filter(|n| **n == t.name).count() == 1;
+                    let filter = filters.get(&t.name).filter(|_| joined_once);
+                    let mut fetched = 0usize;
+                    for row in access::fetch(filter, t) {
+                        let (_, values) = row?;
+                        fetched += 1;
                         for base in &rows {
-                            let mut ctx = base.clone();
-                            for (ci, col) in t.columns.iter().enumerate() {
-                                ctx.values.insert(
-                                    (alias.clone(), col.name.clone()),
-                                    Scalar::from_stored(&values[ci]),
-                                );
-                                ctx.order.push((alias.clone(), col.name.clone()));
-                            }
-                            next.push(ctx);
+                            next.push(base.clone().with_row(alias, t, &values));
                         }
                     }
-                    stats.docs_evaluated.insert(t.name.clone(), scanned);
+                    stats.docs_evaluated.insert(t.name.clone(), fetched);
                 }
                 FromItem::XmlTable { row_query, passing, columns, alias, column_aliases } => {
                     for base in &rows {
@@ -1144,37 +988,18 @@ impl SqlSession {
         // pool configured the predicate phase (each row runs its XMLEXISTS
         // residuals) evaluates in row chunks across workers; the kept set
         // is rebuilt in row order, identical to the serial loop.
-        let threads = self.catalog.runtime.effective_threads();
         let kept = match &sel.where_cond {
-            Some(cond) if threads > 1 && rows.len() > 1 => {
-                let pool = WorkerPool::new(threads);
+            Some(cond) if pool.threads() > 1 && rows.len() > 1 => {
                 let ranges = chunk_ranges(rows.len(), pool.default_chunks(rows.len()));
                 let rows_ref = &rows;
-                let parent = scan_span.id();
                 let task = |i: usize| {
                     let mut out = Vec::with_capacity(ranges[i].len());
                     for ctx in &rows_ref[ranges[i].clone()] {
                         out.push(self.eval_cond(cond, ctx, budget)? == Some(true));
                     }
-                    Ok::<_, XdmError>(out)
+                    Ok(out)
                 };
-                let flags = if trace.enabled() {
-                    pool.try_run_observed(ranges.len(), task, |t| {
-                        trace.record_finished(
-                            parent,
-                            "worker task",
-                            t.started,
-                            t.nanos,
-                            0,
-                            vec![
-                                ("worker", t.worker.to_string()),
-                                ("task", t.task.to_string()),
-                            ],
-                        );
-                    })?
-                } else {
-                    pool.try_run(ranges.len(), task)?
-                };
+                let flags = try_run_traced(&pool, ranges.len(), task, trace, scan_span.id())?;
                 stats.parallel_workers = pool.threads();
                 stats.parallel_shards = ranges.len();
                 let mut pass = flags.into_iter().flatten();
@@ -1241,6 +1066,7 @@ impl SqlSession {
         }
         project_span.add_count(out_rows.len() as u64);
         drop(project_span);
+        apply_pool_delta(&mut stats, &self.catalog, &pool_baseline);
         record_exec_metrics(&self.obs, &stats);
         Ok(SqlResult { columns, rows: out_rows, message: None, stats, trace: trace.clone() })
     }
@@ -1385,6 +1211,9 @@ impl SqlSession {
     }
 }
 
+/// The rows a DELETE or UPDATE matched: `(rowid, stored values)` pairs.
+type DmlMatches = Vec<(u64, Vec<SqlValue>)>;
+
 /// One row of the in-flight join: (alias, column) → value.
 #[derive(Debug, Clone, Default)]
 struct RowCtx {
@@ -1393,6 +1222,15 @@ struct RowCtx {
 }
 
 impl RowCtx {
+    /// This row extended with a stored row of `table` under `alias`.
+    fn with_row(mut self, alias: &str, table: &Table, values: &[SqlValue]) -> RowCtx {
+        for (col, v) in table.columns.iter().zip(values) {
+            self.values.insert((alias.to_string(), col.name.clone()), Scalar::from_stored(v));
+            self.order.push((alias.to_string(), col.name.clone()));
+        }
+        self
+    }
+
     fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Scalar, XdmError> {
         let name = name.to_ascii_uppercase();
         match qualifier {
@@ -1518,10 +1356,6 @@ pub fn render_plan(plan: &SqlPlan) -> String {
         }
     }
     out
-}
-
-fn elapsed_ns(from: Instant) -> u64 {
-    u64::try_from(from.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn default_name(expr: &SqlExpr, i: usize) -> String {

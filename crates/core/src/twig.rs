@@ -27,8 +27,9 @@
 //! Variable uses (`$o/...` for a `for`/`let`-bound `$o`) are not
 //! tracked: whatever a derived variable produces from a row is already
 //! covered by the pattern of its binding expression, so ignoring the
-//! uses is sound. The engine-mode occurrence guard (count every
-//! `db2-fn:xmlcolumn('S')` occurrence, compare against recognized uses)
+//! uses is sound. The occurrence guard (count every
+//! `db2-fn:xmlcolumn('S')` occurrence in engine mode, every PASSING
+//! variable occurrence in SQL mode, and compare against recognized uses)
 //! closes the same hole it closes for the prefilter.
 //!
 //! ## Routing rule
@@ -49,6 +50,7 @@ use xqdb_xquery::ast::{
 
 use crate::eligibility::AnalysisEnv;
 use crate::engine::{visit_exprs, xmlcolumn_literal};
+use crate::prefilter::unguarded_doc_sources;
 
 /// The twig filter for one source: a row is kept iff any pattern
 /// matches it. Construction guarantees the list is non-empty, every
@@ -133,6 +135,7 @@ pub fn extract_twigs(
     let mut ex = TwigExtractor {
         uses: HashMap::new(),
         recognized: HashMap::new(),
+        var_uses: HashMap::new(),
         recognize_xmlcolumn,
     };
     let vars: Vars = env
@@ -154,6 +157,10 @@ pub fn extract_twigs(
         ex.uses.retain(|src, _| {
             total.get(src).copied().unwrap_or(0) == ex.recognized.get(src).copied().unwrap_or(0)
         });
+    }
+    // Same guard for PASSING variables (SQL mode).
+    for src in unguarded_doc_sources(body, env, &ex.var_uses) {
+        ex.uses.remove(&src);
     }
 
     ex.uses
@@ -194,6 +201,8 @@ struct TwigExtractor {
     uses: HashMap<String, Vec<Option<Pattern>>>,
     /// Per-source count of `xmlcolumn()` occurrences the walk recognized.
     recognized: HashMap<String, usize>,
+    /// Per-name count of doc-variable occurrences the walk resolved as uses.
+    var_uses: HashMap<ExpandedName, usize>,
     recognize_xmlcolumn: bool,
 }
 
@@ -290,7 +299,11 @@ impl TwigExtractor {
     /// independent uses).
     fn resolve_source(&mut self, init: &Expr, vars: &Vars) -> Option<String> {
         match init.unparen() {
-            Expr::VarRef(v) => vars.get(v).cloned(),
+            Expr::VarRef(v) => {
+                let source = vars.get(v).cloned()?;
+                *self.var_uses.entry(v.clone()).or_insert(0) += 1;
+                Some(source)
+            }
             Expr::Filter { expr, predicates } => {
                 let src = self.resolve_source(expr, vars)?;
                 for p in predicates {

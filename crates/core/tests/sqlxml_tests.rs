@@ -98,6 +98,27 @@ fn query_8_returns_qualifying_rows() {
 }
 
 #[test]
+fn xmlexists_on_one_alias_of_a_self_join_leaves_the_other_whole() {
+    let mut s = session_with_paper_schema();
+    load_orders(&mut s, DOCS);
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    // The index narrows alias `a` to order 2; alias `b` ranges over all
+    // three orders.
+    let r = s
+        .execute(
+            "SELECT a.ordid, b.ordid FROM orders a, orders b \
+             WHERE XMLExists('$x//lineitem[@price > 200]' passing a.orddoc as \"x\")",
+        )
+        .unwrap();
+    let pairs: Vec<String> =
+        r.rows.iter().map(|row| format!("{}-{}", row[0].render(), row[1].render())).collect();
+    assert_eq!(pairs, ["2-1", "2-2", "2-3"]);
+}
+
+#[test]
 fn query_9_boolean_xmlexists_returns_every_row() {
     let mut s = session_with_paper_schema();
     load_orders(&mut s, DOCS);

@@ -30,6 +30,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 use xqdb_xdm::XdmError;
 
@@ -38,6 +39,12 @@ use crate::PageId;
 
 /// Default pool capacity in frames (256 × 8 KiB = 2 MiB).
 pub const DEFAULT_BUFFER_PAGES: usize = 256;
+
+/// How long a fetch waits for a frame when every frame is pinned. A pin
+/// lasts one page access, so with more concurrent readers than frames one
+/// frees up almost at once; a caller that itself pins more pages than the
+/// pool holds still gets the exhaustion error, after this long.
+const PIN_WAIT: Duration = Duration::from_millis(100);
 
 /// Magic payload of page 0 (the Meta page) of a page file.
 const FILE_MAGIC: &[u8; 8] = b"XQPAGES1";
@@ -617,26 +624,36 @@ impl Pager {
     // ----------------------------------------------------------- internals
 
     fn fetch_slot(&self, id: PageId, count_stats: bool) -> Result<(usize, Arc<FrameBuf>), XdmError> {
-        let mut g = self.lock();
-        if id >= g.page_count {
-            return Err(XdmError::internal(format!(
-                "page {id} out of range (page count {})",
-                g.page_count
-            )));
-        }
-        if let Some(&slot) = g.map.get(&id) {
-            if count_stats {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+        let mut waiting_since: Option<Instant> = None;
+        let (mut g, slot) = loop {
+            let mut g = self.lock();
+            if id >= g.page_count {
+                return Err(XdmError::internal(format!(
+                    "page {id} out of range (page count {})",
+                    g.page_count
+                )));
             }
-            g.frames[slot].pins += 1;
-            g.frames[slot].refbit = true;
-            let buf = Arc::clone(&g.frames[slot].buf);
-            return Ok((slot, buf));
-        }
+            if let Some(&slot) = g.map.get(&id) {
+                if count_stats {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                }
+                g.frames[slot].pins += 1;
+                g.frames[slot].refbit = true;
+                let buf = Arc::clone(&g.frames[slot].buf);
+                return Ok((slot, buf));
+            }
+            match Self::victim(&mut g, &self.evictions) {
+                Ok(slot) => break (g, slot),
+                Err(_) if waiting_since.get_or_insert_with(Instant::now).elapsed() < PIN_WAIT => {
+                    drop(g);
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                Err(e) => return Err(e),
+            }
+        };
         if count_stats {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let slot = Self::victim(&mut g, &self.evictions)?;
         Self::evict_occupant(&mut g, slot, &self.evictions)?;
         {
             let inner = &mut *g;
@@ -884,6 +901,29 @@ mod tests {
         drop(pinned);
         let g = pager.fetch(pinned_id).unwrap();
         assert_eq!(g.data()[50], 7);
+    }
+
+    #[test]
+    fn fetch_waits_for_a_frame_another_reader_unpins() {
+        // Reader 0 pins both frames of a 2-frame pool; reader 1's fetch of
+        // a third page waits for the unpin instead of failing.
+        let pager = Pager::new_mem(2);
+        let ids: Vec<PageId> =
+            (0..3).map(|_| pager.allocate(PageKind::Heap).unwrap().0).collect();
+        let barrier = std::sync::Barrier::new(2);
+        let fetched = xqdb_runtime::WorkerPool::new(2).run(2, |reader| {
+            if reader == 0 {
+                let pins = (pager.fetch(ids[0]).unwrap(), pager.fetch(ids[1]).unwrap());
+                barrier.wait();
+                std::thread::sleep(Duration::from_millis(10));
+                drop(pins);
+                true
+            } else {
+                barrier.wait();
+                pager.fetch(ids[2]).is_ok()
+            }
+        });
+        assert_eq!(fetched, [true, true]);
     }
 
     #[test]

@@ -262,9 +262,11 @@ fn main() {
         xqdb_obs::Gauge::BufferPoolPages,
         session.catalog.db.pager().capacity() as u64,
     );
-    session.prefilter = !limits.no_prefilter;
-    session.twig = !limits.no_twig;
-    session.cost = !limits.no_cost;
+    session.access = xqdb_core::AccessConfig {
+        prefilter: !limits.no_prefilter,
+        twig: !limits.no_twig,
+        cost: !limits.no_cost,
+    };
     let stdin = io::stdin();
     let mut buffer = String::new();
     print!("xqdb — XML database shell (statements end with ';', '.help' for help)\nxqdb> ");
@@ -873,14 +875,7 @@ fn run_statement(session: &mut SqlSession, stmt: &str, limits: &CliLimits) {
         .strip_prefix("explain analyze xquery")
         .map(|_| stmt["explain analyze xquery".len()..].trim())
     {
-        let opts = xqdb_core::ExecOptions {
-            limits: limits.query_limits(),
-            threads: session.catalog.runtime.effective_threads(),
-            obs: session.obs.clone(),
-            prefilter: !limits.no_prefilter,
-            twig: !limits.no_twig,
-            cost: !limits.no_cost,
-        };
+        let opts = xqdb_server::exec_options(session, &limits.query_limits());
         match xqdb_core::explain_analyze_xquery(&session.catalog, rest, &opts) {
             Ok((report, out)) => {
                 print!("{report}");
@@ -910,14 +905,7 @@ fn run_statement(session: &mut SqlSession, stmt: &str, limits: &CliLimits) {
         return;
     }
     if let Some(rest) = lower.strip_prefix("xquery").map(|_| stmt["xquery".len()..].trim()) {
-        let opts = xqdb_core::ExecOptions {
-            limits: limits.query_limits(),
-            threads: session.catalog.runtime.effective_threads(),
-            obs: session.obs.clone(),
-            prefilter: !limits.no_prefilter,
-            twig: !limits.no_twig,
-            cost: !limits.no_cost,
-        };
+        let opts = xqdb_server::exec_options(session, &limits.query_limits());
         match xqdb_core::run_xquery_with_options(&session.catalog, rest, &opts) {
             Ok(out) => {
                 for (i, item) in out.sequence.iter().enumerate() {

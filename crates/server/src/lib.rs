@@ -410,14 +410,16 @@ pub fn is_read_statement(text: &str) -> bool {
     lower.starts_with("xquery") || !SqlSession::is_write_statement(text)
 }
 
-fn exec_options(session: &SqlSession, limits: &Limits) -> ExecOptions {
+/// Options for an XQuery statement run on `session`'s catalog: its thread
+/// degree, its observability handle and its access switches.
+pub fn exec_options(session: &SqlSession, limits: &Limits) -> ExecOptions {
     ExecOptions {
         limits: limits.clone(),
         threads: session.catalog.runtime.effective_threads(),
         obs: session.obs.clone(),
-        prefilter: session.prefilter,
-        twig: session.twig,
-        cost: session.cost,
+        prefilter: session.access.prefilter,
+        twig: session.access.twig,
+        cost: session.access.cost,
     }
 }
 

@@ -106,6 +106,31 @@ if grep -rln --include='*.rs' 'reclaim_tombstones' crates tests \
   exit 1
 fi
 
+# The access-path switches are read in exactly one place: AccessConfig
+# (crates/core/src/access.rs) folds XQDB_PREFILTER, XQDB_TWIG and XQDB_COST
+# into a session's or a run's configuration once, and everything else asks
+# it. Another reader could drift from the documented precedence
+# (environment AND caller) or read the environment mid-statement. Exempt:
+# crates/twig, which owns the XQDB_TWIG parser; the ingest-time labeling
+# gate in crates/storage/src/table.rs, which cannot see session config; and
+# test code (tests/ trees, and a source file's trailing #[cfg(test)] module).
+SWITCH_READ='var(_os)?\("XQDB_(PREFILTER|TWIG|COST)"|xqdb_twig::enabled_in_env\(\)'
+switch_reads=$(
+  grep -rlE --include='*.rs' "$SWITCH_READ" crates \
+    | grep -v '^crates/twig/' \
+    | grep -v '^crates/storage/src/table.rs$' \
+    | grep -v '^crates/core/src/access.rs$' \
+    | grep -v '/tests/' \
+    | while read -r f; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$SWITCH_READ" | sed "s|^|$f:|"
+      done
+) || true
+if [ -n "$switch_reads" ]; then
+  echo "$switch_reads"
+  echo "error: access-path switch read outside AccessConfig (resolve it through xqdb_core::AccessConfig)" >&2
+  exit 1
+fi
+
 # The paper's query suite must survive the wire: run it through a loopback
 # server (framing, admission, session locking) and byte-compare against
 # direct in-process execution.

@@ -247,7 +247,7 @@ fn costed_choice_is_order_independent_and_rule_based_is_not() {
     let off = run_xquery_with_options(&broad_first, q, &off_opts).unwrap();
     assert_eq!(off.stats.plans_costed, 0, "cost-off run must not cost");
     let on = run_xquery_with_options(&broad_first, q, &ExecOptions::default()).unwrap();
-    let expected = u64::from(xqdb_core::cost_env_enabled());
+    let expected = u64::from(xqdb_core::AccessConfig::from_env().cost);
     assert_eq!(on.stats.plans_costed, expected, "cost-on run reused the cost-off cached plan");
 }
 
@@ -280,7 +280,7 @@ fn sql_front_end_costs_orders_independently_and_reports_estimates() {
     // Under the lint harness's XQDB_COST=off pass the env gate forces the
     // first-eligible rule for every session; only the byte-identity half
     // of this test is meaningful there.
-    if xqdb_core::cost_env_enabled() {
+    if xqdb_core::AccessConfig::from_env().cost {
         assert!(
             explain.contains("NARROW") && !explain.contains("PROBE IDX_A_BROAD"),
             "SQL costed plan must pick the narrow index despite catalog order:\n{explain}"
@@ -295,7 +295,7 @@ fn sql_front_end_costs_orders_independently_and_reports_estimates() {
     // The cost-off twin takes the first-created (broad) index yet returns
     // byte-identical rows.
     let mut off = SqlSession::from_catalog(planner_catalog(false));
-    off.cost = false;
+    off.access.cost = false;
     let off_explain = off.execute(&format!("EXPLAIN {sql}")).unwrap().message.unwrap();
     assert!(off_explain.contains("PROBE IDX_A_BROAD"), "rule-based twin:\n{off_explain}");
     assert_eq!(

@@ -18,6 +18,13 @@
 //! synopsis, signatures and label streams must equal a from-scratch
 //! rebuild over the surviving rows.
 //!
+//! DELETE and UPDATE also match through `XMLEXISTS`, so their WHERE runs
+//! the same index-probe access path as a SELECT: the rows they touch must
+//! be exactly the shadow's documents holding a lineitem price above the
+//! threshold (or, when a polluted price among the survivors makes the
+//! predicate raise, the statement must fail with the fresh rebuild's
+//! error and change nothing).
+//!
 //! Ordids are assigned monotonically and never reused, and REPLACE keeps
 //! the row in place, so the churned table's scan order equals ascending
 //! ordid order — which is exactly how the shadow rebuild inserts. Result
@@ -63,6 +70,24 @@ fn random_doc(rng: &mut StdRng) -> String {
     }
     doc.push_str("</order>");
     doc
+}
+
+/// The `XMLEXISTS` predicate the matching DML statements use.
+fn price_above(t: u32) -> String {
+    format!("XMLEXISTS('$o//lineitem[@price > {t}]' passing orddoc as \"o\")")
+}
+
+/// The shadow's ordids whose document has a well-formed lineitem price
+/// above `t` — the rows `price_above(t)` selects whenever it does not
+/// raise on a polluted price.
+fn shadow_matches(shadow: &BTreeMap<i64, String>, t: u32) -> Vec<i64> {
+    let above = |doc: &str| {
+        doc.split("price=\"").skip(1).any(|rest| {
+            let value = rest.split('"').next().unwrap_or("");
+            value.parse::<f64>().is_ok_and(|p| p > f64::from(t))
+        })
+    };
+    shadow.iter().filter(|(_, doc)| above(doc)).map(|(id, _)| *id).collect()
 }
 
 /// Fresh session — same schema and index as the churned one — holding
@@ -118,11 +143,48 @@ fn assert_probes_match(
     }
 }
 
+/// A DELETE (no `set`) or UPDATE matching through `price_above(t)`. The
+/// fresh rebuild's SELECT over the same predicate is the reference: when it
+/// raises, the DML must raise the same code and change nothing; otherwise
+/// it must select exactly the shadow's matches, and the DML must touch
+/// exactly those rows. Returns the matched ordids.
+fn xmlexists_dml(
+    churned: &mut SqlSession,
+    shadow: &BTreeMap<i64, String>,
+    threads: usize,
+    t: u32,
+    set: Option<&str>,
+    context: &str,
+) -> Vec<i64> {
+    let pred = price_above(t);
+    let select = format!("SELECT ordid FROM orders WHERE {pred}");
+    let dml = match set {
+        None => format!("DELETE FROM orders WHERE {pred}"),
+        Some(doc) => format!("UPDATE orders SET orddoc = '{doc}' WHERE {pred}"),
+    };
+    let reference = shadow_session(shadow, threads).execute(&select);
+    let outcome = churned.execute(&dml);
+    let ids: Vec<i64> = match reference {
+        Err(e) => {
+            let got = outcome.map(|r| r.render()).map_err(|e| e.code);
+            assert_eq!(got.err(), Some(e.code), "{dml} must fail like the rebuild ({context})");
+            return Vec::new();
+        }
+        Ok(r) => r.rows.iter().map(|row| row[0].render().parse::<i64>().unwrap()).collect(),
+    };
+    assert_eq!(ids, shadow_matches(shadow, t), "{select} vs the shadow model ({context})");
+    let verb = if set.is_none() { "deleted" } else { "updated" };
+    let r = outcome.unwrap_or_else(|e| panic!("{dml} failed: {e} ({context})"));
+    assert_eq!(r.message, Some(format!("{} row(s) {verb}", ids.len())), "{dml} ({context})");
+    ids
+}
+
 /// One random interleaving: ~120 weighted ops, shadow-checked queries
 /// throughout, rebuild oracle at the end. Ops deliberately include
 /// zero-match DELETEs and UPDATEs (a retired or never-issued ordid) —
-/// they must report 0 rows and change nothing.
-fn run_interleaving(seed: u64, threads: usize) {
+/// they must report 0 rows and change nothing. Returns how many rows the
+/// `XMLEXISTS` DML statements touched.
+fn run_interleaving(seed: u64, threads: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut session = SqlSession::default();
     session.catalog.runtime = RuntimeConfig::with_threads(threads);
@@ -135,6 +197,7 @@ fn run_interleaving(seed: u64, threads: usize) {
     let mut shadow: BTreeMap<i64, String> = BTreeMap::new();
     let mut next_id = 0i64;
     let context = |step: usize| format!("seed {seed}, {threads} threads, step {step}");
+    let mut xmlexists_rows = 0usize;
 
     for step in 0..120 {
         let draw = rng.random_range(0..100u32);
@@ -147,7 +210,7 @@ fn run_interleaving(seed: u64, threads: usize) {
                 .unwrap();
             assert_eq!(r.message.as_deref(), Some("1 row inserted"), "{}", context(step));
             shadow.insert(id, doc);
-        } else if draw < 65 {
+        } else if draw < 60 {
             // Replace: a live ordid, or (1 in 5) one that no longer or
             // never existed — the zero-match UPDATE.
             let id = if rng.random_bool(0.2) {
@@ -167,7 +230,7 @@ fn run_interleaving(seed: u64, threads: usize) {
             } else {
                 assert_eq!(r.message.as_deref(), Some("0 row(s) updated"), "{}", context(step));
             }
-        } else if draw < 85 {
+        } else if draw < 75 {
             let id = if rng.random_bool(0.2) {
                 next_id + 1_000
             } else {
@@ -180,6 +243,21 @@ fn run_interleaving(seed: u64, threads: usize) {
                 assert_eq!(r.message.as_deref(), Some("1 row(s) deleted"), "{}", context(step));
             } else {
                 assert_eq!(r.message.as_deref(), Some("0 row(s) deleted"), "{}", context(step));
+            }
+        } else if draw < 80 {
+            let t = rng.random_range(900..1000u32);
+            for id in xmlexists_dml(&mut session, &shadow, threads, t, None, &context(step)) {
+                shadow.remove(&id);
+                xmlexists_rows += 1;
+            }
+        } else if draw < 85 {
+            let t = rng.random_range(900..1000u32);
+            let doc = random_doc(&mut rng);
+            let ids =
+                xmlexists_dml(&mut session, &shadow, threads, t, Some(&doc), &context(step));
+            for id in ids {
+                shadow.insert(id, doc.clone());
+                xmlexists_rows += 1;
             }
         } else {
             assert_probes_match(&mut session, &shadow, threads, &context(step));
@@ -199,18 +277,21 @@ fn run_interleaving(seed: u64, threads: usize) {
         "derived state diverged from rebuild (seed {seed}, {threads} threads):\n{}",
         oracle.render()
     );
+    xmlexists_rows
+}
+
+/// Every seed at `threads`; the `XMLEXISTS` DML must not pass vacuously.
+fn run_seeds(threads: usize) {
+    let touched: usize = (0..6).map(|seed| run_interleaving(seed, threads)).sum();
+    assert!(touched > 0, "no XMLEXISTS DELETE/UPDATE matched a row at {threads} thread(s)");
 }
 
 #[test]
 fn random_dml_interleavings_match_shadow_model_serial() {
-    for seed in 0..6 {
-        run_interleaving(seed, 1);
-    }
+    run_seeds(1);
 }
 
 #[test]
 fn random_dml_interleavings_match_shadow_model_threaded() {
-    for seed in 0..6 {
-        run_interleaving(seed, 4);
-    }
+    run_seeds(4);
 }

@@ -408,6 +408,46 @@ fn sql_explain_analyze_reconciles_with_registry() {
 }
 
 #[test]
+fn xquery_and_sql_twins_charge_the_same_documents_and_pages() {
+    // One access pipeline serves both front ends: the same index plan over
+    // the same catalog must evaluate the same documents and touch the same
+    // pages whichever front end sent it.
+    let mut s = SqlSession::new();
+    s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    for i in 0..260 {
+        s.execute(&format!(
+            r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
+            i * 4
+        ))
+        .unwrap();
+    }
+    let xq = run_xquery_with_options(
+        &s.catalog,
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 998]",
+        &ExecOptions::default(),
+    )
+    .expect("xquery runs");
+    let sql = s
+        .execute(
+            "SELECT ordid FROM orders \
+             WHERE XMLEXISTS('$o//lineitem[@price > 998]' passing orddoc as \"o\")",
+        )
+        .expect("sql runs");
+    assert_eq!(xq.sequence.len(), 10);
+    assert_eq!(sql.rows.len(), 10);
+    assert_eq!(xq.stats.docs_evaluated_total(), 10, "only the survivors are evaluated");
+    assert_eq!(sql.stats.docs_evaluated_total(), xq.stats.docs_evaluated_total());
+    assert_eq!(sql.stats.docs_evaluated.get("ORDERS"), Some(&10), "SQL keys by table");
+    let pages = |st: &ExecStats| st.buffer_pool_hits + st.buffer_pool_misses;
+    assert!(pages(&xq.stats) > 0, "probes and fetches touch pages");
+    assert_eq!(pages(&sql.stats), pages(&xq.stats), "both front ends fetch the same pages");
+}
+
+#[test]
 fn sql_boolean_xmlexists_diagnosed_as_tip_3() {
     let mut s = SqlSession::new();
     s.execute("create table orders (ordid integer, orddoc XML)").unwrap();

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use xqdb_core::{run_xquery_with_options, Catalog, ExecOptions, SqlSession};
+use xqdb_core::{run_xquery_with_options, AccessConfig, Catalog, ExecOptions, SqlSession};
 use xqdb_storage::{Column, SqlType, SqlValue, Table};
 
 const NAMES: &[&str] = &["order", "item", "promo", "code", "note", "deal", "price"];
@@ -128,24 +128,32 @@ fn gen_query(rng: &mut StdRng) -> String {
     }
 }
 
-/// A fresh catalog with `n` random documents in DOCS(ID, DOC).
-fn gen_catalog(rng: &mut StdRng, n: usize) -> (Catalog, Vec<String>) {
+/// A fresh catalog holding `docs` in DOCS(ID, DOC), ids in order.
+fn catalog_of<S: AsRef<str>>(docs: &[S]) -> Catalog {
     let mut c = Catalog::new();
     c.create_table(Table::new(
         "docs",
         vec![Column::new("id", SqlType::Integer), Column::new("doc", SqlType::Xml)],
     ))
     .unwrap();
-    let mut raw = Vec::with_capacity(n);
-    for i in 0..n {
-        let xml = gen_doc(rng);
-        let doc = xqdb_xmlparse::parse_document(&xml).unwrap();
+    for (i, xml) in docs.iter().enumerate() {
+        let doc = xqdb_xmlparse::parse_document(xml.as_ref()).unwrap();
         c.insert("docs", vec![SqlValue::Integer(i as i64), SqlValue::Xml(doc.root())])
             .unwrap();
-        raw.push(xml);
     }
-    (c, raw)
+    c
 }
+
+/// Fixed (documents, query) inputs checked ahead of the random cases.
+/// `let` over a for-var path must not tighten the for-group: `let` keeps
+/// an empty sequence, so the promo-less order's tuple survives.
+const FIXED_CASES: &[(&[&str], &str)] = &[(
+    &[
+        "<order><promo><code/></promo><custid>a</custid></order>",
+        "<order><custid>b</custid></order>",
+    ],
+    "for $o in db2-fn:xmlcolumn('DOCS.DOC')/order let $p := $o/promo return $o/custid",
+)];
 
 /// The central property: pre-filter ON is byte-identical to pre-filter OFF
 /// for every (collection, query) pair — at 1 and 4 threads.
@@ -153,10 +161,16 @@ fn gen_catalog(rng: &mut StdRng, n: usize) -> (Catalog, Vec<String>) {
 fn prefilter_on_equals_prefilter_off() {
     let mut skipped_total = 0usize;
     let mut nonempty_cases = 0usize;
-    for case in 0..120u64 {
+    let fixed = FIXED_CASES
+        .iter()
+        .enumerate()
+        .map(|(i, (docs, q))| (format!("fixed {i}"), catalog_of(docs), q.to_string()));
+    let random = (0..120u64).map(|case| {
         let mut rng = StdRng::seed_from_u64(0xD15C ^ case);
-        let (catalog, _) = gen_catalog(&mut rng, 25);
-        let query = gen_query(&mut rng);
+        let docs: Vec<String> = (0..25).map(|_| gen_doc(&mut rng)).collect();
+        (case.to_string(), catalog_of(&docs), gen_query(&mut rng))
+    });
+    for (case, catalog, query) in fixed.chain(random) {
         let off = ExecOptions { prefilter: false, ..ExecOptions::default() };
         let want = match run_xquery_with_options(&catalog, &query, &off) {
             Ok(out) => xqdb_xmlparse::serialize_sequence(&out.sequence),
@@ -197,15 +211,26 @@ fn prefilter_on_equals_prefilter_off() {
     }
 }
 
+/// Fixed `XMLEXISTS` predicates checked after the random ones: a PASSING
+/// variable that also occurs outside every recognized path shape lets its
+/// row qualify on its own, so neither the pre-filter nor the twig join may
+/// drop the rows lacking the recognized path.
+const FIXED_SQL_PREDICATES: &[&str] = &[
+    "($d/order/item, $d)",
+    "($d//order[item], $d)",
+    "let $p := $d/order/item return $d",
+];
+
 /// The same property on the SQL/XML front end: `XMLEXISTS` row selection
-/// with the session pre-filter on and off returns identical rows.
+/// with every access switch on and with all three off together returns
+/// identical rows.
 #[test]
 fn sql_prefilter_on_equals_off() {
-    for case in 0..40u64 {
+    for case in 0..40 + FIXED_SQL_PREDICATES.len() as u64 {
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ case);
         let mut on = SqlSession::new();
         let mut off = SqlSession::new();
-        off.prefilter = false;
+        off.access = AccessConfig { prefilter: false, twig: false, cost: false };
         for s in [&mut on, &mut off] {
             s.execute("create table docs (id integer, doc XML)").unwrap();
         }
@@ -216,7 +241,10 @@ fn sql_prefilter_on_equals_off() {
             on.execute(&stmt).unwrap();
             off.execute(&stmt).unwrap();
         }
-        let pred = gen_path(&mut rng, "$d").replace('\'', "\"");
+        let pred = match case.checked_sub(40) {
+            Some(i) => FIXED_SQL_PREDICATES[i as usize].to_string(),
+            None => gen_path(&mut rng, "$d").replace('\'', "\""),
+        };
         let q = format!(
             "SELECT id FROM docs WHERE XMLEXISTS('{pred}' passing doc as \"d\")"
         );

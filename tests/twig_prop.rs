@@ -259,9 +259,9 @@ fn sql_twig_on_equals_off() {
         let mut rng = StdRng::seed_from_u64(0x7B1D ^ case);
         let mut on = SqlSession::new();
         let mut off = SqlSession::new();
-        on.prefilter = false;
-        off.prefilter = false;
-        off.twig = false;
+        on.access.prefilter = false;
+        off.access.prefilter = false;
+        off.access.twig = false;
         for s in [&mut on, &mut off] {
             s.execute("create table docs (id integer, doc XML)").unwrap();
         }
