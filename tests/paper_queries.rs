@@ -16,6 +16,8 @@ use xqdb_core::AnalysisEnv;
 use xqdb_xdm::ErrorCode;
 use xqdb_xqeval::DynamicContext;
 
+mod common;
+
 /// The paper's schema plus its example documents.
 fn fixture() -> SqlSession {
     let mut s = SqlSession::new();
@@ -463,4 +465,112 @@ fn query_30() {
     let rows = xquery(&s, q);
     // 150.00 (order 1003) and 120.00 (order 1004).
     assert_eq!(rows.len(), 2);
+}
+
+/// The `structural prefilter:` and `twig join:` sections of a plain
+/// EXPLAIN report, verbatim (empty when neither is printed).
+fn structure_sections(report: &str) -> String {
+    let mut out = String::new();
+    let mut inside = false;
+    for line in report.lines() {
+        if line == "  structural prefilter:" || line == "  twig join:" {
+            inside = true;
+        } else if !line.starts_with("    ") {
+            inside = false;
+        }
+        if inside {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// XQuery inputs of the structure characterization: the paper suite, one
+/// literal of each benchmark access shape, and the shapes where the
+/// signature prefilter and the twig pattern deliberately differ.
+const STRUCTURE_XQUERIES: &[(&str, &str)] = &[
+    ("xq_access range", "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > 997] return $i"),
+    ("xq_access between", "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem[@price > 0.5 and @price < 2.5]]/custid"),
+    ("xq_access twig", "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem[@price > 980]/remark]//custid"),
+    ("xq_access prefilter", "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order[promo/code = \"P0\"]/custid"),
+    ("xq_access decoy", "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 997]/product/id"),
+    ("for-var uses", "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order where $o/custid = 7 and $o//status return $o"),
+    ("filter-init predicate", "db2-fn:xmlcolumn('ORDERS.ORDDOC')[order/promo]//x"),
+    ("descendant axis", "db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/descendant::remark"),
+];
+
+/// SQL inputs of the structure characterization: the `sql_lifecycle`
+/// `XMLEXISTS` shapes and the PASSING twins of the divergence cases.
+const STRUCTURE_SQL: &[(&str, &str)] = &[
+    ("sql_lifecycle range", "SELECT ordid FROM orders WHERE XMLEXISTS('$o//lineitem[@price > 100]' passing orddoc as \"o\")"),
+    ("sql_lifecycle between", "SELECT ordid FROM orders WHERE XMLEXISTS('$o//lineitem[@price > 100 and @price < 200]' passing orddoc as \"o\")"),
+    ("sql for-var uses", "SELECT ordid FROM orders WHERE XMLEXISTS('for $x in $o/order where $x/custid = 7 and $x//status return $x' passing orddoc as \"o\")"),
+    ("sql query_17 twin", "SELECT ordid FROM orders WHERE XMLEXISTS('for $doc in $o for $item in $doc//lineitem[@price > 100] return $item' passing orddoc as \"o\")"),
+    ("sql query_21 twin", "SELECT ordid FROM orders WHERE XMLEXISTS('for $ord in $o/order let $price := $ord/lineitem/@price where $price > 100 return $ord' passing orddoc as \"o\")"),
+    ("sql filter-init predicate", "SELECT ordid FROM orders WHERE XMLEXISTS('$o[order/promo]//x' passing orddoc as \"o\")"),
+    ("sql two conjuncts", "SELECT ordid FROM orders WHERE XMLEXISTS('$o/order[custid]//lineitem' passing orddoc as \"o\") AND XMLEXISTS('$o/order/promo//code' passing orddoc as \"o\")"),
+];
+
+/// Expected structure sections, one per input above (paper queries first,
+/// in `PAPER_QUERIES` order).
+const STRUCTURE_EXPECTED: &[(&str, &str)] = &[
+    ("query_01", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price]]\n"),
+    ("query_02", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem]\n"),
+    ("query_03", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price]]\n"),
+    ("query_04", "  structural prefilter:\n    - CUSTOMER.CDOC: requires /customer & /customer/id\n    - ORDERS.ORDDOC: requires /order & /order/custid\n"),
+    ("query_07", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price]\n"),
+    ("query_17", ""),
+    ("query_18", ""),
+    ("query_19", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order\n"),
+    ("query_20", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/lineitem/@price\n"),
+    ("query_21", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/lineitem/@price\n"),
+    ("query_22", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order\n"),
+    ("query_23", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/lineitem\n"),
+    ("query_24", ""),
+    ("query_26", ""),
+    ("query_27", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/lineitem & /order/lineitem/product/id\n"),
+    ("query_30", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price][/@price]]\n"),
+    ("xq_access range", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price]]\n"),
+    ("xq_access between", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price][/@price]][/custid]\n"),
+    ("xq_access twig", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price][/remark]][//custid]\n"),
+    ("xq_access prefilter", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/promo/code & /order/custid\n  twig join:\n    - ORDERS.ORDDOC: matches /order[/promo[/code]][/custid]\n"),
+    ("xq_access decoy", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price][/product[/id]]\n"),
+    ("for-var uses", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/custid\n"),
+    ("filter-init predicate", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/promo\n  twig join:\n    - ORDERS.ORDDOC: matches //x\n"),
+    ("descendant axis", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order\n  twig join:\n    - ORDERS.ORDDOC: matches /order[//remark]\n"),
+    ("sql_lifecycle range", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price]\n"),
+    ("sql_lifecycle between", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price][/@price]\n"),
+    ("sql for-var uses", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/custid\n"),
+    ("sql query_17 twin", ""),
+    ("sql query_21 twin", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/lineitem/@price\n"),
+    ("sql filter-init predicate", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/promo\n  twig join:\n    - ORDERS.ORDDOC: matches //x\n"),
+    ("sql two conjuncts", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/custid & /order AND /order/promo\n  twig join:\n    - ORDERS.ORDDOC: matches /order[/custid][//lineitem] AND /order[/promo[//code]]\n"),
+];
+
+/// Characterization: the structure lines of plain EXPLAIN for every input
+/// above stay exactly as recorded. They are where the signature prefilter
+/// and the twig pattern differ on purpose (`for`-variable uses, `let` over
+/// a `for` path, filter predicates on the collection, descendant steps),
+/// so any change to structural extraction shows up here first.
+#[test]
+fn explain_structure_lines_are_pinned() {
+    let mut s = common::paper_session(true);
+    let mut got: Vec<(String, String)> = Vec::new();
+    let xqueries = common::PAPER_QUERIES.iter().chain(STRUCTURE_XQUERIES);
+    for (label, q) in xqueries {
+        let plan = plan_query(&s.catalog, xqdb_xquery::parse_query(q).unwrap(), &AnalysisEnv::new());
+        got.push((label.to_string(), structure_sections(&xqdb_core::explain(&plan))));
+    }
+    for (label, q) in STRUCTURE_SQL {
+        let report = s.execute(&format!("EXPLAIN {q}")).unwrap().message.unwrap();
+        got.push((label.to_string(), structure_sections(&report)));
+    }
+    let rendered: String =
+        got.iter().map(|(l, g)| format!("    ({l:?}, {g:?}),\n")).collect();
+    assert_eq!(got.len(), STRUCTURE_EXPECTED.len(), "got:\n{rendered}");
+    for ((label, g), (want_label, want)) in got.iter().zip(STRUCTURE_EXPECTED) {
+        assert_eq!(label, want_label);
+        assert_eq!(g, want, "{label}");
+    }
 }
