@@ -188,14 +188,19 @@ pub struct Diagnosis {
     pub index: Option<String>,
     /// The predicate or candidate the diagnosis is about.
     pub subject: String,
+    /// Whether the run actually probed an index. Only a misestimate can
+    /// come with one; a rejection always describes an index left unused.
+    pub index_used: bool,
 }
 
 impl Diagnosis {
     /// Render the one-line diagnosis.
     pub fn render(&self) -> String {
-        let head = match &self.index {
-            Some(idx) => format!("index `{idx}` not used"),
-            None => "no index used".to_string(),
+        let head = match (&self.index, self.pitfall) {
+            (_, Pitfall::Misestimate) if self.index_used => "index used, misestimated".to_string(),
+            (_, Pitfall::Misestimate) => "index not used".to_string(),
+            (Some(idx), _) => format!("index `{idx}` not used"),
+            (None, _) => "no index used".to_string(),
         };
         format!(
             "{head}: {} ({}) on {} — {}",
@@ -310,7 +315,9 @@ fn wildcard_namespaces(steps: &[PatternStep]) -> Vec<PatternStep> {
 /// Flag a costed plan whose estimate diverged >4× from the actual row
 /// count in either direction. Tiny absolute gaps (both sides < 8 rows) are
 /// noise from histogram granularity, not staleness, and stay silent.
-pub fn diagnose_misestimate(est: u64, actual: u64) -> Option<Diagnosis> {
+/// `index_used` says whether the run probed an index (its `index_probes`
+/// counter), which picks the headline.
+pub fn diagnose_misestimate(est: u64, actual: u64, index_used: bool) -> Option<Diagnosis> {
     let hi = est.max(actual);
     let lo = est.min(actual);
     if hi < 8 || hi <= lo.saturating_mul(4) {
@@ -320,6 +327,7 @@ pub fn diagnose_misestimate(est: u64, actual: u64) -> Option<Diagnosis> {
         pitfall: Pitfall::Misestimate,
         index: None,
         subject: format!("cost estimate {est} row(s) vs actual {actual}"),
+        index_used,
     })
 }
 
@@ -333,11 +341,17 @@ pub fn diagnose(rejections: &[super::Rejection], notes: &[Note]) -> Vec<Diagnosi
                 pitfall: reason.pitfall,
                 index: reason.index.clone(),
                 subject: r.candidate.clone(),
+                index_used: false,
             });
         }
     }
     for n in notes {
-        out.push(Diagnosis { pitfall: classify_note(n), index: None, subject: note_subject(n) });
+        out.push(Diagnosis {
+            pitfall: classify_note(n),
+            index: None,
+            subject: note_subject(n),
+            index_used: false,
+        });
     }
     out
 }
@@ -397,11 +411,29 @@ mod tests {
             pitfall: Pitfall::TypeMismatch,
             index: Some("li_price".to_string()),
             subject: "//lineitem/@price > 100".to_string(),
+            index_used: false,
         };
         let line = d.render();
         assert!(line.starts_with("index `li_price` not used: Tip 1 (type-mismatch)"));
         assert!(line.contains("Section 3.1"));
         assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn misestimate_headline_says_whether_an_index_ran() {
+        let used = diagnose_misestimate(106, 10, true).expect("10x off");
+        assert!(
+            used.render().starts_with("index used, misestimated: rule cost-misestimate"),
+            "{}",
+            used.render()
+        );
+        let scan = diagnose_misestimate(106, 10, false).expect("10x off");
+        assert!(
+            scan.render().starts_with("index not used: rule cost-misestimate"),
+            "{}",
+            scan.render()
+        );
+        assert!(diagnose_misestimate(10, 12, true).is_none());
     }
 
     #[test]

@@ -35,8 +35,8 @@ use crate::eligibility::{
     analyze_query_root, compile, diagnose, diagnose_misestimate, restrict_to_source, AnalysisEnv,
     Cond, IndexCond, Note, Rejection,
 };
-use crate::prefilter::{extract_prefilters, SourcePrefilter};
-use crate::twig::{extract_twigs, SourceTwig};
+use crate::prefilter::SourcePrefilter;
+use crate::twig::SourceTwig;
 
 /// Per-collection access decision.
 #[derive(Debug, Clone)]
@@ -260,17 +260,12 @@ pub fn plan_query_costed(
         elig.add_count(accesses.len() as u64);
         elig.tag_with("rejections", || rejections.len().to_string());
     }
-    let prefilter = {
-        let mut extract = span.child("prefilter extract");
-        let prefilter = extract_prefilters(&query.body, env, true);
-        extract.add_count(prefilter.len() as u64);
-        prefilter
-    };
-    let twig = {
-        let mut extract = span.child("twig compile");
-        let twig = extract_twigs(&query.body, env, true);
-        extract.add_count(twig.len() as u64);
-        twig
+    let (prefilter, twig) = {
+        let mut extract = span.child("structure extract");
+        let structure = crate::structure::extract(&query.body, env, true);
+        let (prefilter, twig) = (structure.prefilters(), structure.twigs());
+        extract.add_count((prefilter.len() + twig.len()) as u64);
+        (prefilter, twig)
     };
     span.add_count(accesses.len() as u64);
     QueryPlan {
@@ -860,22 +855,11 @@ pub fn explain(plan: &QueryPlan) -> String {
             out.push_str(&format!("    - {n}\n"));
         }
     }
-    if !plan.prefilter.is_empty() {
-        out.push_str("  structural prefilter:\n");
-        let mut sources: Vec<&String> = plan.prefilter.keys().collect();
-        sources.sort();
-        for s in sources {
-            out.push_str(&format!("    - {s}: requires {}\n", plan.prefilter[s].render()));
-        }
-    }
-    if !plan.twig.is_empty() {
-        out.push_str("  twig join:\n");
-        let mut sources: Vec<&String> = plan.twig.keys().collect();
-        sources.sort();
-        for s in sources {
-            out.push_str(&format!("    - {s}: matches {}\n", plan.twig[s].render()));
-        }
-    }
+    render_structure_sections(
+        &mut out,
+        plan.prefilter.iter().map(|(s, pf)| (s, std::slice::from_ref(pf))),
+        plan.twig.iter().map(|(s, tw)| (s, std::slice::from_ref(tw))),
+    );
     if !plan.notes.is_empty() {
         out.push_str("  notes:\n");
         for n in &plan.notes {
@@ -904,6 +888,37 @@ pub fn explain_analyze_report(plan: &QueryPlan, outcome: &ExecOutcome, threads: 
     render_execution_sections(&mut out, &outcome.stats, &outcome.trace);
     render_doctor_section(&mut out, &plan.rejections, &plan.notes, &outcome.stats);
     out
+}
+
+/// The `structural prefilter:` and `twig join:` sections of an EXPLAIN
+/// report, shared by both front ends: one line per source, in source
+/// order, its filters (one per SQL filtering conjunct) joined by ` AND `.
+pub(crate) fn render_structure_sections<'a>(
+    out: &mut String,
+    prefilters: impl Iterator<Item = (&'a String, &'a [SourcePrefilter])>,
+    twigs: impl Iterator<Item = (&'a String, &'a [SourceTwig])>,
+) {
+    let prefilters =
+        prefilters.map(|(s, pfs)| (s, pfs.iter().map(SourcePrefilter::render).collect()));
+    render_source_lines(out, "structural prefilter", "requires", prefilters.collect());
+    let twigs = twigs.map(|(s, tws)| (s, tws.iter().map(SourceTwig::render).collect()));
+    render_source_lines(out, "twig join", "matches", twigs.collect());
+}
+
+fn render_source_lines(
+    out: &mut String,
+    title: &str,
+    verb: &str,
+    mut lines: Vec<(&String, Vec<String>)>,
+) {
+    if lines.is_empty() {
+        return;
+    }
+    lines.sort();
+    out.push_str(&format!("  {title}:\n"));
+    for (source, filters) in lines {
+        out.push_str(&format!("    - {source}: {verb} {}\n", filters.join(" AND ")));
+    }
 }
 
 /// The shared `EXECUTION` (trace) and `COUNTERS` (stats, verbatim) sections
@@ -983,7 +998,8 @@ pub(crate) fn render_dml_line(s: &ExecStats) -> String {
 /// The `QUERY DOCTOR` section of an `EXPLAIN ANALYZE` report, shared by
 /// both front ends: one line per diagnosis, naming the paper Tip (or rule)
 /// that disqualified the index, plus a misestimate line when the run's plan
-/// was costed and its estimate was far off.
+/// was costed and its estimate was far off — headed by whether the run
+/// actually probed an index.
 pub(crate) fn render_doctor_section(
     out: &mut String,
     rejections: &[Rejection],
@@ -992,7 +1008,11 @@ pub(crate) fn render_doctor_section(
 ) {
     let mut diagnoses = diagnose(rejections, notes);
     if stats.plans_costed > 0 {
-        diagnoses.extend(diagnose_misestimate(stats.cost_est_rows, stats.cost_actual_rows));
+        diagnoses.extend(diagnose_misestimate(
+            stats.cost_est_rows,
+            stats.cost_actual_rows,
+            stats.index_probes > 0,
+        ));
     }
     if diagnoses.is_empty() {
         return;

@@ -29,6 +29,7 @@ pub mod plancache;
 pub mod prefilter;
 mod send_sync;
 pub mod sqlxml;
+mod structure;
 pub mod twig;
 pub mod verify;
 
@@ -49,11 +50,9 @@ pub use engine::{
     ExecStats, ParallelExecutor, Partition, PlanCost, QueryPlan,
 };
 pub use plancache::CacheEpoch;
-pub use prefilter::{
-    extract_prefilters, PathComponent, RequiredGroup, RequiredPath, SourcePrefilter,
-};
+pub use prefilter::{PathComponent, RequiredGroup, RequiredPath, SourcePrefilter};
 pub use sqlxml::{SqlSession, SqlResult};
-pub use twig::{extract_twigs, PreparedTwig, SourceTwig};
+pub use twig::{PreparedTwig, SourceTwig};
 pub use verify::{verify_derived_state, TableVerdict, VerifyReport};
 pub use xqdb_obs::{Obs, ObsConfig};
 pub use xqdb_storage::{bucket_bounds, hash_rendered_path, PathSynopsis, ValueStats};

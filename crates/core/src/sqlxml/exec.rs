@@ -33,11 +33,11 @@ use crate::eligibility::{
 };
 use crate::engine::{
     apply_pool_delta, record_exec_metrics, render_doctor_section, render_execution_sections,
-    try_run_traced, ExecStats, PlanCost,
+    render_structure_sections, try_run_traced, ExecStats, PlanCost,
 };
 use crate::plancache::PlanCache;
-use crate::prefilter::{extract_prefilters, SourcePrefilter};
-use crate::twig::{extract_twigs, SourceTwig};
+use crate::prefilter::SourcePrefilter;
+use crate::twig::SourceTwig;
 
 use super::ast::*;
 use super::parser::parse_sql;
@@ -853,17 +853,17 @@ impl SqlSession {
         };
         plan.notes.extend(analysis.notes);
         if filtering {
-            // Structural pre-filter requirements for this conjunct.
-            // `db2-fn:xmlcolumn` is NOT recognized here: inside XMLEXISTS it
-            // ranges over the whole collection, not the candidate row, so
-            // only PASSING-variable uses may narrow the row set.
-            for (source, pf) in extract_prefilters(&query.body, &env, false) {
+            // Structural pre-filter requirements and twig patterns for this
+            // conjunct. `db2-fn:xmlcolumn` is NOT recognized here: inside
+            // XMLEXISTS it ranges over the whole collection, not the
+            // candidate row, so only PASSING-variable uses may narrow the
+            // row set. A row must satisfy every filtering conjunct, so per
+            // source the conjuncts' filters are AND'd at execution.
+            let structure = crate::structure::extract(&query.body, &env, false);
+            for (source, pf) in structure.prefilters() {
                 plan.prefilters.entry(source).or_default().push(pf);
             }
-            // Twig patterns for this conjunct, same PASSING-variable-only
-            // recognition: a row must satisfy every filtering conjunct, so
-            // per source the conjuncts' twigs are AND'd at execution.
-            for (source, tw) in extract_twigs(&query.body, &env, false) {
+            for (source, tw) in structure.twigs() {
                 plan.twigs.entry(source).or_default().push(tw);
             }
         }
@@ -1322,24 +1322,11 @@ pub fn render_plan(plan: &SqlPlan) -> String {
             out.push_str(&format!("    - {n}\n"));
         }
     }
-    if !plan.prefilters.is_empty() {
-        out.push_str("  structural prefilter:\n");
-        let mut sources: Vec<_> = plan.prefilters.iter().collect();
-        sources.sort_by_key(|(s, _)| s.as_str());
-        for (source, pfs) in sources {
-            let reqs: Vec<String> = pfs.iter().map(|pf| pf.render()).collect();
-            out.push_str(&format!("    - {source}: requires {}\n", reqs.join(" AND ")));
-        }
-    }
-    if !plan.twigs.is_empty() {
-        out.push_str("  twig join:\n");
-        let mut sources: Vec<_> = plan.twigs.iter().collect();
-        sources.sort_by_key(|(s, _)| s.as_str());
-        for (source, tws) in sources {
-            let reqs: Vec<String> = tws.iter().map(SourceTwig::render).collect();
-            out.push_str(&format!("    - {source}: matches {}\n", reqs.join(" AND ")));
-        }
-    }
+    render_structure_sections(
+        &mut out,
+        plan.prefilters.iter().map(|(s, pfs)| (s, pfs.as_slice())),
+        plan.twigs.iter().map(|(s, tws)| (s, tws.as_slice())),
+    );
     if !plan.notes.is_empty() {
         out.push_str("  notes:\n");
         for n in &plan.notes {

@@ -131,6 +131,29 @@ if [ -n "$switch_reads" ]; then
   exit 1
 fi
 
+# Twig patterns and required paths are built in exactly one place: the
+# structural walk in crates/core/src/structure.rs, which derives both the
+# signature-prefilter groups and the twig patterns from one record of the
+# query's uses. A second construction site would be a second extractor,
+# free to drift from the first on what a query requires. Exempt:
+# crates/twig, which owns Pattern, and test code (tests/ trees, and a
+# source file's trailing #[cfg(test)] module).
+STRUCT_BUILD='Pattern::root|\.add_child\(|PathComponent::(Element|Attribute)\('
+struct_builds=$(
+  grep -rlE --include='*.rs' "$STRUCT_BUILD" crates \
+    | grep -v '^crates/twig/' \
+    | grep -v '^crates/core/src/structure.rs$' \
+    | grep -v '/tests/' \
+    | while read -r f; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$STRUCT_BUILD" | sed "s|^|$f:|"
+      done
+) || true
+if [ -n "$struct_builds" ]; then
+  echo "$struct_builds"
+  echo "error: twig pattern or required path built outside crates/core/src/structure.rs (derive it from the structural walk)" >&2
+  exit 1
+fi
+
 # The paper's query suite must survive the wire: run it through a loopback
 # server (framing, admission, session locking) and byte-compare against
 # direct in-process execution.

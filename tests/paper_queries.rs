@@ -559,15 +559,15 @@ fn explain_structure_lines_are_pinned() {
     let mut got: Vec<(String, String)> = Vec::new();
     let xqueries = common::PAPER_QUERIES.iter().chain(STRUCTURE_XQUERIES);
     for (label, q) in xqueries {
-        let plan = plan_query(&s.catalog, xqdb_xquery::parse_query(q).unwrap(), &AnalysisEnv::new());
+        let plan =
+            plan_query(&s.catalog, xqdb_xquery::parse_query(q).unwrap(), &AnalysisEnv::new());
         got.push((label.to_string(), structure_sections(&xqdb_core::explain(&plan))));
     }
     for (label, q) in STRUCTURE_SQL {
         let report = s.execute(&format!("EXPLAIN {q}")).unwrap().message.unwrap();
         got.push((label.to_string(), structure_sections(&report)));
     }
-    let rendered: String =
-        got.iter().map(|(l, g)| format!("    ({l:?}, {g:?}),\n")).collect();
+    let rendered: String = got.iter().map(|(l, g)| format!("    ({l:?}, {g:?}),\n")).collect();
     assert_eq!(got.len(), STRUCTURE_EXPECTED.len(), "got:\n{rendered}");
     for ((label, g), (want_label, want)) in got.iter().zip(STRUCTURE_EXPECTED) {
         assert_eq!(label, want_label);

@@ -146,14 +146,29 @@ fn catalog_of<S: AsRef<str>>(docs: &[S]) -> Catalog {
 
 /// Fixed (documents, query) inputs checked ahead of the random cases.
 /// `let` over a for-var path must not tighten the for-group: `let` keeps
-/// an empty sequence, so the promo-less order's tuple survives.
-const FIXED_CASES: &[(&[&str], &str)] = &[(
-    &[
-        "<order><promo><code/></promo><custid>a</custid></order>",
-        "<order><custid>b</custid></order>",
-    ],
-    "for $o in db2-fn:xmlcolumn('DOCS.DOC')/order let $p := $o/promo return $o/custid",
-)];
+/// an empty sequence, so the promo-less order's tuple survives — and for
+/// the same reason a for-var path inside a `let`'s predicate must not
+/// tighten the for-group either. A position on the collection itself must
+/// not filter: `[1]` is the first stored document, which lacks the path,
+/// so the answer is empty.
+const FIXED_CASES: &[(&[&str], &str)] = &[
+    (
+        &[
+            "<order><promo><code/></promo><custid>a</custid></order>",
+            "<order><custid>b</custid></order>",
+        ],
+        "for $o in db2-fn:xmlcolumn('DOCS.DOC')/order let $p := $o/promo return $o/custid",
+    ),
+    (
+        &["<order/>", "<order><custid>b</custid></order>"],
+        "for $o in db2-fn:xmlcolumn('DOCS.DOC')/order \
+         let $w := db2-fn:xmlcolumn('DOCS.DOC')/x[$o/custid] return $o",
+    ),
+    (
+        &["<order/>", "<order><custid>b</custid></order>"],
+        "db2-fn:xmlcolumn('DOCS.DOC')[1]/order/custid",
+    ),
+];
 
 /// The central property: pre-filter ON is byte-identical to pre-filter OFF
 /// for every (collection, query) pair — at 1 and 4 threads.
