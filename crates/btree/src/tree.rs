@@ -46,6 +46,11 @@ const NODE_BYTE_BUDGET: usize = CHAIN_CAP;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
+/// Encoded bytes of a leaf before its entries: tag, key count, next leaf.
+const LEAF_HEADER: usize = 1 + 2 + 8;
+/// Encoded bytes of an internal node before its keys: tag, key count.
+const INTERNAL_HEADER: usize = 1 + 2;
+
 type Key = Vec<u8>;
 
 /// Serialization of a B+Tree value payload. Implementations must be
@@ -222,6 +227,75 @@ impl<V: ValueCodec> BPlusTree<V> {
         let root = chain_write(&pager, &empty.encode())
             .unwrap_or_else(|e| panic!("btree node store: {e}"));
         BPlusTree { pager, root, len: 0, _values: std::marker::PhantomData }
+    }
+
+    /// Build a tree bottom-up from entries in strictly ascending key order
+    /// (an index snapshot): leaves are packed left to right up to the
+    /// split limits, each followed by its parent level, so loading `n`
+    /// sorted entries writes each node once instead of descending the tree
+    /// `n` times. Returns `None` if the keys are not strictly ascending.
+    pub fn from_sorted(entries: impl IntoIterator<Item = (Key, V)>) -> Option<Self> {
+        let tree = Self::new();
+        let mut len = 0usize;
+        // (first key, node id) of each finished node of the level below.
+        let mut level: Vec<(Key, PageId)> = Vec::new();
+        let mut keys: Vec<Key> = Vec::new();
+        let mut values: Vec<V> = Vec::new();
+        let mut bytes = LEAF_HEADER;
+        let mut id = tree.root; // the empty root leaf becomes the first leaf
+        for (key, value) in entries {
+            if keys.last().is_some_and(|last| *last >= key) {
+                return None;
+            }
+            let mut encoded = Vec::new();
+            value.encode(&mut encoded);
+            let entry = 4 + key.len() + encoded.len();
+            if !keys.is_empty() && (keys.len() == MAX_KEYS || bytes + entry > NODE_BYTE_BUDGET) {
+                let empty: Node<V> = Node::Leaf { keys: Vec::new(), values: Vec::new(), next: 0 };
+                let next = tree.alloc_node(&empty);
+                let first = keys[0].clone();
+                let (keys, values) = (std::mem::take(&mut keys), std::mem::take(&mut values));
+                tree.write_node(id, &Node::Leaf { keys, values, next });
+                level.push((first, id));
+                id = next;
+                bytes = LEAF_HEADER;
+            }
+            bytes += entry;
+            keys.push(key);
+            values.push(value);
+            len += 1;
+        }
+        let first = keys.first().cloned().unwrap_or_default();
+        tree.write_node(id, &Node::Leaf { keys, values, next: 0 });
+        level.push((first, id));
+        // Parent levels: each internal node takes up to MAX_KEYS + 1
+        // children, its separators the first keys of children 1.. .
+        while level.len() > 1 {
+            let mut parents = Vec::with_capacity(level.len() / MAX_KEYS + 1);
+            let mut rest = level.as_slice();
+            while !rest.is_empty() {
+                let mut take = 1;
+                let mut bytes = INTERNAL_HEADER + 8;
+                while take < rest.len() && take <= MAX_KEYS {
+                    let more = 4 + rest[take].0.len() + 8;
+                    if bytes + more > NODE_BYTE_BUDGET {
+                        break;
+                    }
+                    bytes += more;
+                    take += 1;
+                }
+                let (group, tail) = rest.split_at(take);
+                let node: Node<V> = Node::Internal {
+                    keys: group[1..].iter().map(|(k, _)| k.clone()).collect(),
+                    children: group.iter().map(|(_, c)| *c).collect(),
+                };
+                parents.push((group[0].0.clone(), tree.alloc_node(&node)));
+                rest = tail;
+            }
+            level = parents;
+        }
+        let root = level[0].1;
+        Some(BPlusTree { root, len, ..tree })
     }
 
     /// Number of live entries.
@@ -767,5 +841,65 @@ mod tests {
             let want: Vec<u16> = model.range(lob..hib).map(|(_, v)| *v).collect();
             assert_eq!(got, want, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn bulk_build_equals_incremental_build() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut incremental: BPlusTree<u64> = BPlusTree::new();
+        let mut model = BTreeMap::new();
+        for _ in 0..5000 {
+            // Variable-length keys, some long enough to pressure the byte
+            // budget before the key cap.
+            let n = rng.random_range(0..100_000u64);
+            let mut k = key(n).to_vec();
+            k.extend(std::iter::repeat_n(b'x', (n % 300) as usize));
+            incremental.insert(k.clone(), n);
+            model.insert(k, n);
+        }
+        let bulk = BPlusTree::from_sorted(model.clone()).expect("sorted input");
+        assert_eq!(bulk.len(), incremental.len());
+        let a: Vec<_> = bulk.iter().collect();
+        let b: Vec<_> = incremental.iter().collect();
+        assert_eq!(a, b);
+        for probe in [0u64, 17, 5_000, 50_000, 99_999] {
+            let lo = key(probe);
+            let hi = key(probe + 2_000);
+            let x: Vec<_> = bulk.range(Bound::Included(&lo), Bound::Excluded(&hi)).collect();
+            let y: Vec<_> =
+                incremental.range(Bound::Included(&lo), Bound::Excluded(&hi)).collect();
+            assert_eq!(x, y, "range from {probe}");
+        }
+        // A bulk-built tree keeps working as an ordinary tree.
+        let mut bulk = bulk;
+        for (k, v) in model.iter().take(100) {
+            assert_eq!(bulk.remove(k), Some(*v));
+        }
+        for i in 0..500u64 {
+            bulk.insert(key(i * 3 + 1), i);
+        }
+        let mut expect = model.clone();
+        for k in model.keys().take(100) {
+            expect.remove(k);
+        }
+        for i in 0..500u64 {
+            expect.insert(key(i * 3 + 1).to_vec(), i);
+        }
+        let got: Vec<_> = bulk.iter().collect();
+        let want: Vec<_> = expect.into_iter().collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn bulk_build_rejects_unsorted_and_accepts_empty() {
+        let unsorted = vec![(key(2).to_vec(), ()), (key(1).to_vec(), ())];
+        assert!(BPlusTree::from_sorted(unsorted).is_none());
+        let duplicate = vec![(key(1).to_vec(), ()), (key(1).to_vec(), ())];
+        assert!(BPlusTree::from_sorted(duplicate).is_none());
+        let empty: BPlusTree<()> = BPlusTree::from_sorted(Vec::new()).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.iter().count(), 0);
+        let one = BPlusTree::from_sorted(vec![(key(5).to_vec(), ())]).unwrap();
+        assert_eq!(one.get(&key(5)), Some(()));
     }
 }

@@ -302,12 +302,15 @@ fn rows_of<'f>(
 }
 
 /// Point lookups of the live rows among [`rows_of`], in rowid order —
-/// each survivor's page is read and decoded, and nothing else. Unfiltered,
-/// this visits every row at the cost of a scan.
+/// each survivor's page is read and the columns `mask` selects decoded
+/// (see [`Table::row_masked`]), and nothing else. Unfiltered, this visits
+/// every row at the cost of a scan.
 pub(crate) fn fetch<'f>(
     filter: Option<&'f BTreeSet<u64>>,
     table: &'f Table,
-) -> impl Iterator<Item = Result<(u64, Vec<SqlValue>), XdmError>> + 'f {
-    rows_of(filter, table)
-        .filter_map(move |rid| table.row(rid as usize).transpose().map(|r| r.map(|v| (rid, v))))
+    mask: &'f [bool],
+) -> impl Iterator<Item = Result<(u64, Vec<Option<SqlValue>>), XdmError>> + 'f {
+    rows_of(filter, table).filter_map(move |rid| {
+        table.row_masked(rid as usize, mask).transpose().map(|r| r.map(|v| (rid, v)))
+    })
 }

@@ -125,16 +125,16 @@ impl Catalog {
         }
     }
 
-    /// `CREATE INDEX name ON table(column) USING XMLPATTERN 'p' AS type` —
-    /// also back-fills the index from existing rows.
-    pub fn create_index(
-        &mut self,
+    /// Validate index DDL against the catalog: an empty index plus the
+    /// indexed column's position.
+    fn new_index(
+        &self,
         name: &str,
         table: &str,
         column: &str,
         xmlpattern: &str,
         ty: &str,
-    ) -> Result<(), XdmError> {
+    ) -> Result<(XmlIndex, usize), XdmError> {
         let upper = name.to_ascii_uppercase();
         if self.indexes.contains_key(&upper) {
             return Err(XdmError::new(
@@ -151,7 +151,47 @@ impl Catalog {
                 format!("unknown column {column:?} on table {table:?}"),
             )
         })?;
-        let mut index = XmlIndex::create(name, table, column, xmlpattern, ty)?;
+        Ok((XmlIndex::create(name, table, column, xmlpattern, ty)?, col))
+    }
+
+    /// Recovery: install an index bulk-loaded from a checkpoint's key
+    /// snapshot (`keys` in tree order) instead of back-filling it from
+    /// every document. Nothing is logged — the manifest already holds the
+    /// DDL; the `verify_derived_state` oracle rebuilds from the documents
+    /// and diffs against the loaded tree.
+    #[allow(clippy::too_many_arguments)]
+    pub fn load_index<'k>(
+        &mut self,
+        name: &str,
+        table: &str,
+        column: &str,
+        xmlpattern: &str,
+        ty: &str,
+        keys: impl IntoIterator<Item = &'k [u8]>,
+        skipped_nodes: usize,
+    ) -> Result<(), XdmError> {
+        let (mut index, _) = self.new_index(name, table, column, xmlpattern, ty)?;
+        index.load_sorted(keys, skipped_nodes)?;
+        self.indexes.insert(index.name.clone(), index);
+        self.bump_ddl_epoch();
+        Ok(())
+    }
+
+    /// `CREATE INDEX name ON table(column) USING XMLPATTERN 'p' AS type` —
+    /// also back-fills the index from existing rows.
+    pub fn create_index(
+        &mut self,
+        name: &str,
+        table: &str,
+        column: &str,
+        xmlpattern: &str,
+        ty: &str,
+    ) -> Result<(), XdmError> {
+        let upper = name.to_ascii_uppercase();
+        let (mut index, col) = self.new_index(name, table, column, xmlpattern, ty)?;
+        let t = self.db.table(table).ok_or_else(|| {
+            XdmError::new(ErrorCode::SqlType, format!("unknown table {table:?}"))
+        })?;
         // Write-ahead: with a persistence hook installed the DDL is logged
         // (in canonical spelling, so replay reproduces it exactly) after
         // validation but before the index becomes visible. A log failure
@@ -170,9 +210,9 @@ impl Catalog {
         // serial and in row order, so the built tree is identical to a
         // serial build whatever the thread count.
         let mut docs: Vec<(u64, NodeHandle)> = Vec::new();
-        for item in t.scan() {
+        for item in t.scan_masked(0, t.len(), t.column_mask(col)) {
             let (row, values) = item?;
-            if let SqlValue::Xml(doc) = &values[col] {
+            if let Some(SqlValue::Xml(doc)) = &values[col] {
                 docs.push((row as u64, doc.clone()));
             }
         }
@@ -257,7 +297,8 @@ impl Catalog {
             XdmError::new(ErrorCode::SqlType, format!("unknown table {table}"))
         })?;
         let mut xml_cells: Vec<(u64, String, NodeHandle)> = Vec::new();
-        for &id in rowids {
+        let indexed = self.indexes.values().any(|idx| idx.table == table_upper);
+        for &id in rowids.iter().filter(|_| indexed) {
             if let Some(r) = t.row(id as RowId)? {
                 for (i, v) in r.iter().enumerate() {
                     if let SqlValue::Xml(n) = v {
@@ -296,7 +337,8 @@ impl Catalog {
             XdmError::new(ErrorCode::SqlType, format!("unknown table {table}"))
         })?;
         let mut old_cells: Vec<(String, NodeHandle)> = Vec::new();
-        if let Some(r) = t.row(rowid as RowId)? {
+        let indexed = self.indexes.values().any(|idx| idx.table == table_upper);
+        if let Some(r) = if indexed { t.row(rowid as RowId)? } else { None } {
             for (i, v) in r.iter().enumerate() {
                 if let SqlValue::Xml(n) = v {
                     old_cells.push((t.columns[i].name.clone(), n.clone()));
@@ -308,7 +350,7 @@ impl Catalog {
             XdmError::internal(format!("table {table} vanished during replace"))
         })?;
         let mut new_cells: Vec<(String, NodeHandle)> = Vec::new();
-        if let Some(r) = t.row(rowid as RowId)? {
+        if let Some(r) = if indexed { t.row(rowid as RowId)? } else { None } {
             for (i, v) in r.iter().enumerate() {
                 if let SqlValue::Xml(n) = v {
                     new_cells.push((t.columns[i].name.clone(), n.clone()));

@@ -767,6 +767,15 @@ impl<'a> Cx<'a> {
                 Some(rp)
             }
             Expr::Filter { expr, predicates } => {
+                // A filter over items of several documents that is not a
+                // per-document truth value (`xmlcolumn('S')[1]`) depends on
+                // which other documents exist: narrowing the collection
+                // first would change its answer, so no candidate.
+                if spans_documents(expr, env)
+                    && !predicates.iter().all(crate::structure::per_document)
+                {
+                    return None;
+                }
                 let mut rp = self.resolve_path(expr, env)?;
                 self.apply_predicates(&mut rp, predicates, env);
                 Some(rp)
@@ -1020,6 +1029,24 @@ impl<'a> Cx<'a> {
                 _ => {}
             }
         }
+    }
+}
+
+/// True if `expr` evaluates to items of more than one document: the
+/// collection, a path or filter over it, or a `let`-bound collection
+/// variable (a `for` variable and the context item hold one document).
+fn spans_documents(expr: &Expr, env: &Env) -> bool {
+    match expr.unparen() {
+        Expr::Path { init, .. } => spans_documents(init, env),
+        Expr::Filter { expr, .. } => spans_documents(expr, env),
+        Expr::VarRef(name) => {
+            matches!(env.vars.get(name), Some(Binding::Docs { per_tuple: false, .. }))
+        }
+        Expr::FunctionCall { args, .. } => {
+            crate::engine::xmlcolumn_literal(expr).is_some()
+                || args.iter().any(|a| spans_documents(a, env))
+        }
+        _ => false,
     }
 }
 

@@ -104,6 +104,9 @@ pub struct ExecStats {
     pub docs_evaluated: HashMap<String, usize>,
     /// Collection sizes, per source.
     pub docs_total: HashMap<String, usize>,
+    /// Stored XML documents this run parsed while decoding rows. Physical
+    /// work: a row fetched only for its scalar columns parses nothing.
+    pub xml_docs_parsed: u64,
     /// Sources whose index probe failed at execution time and fell back to
     /// a full collection scan (correct by Definition 1, just slower).
     pub degraded_sources: Vec<String>,
@@ -503,7 +506,7 @@ impl ParallelExecutor {
         trace: &Trace,
     ) -> Result<ExecOutcome, XdmError> {
         let mut stats = ExecStats::for_plan(&plan.cost);
-        let pool_baseline = catalog.pool_stats();
+        let baseline = Physical::now(catalog);
         // Serial, before any parallel evaluation: probe-side fault
         // injection fires at the same points whatever the thread count.
         let sources: Vec<SourcePaths<'_>> = plan
@@ -541,7 +544,7 @@ impl ParallelExecutor {
                             ShardedScan { filters: &filters, rows: &rows, part: &part };
                         let mut outcome =
                             self.execute_sharded(catalog, plan, ctx, stats, &scan, trace)?;
-                        apply_pool_delta(&mut outcome.stats, catalog, &pool_baseline);
+                        apply_physical_delta(&mut outcome.stats, catalog, &baseline);
                         record_exec_metrics(obs, &outcome.stats);
                         return Ok(outcome);
                     }
@@ -556,7 +559,7 @@ impl ParallelExecutor {
         span.add_count(sequence.len() as u64);
         drop(span);
         stats.steps_used = ctx.budget.steps_used();
-        apply_pool_delta(&mut stats, catalog, &pool_baseline);
+        apply_physical_delta(&mut stats, catalog, &baseline);
         record_exec_metrics(obs, &stats);
         Ok(ExecOutcome { sequence, stats, trace: trace.clone() })
     }
@@ -600,20 +603,31 @@ impl ParallelExecutor {
     }
 }
 
-/// Charge this run's physical page traffic to its stats: the delta of the
-/// catalog's aggregated pool counters ([`Catalog::pool_stats`]) since the
-/// baseline taken once per statement, on entry to the executor (SQL: to
-/// SELECT or DML execution). Runs after evaluation so the bracket covers
-/// probes, document fetches and, for DML, the mutation itself.
-pub(crate) fn apply_pool_delta(
-    stats: &mut ExecStats,
-    catalog: &Catalog,
-    baseline: &xqdb_pager::PoolStats,
-) {
-    let delta = catalog.pool_stats().delta_since(baseline);
+/// The catalog's monotone physical-work counters — buffer-pool traffic
+/// and stored XML documents parsed — taken once per statement on entry to
+/// the executor (SQL: to SELECT or DML execution).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Physical {
+    pool: xqdb_pager::PoolStats,
+    xml_parsed: u64,
+}
+
+impl Physical {
+    pub(crate) fn now(catalog: &Catalog) -> Physical {
+        Physical { pool: catalog.pool_stats(), xml_parsed: catalog.db.xml_docs_parsed() }
+    }
+}
+
+/// Charge this run's physical work to its stats: the delta of the
+/// catalog's counters since `baseline`. Runs after evaluation so the
+/// bracket covers probes, document fetches and, for DML, the mutation
+/// itself.
+pub(crate) fn apply_physical_delta(stats: &mut ExecStats, catalog: &Catalog, baseline: &Physical) {
+    let delta = catalog.pool_stats().delta_since(&baseline.pool);
     stats.buffer_pool_hits = delta.hits;
     stats.buffer_pool_misses = delta.misses;
     stats.pages_evicted = delta.evictions;
+    stats.xml_docs_parsed = catalog.db.xml_docs_parsed().saturating_sub(baseline.xml_parsed);
 }
 
 /// Run fallible tasks on `pool` in task order. When `trace` records, each
@@ -658,6 +672,7 @@ pub(crate) fn record_exec_metrics(obs: &Obs, stats: &ExecStats) {
     obs.add(Counter::IndexProbeFaults, stats.index_faults as u64);
     obs.add(Counter::DegradationsToScan, stats.degraded_sources.len() as u64);
     obs.add(Counter::DocsEvaluated, stats.docs_evaluated_total() as u64);
+    obs.add(Counter::XmlDocsParsed, stats.xml_docs_parsed);
     obs.add(Counter::PrefilterDocsSkipped, stats.prefilter_docs_skipped as u64);
     obs.add(Counter::TwigJoinsExecuted, stats.twig_joins);
     obs.add(Counter::TwigCandidates, stats.twig_candidates as u64);
@@ -796,11 +811,12 @@ fn monotone_surviving_rows(
     let (table, col) = catalog.db.resolve_xml_column(source).ok()?;
     let mut rows = Vec::new();
     let mut last_doc: Option<u64> = None;
-    for item in access::fetch(filter, table) {
+    let mask = table.column_mask(col);
+    for item in access::fetch(filter, table, &mask) {
         // A page fault here means the serial path will surface the same
         // typed error; declining the parallel plan is enough.
         let (row, values) = item.ok()?;
-        if let SqlValue::Xml(n) = &values[col] {
+        if let Some(SqlValue::Xml(n)) = &values[col] {
             let doc = n.doc.id.0;
             if last_doc.is_some_and(|d| d >= doc) {
                 return None;
@@ -949,6 +965,7 @@ pub(crate) fn render_execution_sections(out: &mut String, s: &ExecStats, trace: 
         "  documents evaluated: {} of {total}\n",
         s.docs_evaluated_total()
     ));
+    out.push_str(&format!("  xml docs parsed: {}\n", s.xml_docs_parsed));
     out.push_str(&format!(
         "  prefilter docs skipped: {}\n",
         s.prefilter_docs_skipped
@@ -1088,10 +1105,10 @@ impl<'a> CollectionProvider for FilteredProvider<'a> {
             return Ok(out);
         }
         let mut out = Vec::new();
-        for item in table.scan() {
+        for item in table.scan_masked(0, table.len(), table.column_mask(col)) {
             let (row, values) = item?;
             self.check_fetch_fault(row, &key)?;
-            if let SqlValue::Xml(n) = &values[col] {
+            if let Some(SqlValue::Xml(n)) = &values[col] {
                 out.push(Item::Node(n.clone()));
             }
         }

@@ -32,8 +32,8 @@ use crate::eligibility::{
     IndexCond, Note, Rejection,
 };
 use crate::engine::{
-    apply_pool_delta, record_exec_metrics, render_doctor_section, render_execution_sections,
-    render_structure_sections, try_run_traced, ExecStats, PlanCost,
+    apply_physical_delta, record_exec_metrics, render_doctor_section, render_execution_sections,
+    render_structure_sections, try_run_traced, ExecStats, Physical, PlanCost,
 };
 use crate::plancache::PlanCache;
 use crate::prefilter::SourcePrefilter;
@@ -399,11 +399,10 @@ impl SqlSession {
                 return Err(XdmError::internal(format!("run_dml on non-DML {other:?}")))
             }
         };
-        let pool_baseline = self.catalog.pool_stats();
-        let (matches, mut stats) = self.dml_matching_rows(table, where_cond, trace, &budget)?;
+        let baseline = Physical::now(&self.catalog);
+        let (rowids, mut stats) = self.dml_matching_rows(table, where_cond, trace, &budget)?;
         let message = match stmt {
             SqlStmt::Delete { .. } => {
-                let rowids: Vec<u64> = matches.iter().map(|(rid, _)| *rid).collect();
                 let mut span = trace.span("delete");
                 let n = if rowids.is_empty() {
                     0 // no matches: nothing to log, nothing to apply
@@ -417,9 +416,14 @@ impl SqlSession {
             SqlStmt::Update { set, .. } => {
                 let mut span = trace.span("replace");
                 let mut n = 0u64;
-                for (rid, old) in &matches {
-                    let row = self.eval_update_row(table, set, *rid, old, &budget)?;
-                    self.catalog.replace(table, *rid, row)?;
+                for &rid in &rowids {
+                    // Matching decoded only the WHERE columns; SET and the
+                    // index maintenance need the whole old row.
+                    let old = self.table(table)?.row(rid as usize)?.ok_or_else(|| {
+                        XdmError::internal(format!("UPDATE {table}: matched row {rid} vanished"))
+                    })?;
+                    let row = self.eval_update_row(table, set, rid, &old, &budget)?;
+                    self.catalog.replace(table, rid, row)?;
                     n += 1;
                 }
                 span.add_count(n);
@@ -428,23 +432,24 @@ impl SqlSession {
             }
             _ => unreachable!(),
         };
-        apply_pool_delta(&mut stats, &self.catalog, &pool_baseline);
+        apply_physical_delta(&mut stats, &self.catalog, &baseline);
         record_exec_metrics(&self.obs, &stats);
         Ok(SqlResult { message: Some(message), stats, trace: trace.clone(), ..Default::default() })
     }
 
-    /// The rows of `table` whose WHERE evaluation is TRUE, as
-    /// [`DmlMatches`] in row order, plus the matching run's stats. `None` matches every live row (SQL semantics of a
-    /// missing WHERE). The WHERE is planned like a single-table SELECT's,
-    /// so only the access pipeline's survivors are fetched; the whole
-    /// condition is then evaluated on each of them.
+    /// The rowids of `table` whose WHERE evaluation is TRUE, in row order,
+    /// plus the matching run's stats. `None` matches every live row (SQL
+    /// semantics of a missing WHERE). The WHERE is planned like a
+    /// single-table SELECT's, so only the access pipeline's survivors are
+    /// fetched, and of each only the columns the WHERE names are decoded;
+    /// the whole condition is then evaluated on each of them.
     fn dml_matching_rows(
         &self,
         table: &str,
         where_cond: &Option<SqlCond>,
         trace: &Trace,
         budget: &Arc<xqdb_xdm::Budget>,
-    ) -> Result<(DmlMatches, ExecStats), XdmError> {
+    ) -> Result<(Vec<u64>, ExecStats), XdmError> {
         let t = self.table(table)?;
         let sel = SelectStmt {
             items: Vec::new(),
@@ -457,9 +462,10 @@ impl SqlSession {
         let filters = self.survivors(&plan, pool, trace, budget, &mut stats)?;
         let mut span = trace.span("scan");
         stats.docs_total.insert(t.name.clone(), t.len());
+        let parsed_before = self.catalog.db.xml_docs_parsed();
         let mut fetched = 0usize;
         let mut out = Vec::new();
-        for row in access::fetch(filters.get(&t.name), t) {
+        for row in access::fetch(filters.get(&t.name), t, plan.mask(&t.name)) {
             let (rid, values) = row?;
             fetched += 1;
             let pass = match where_cond {
@@ -470,11 +476,16 @@ impl SqlSession {
                 }
             };
             if pass {
-                out.push((rid, values));
+                out.push(rid);
             }
         }
         stats.docs_evaluated.insert(t.name.clone(), fetched);
         span.add_count(out.len() as u64);
+        // The statement's stats count the mutation's own row reads too;
+        // the span says what matching alone parsed.
+        span.tag_with("xml docs parsed", || {
+            (self.catalog.db.xml_docs_parsed() - parsed_before).to_string()
+        });
         Ok((out, stats))
     }
 
@@ -492,7 +503,8 @@ impl SqlSession {
         budget: &Arc<xqdb_xdm::Budget>,
     ) -> Result<Vec<SqlValue>, XdmError> {
         let t = self.table(table)?;
-        let ctx = RowCtx::default().with_row(&t.name, t, old);
+        let cells: Vec<Option<SqlValue>> = old.iter().cloned().map(Some).collect();
+        let ctx = RowCtx::default().with_row(&t.name, t, &cells);
         let mut row = old.to_vec();
         for (col, expr) in set {
             let upper = col.to_ascii_uppercase();
@@ -721,11 +733,19 @@ impl SqlSession {
 
     fn plan_select(&self, sel: &SelectStmt) -> Result<SqlPlan, XdmError> {
         let mut plan = SqlPlan::default();
-        // Map alias → (table, xml columns).
+        // Map alias → table, and each table to the columns its fetches
+        // decode.
+        let read = read_columns(sel);
         for item in &sel.from {
             if let FromItem::Table { name, alias } = item {
                 let t = self.table(name)?;
                 plan.tables.insert(alias.clone(), t.name.clone());
+                let mask = t
+                    .columns
+                    .iter()
+                    .map(|c| read.as_ref().is_none_or(|names| names.contains(&c.name)))
+                    .collect();
+                plan.masks.insert(t.name.clone(), mask);
             }
         }
         // Analyze XMLEXISTS conjuncts.
@@ -938,7 +958,7 @@ impl SqlSession {
         let mut stats = ExecStats::for_plan(&plan.cost);
         stats.plan_cache_hits = u64::from(cache_hit);
         stats.plan_cache_misses = u64::from(!cache_hit);
-        let pool_baseline = self.catalog.pool_stats();
+        let baseline = Physical::now(&self.catalog);
         let pool = WorkerPool::new(self.catalog.runtime.effective_threads());
         let filters = self.survivors(plan, pool, trace, budget, &mut stats)?;
 
@@ -957,7 +977,7 @@ impl SqlSession {
                     let joined_once = plan.tables.values().filter(|n| **n == t.name).count() == 1;
                     let filter = filters.get(&t.name).filter(|_| joined_once);
                     let mut fetched = 0usize;
-                    for row in access::fetch(filter, t) {
+                    for row in access::fetch(filter, t, plan.mask(&t.name)) {
                         let (_, values) = row?;
                         fetched += 1;
                         for base in &rows {
@@ -1066,7 +1086,7 @@ impl SqlSession {
         }
         project_span.add_count(out_rows.len() as u64);
         drop(project_span);
-        apply_pool_delta(&mut stats, &self.catalog, &pool_baseline);
+        apply_physical_delta(&mut stats, &self.catalog, &baseline);
         record_exec_metrics(&self.obs, &stats);
         Ok(SqlResult { columns, rows: out_rows, message: None, stats, trace: trace.clone() })
     }
@@ -1211,9 +1231,6 @@ impl SqlSession {
     }
 }
 
-/// The rows a DELETE or UPDATE matched: `(rowid, stored values)` pairs.
-type DmlMatches = Vec<(u64, Vec<SqlValue>)>;
-
 /// One row of the in-flight join: (alias, column) → value.
 #[derive(Debug, Clone, Default)]
 struct RowCtx {
@@ -1222,9 +1239,13 @@ struct RowCtx {
 }
 
 impl RowCtx {
-    /// This row extended with a stored row of `table` under `alias`.
-    fn with_row(mut self, alias: &str, table: &Table, values: &[SqlValue]) -> RowCtx {
+    /// This row extended with a stored row of `table` under `alias`. Only
+    /// the decoded columns join the context: a column the statement's mask
+    /// left out is absent — a lookup of it fails loudly instead of reading
+    /// a NULL that would silently flip three-valued logic.
+    fn with_row(mut self, alias: &str, table: &Table, values: &[Option<SqlValue>]) -> RowCtx {
         for (col, v) in table.columns.iter().zip(values) {
+            let Some(v) = v else { continue };
             self.values.insert((alias.to_string(), col.name.clone()), Scalar::from_stored(v));
             self.order.push((alias.to_string(), col.name.clone()));
         }
@@ -1291,6 +1312,18 @@ pub struct SqlPlan {
     /// Cost decisions made while compiling accesses (candidates scored,
     /// estimated rows, human-readable choice notes).
     pub cost: PlanCost,
+    /// Table name → the columns a row fetch decodes: every column the
+    /// statement names anywhere (select list, WHERE, PASSING), matched by
+    /// name whatever the qualifier; all of them under `SELECT *`.
+    pub masks: HashMap<String, Vec<bool>>,
+}
+
+impl SqlPlan {
+    /// The decode mask of a table of this plan (empty — decode nothing —
+    /// for a table the plan does not name).
+    fn mask(&self, table: &str) -> &[bool] {
+        self.masks.get(table).map_or(&[], Vec::as_slice)
+    }
 }
 
 /// Render the EXPLAIN output.
@@ -1352,6 +1385,52 @@ fn default_name(expr: &SqlExpr, i: usize) -> String {
         SqlExpr::XmlCast { .. } => format!("XMLCAST_{}", i + 1),
         _ => format!("C{}", i + 1),
     }
+}
+
+/// Every column name (upper-cased) the statement reads anywhere — select
+/// list, WHERE, and the PASSING clauses of `XMLEXISTS`, `XMLQUERY` and
+/// `XMLTABLE` — or `None` when the select list has a `*` (every column).
+fn read_columns(sel: &SelectStmt) -> Option<BTreeSet<String>> {
+    fn expr(e: &SqlExpr, out: &mut BTreeSet<String>) {
+        match e {
+            SqlExpr::Column { name, .. } => {
+                out.insert(name.to_ascii_uppercase());
+            }
+            SqlExpr::XmlQuery { passing, .. } => passing.iter().for_each(|(_, e)| expr(e, out)),
+            SqlExpr::XmlCast { expr: inner, .. } => expr(inner, out),
+            SqlExpr::Integer(_) | SqlExpr::Double(_) | SqlExpr::Varchar(_) | SqlExpr::Null => {}
+        }
+    }
+    fn cond(c: &SqlCond, out: &mut BTreeSet<String>) {
+        match c {
+            SqlCond::Cmp(_, a, b) => {
+                expr(a, out);
+                expr(b, out);
+            }
+            SqlCond::XmlExists { passing, .. } => passing.iter().for_each(|(_, e)| expr(e, out)),
+            SqlCond::And(a, b) | SqlCond::Or(a, b) => {
+                cond(a, out);
+                cond(b, out);
+            }
+            SqlCond::Not(a) => cond(a, out),
+        }
+    }
+    let mut out = BTreeSet::new();
+    for item in &sel.items {
+        match item {
+            SelectItem::Star => return None,
+            SelectItem::Expr { expr: e, .. } => expr(e, &mut out),
+        }
+    }
+    for item in &sel.from {
+        if let FromItem::XmlTable { passing, .. } = item {
+            passing.iter().for_each(|(_, e)| expr(e, &mut out));
+        }
+    }
+    if let Some(c) = &sel.where_cond {
+        cond(c, &mut out);
+    }
+    Some(out)
 }
 
 fn flatten_and<'a>(cond: &'a SqlCond, out: &mut Vec<&'a SqlCond>) {

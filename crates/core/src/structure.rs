@@ -697,7 +697,7 @@ fn over_collection(expr: &Expr) -> bool {
 /// True if a filter predicate is a per-document truth value — node paths,
 /// comparisons of paths and literals, `and`/`or` of those — never a
 /// position that depends on the other items of the filtered sequence.
-fn per_document(pred: &Expr) -> bool {
+pub(crate) fn per_document(pred: &Expr) -> bool {
     let plain = |e: &Expr| match e.unparen() {
         Expr::Path { steps, .. } => steps.iter().all(|s| matches!(s, Step::Axis { .. })),
         _ => false,

@@ -581,3 +581,104 @@ fn multiple_xml_predicates_intersect() {
     assert_eq!(r.rows.len(), 1);
     assert!(matches!(r.rows[0][0], Scalar::Integer(2)));
 }
+
+// -------------------------------------------------- column-masked decode
+//
+// Row fetches decode only the columns a statement names. These pin the
+// results of the statement shapes whose column sets are easiest to get
+// wrong: every column (`*`), one table under two aliases, columns reached
+// only through PASSING, qualified next to unqualified references, a SET
+// reading another column, and a mixed XML/scalar DML predicate.
+
+fn masked_session() -> SqlSession {
+    let mut s = SqlSession::new();
+    s.execute("create table t (id integer, a varchar(8), b varchar(8), doc XML)").unwrap();
+    for (id, a, b, k) in [(1, "a1", "b1", 1), (2, "a2", "b2", 5), (3, "a3", "b3", 9)] {
+        let doc = format!("<r k=\"{k}\"><v>{id}</v></r>");
+        s.execute(&format!("INSERT INTO t VALUES ({id}, '{a}', '{b}', '{doc}')")).unwrap();
+    }
+    s
+}
+
+#[test]
+fn masked_select_star_returns_every_column() {
+    let mut s = masked_session();
+    let r = s.execute("SELECT * FROM t WHERE id = 2").unwrap();
+    assert_eq!(r.columns, ["ID", "A", "B", "DOC"]);
+    assert_eq!(r.render(), "row 1: 2 | a2 | b2 | <r k=\"5\"><v>2</v></r>\n");
+}
+
+#[test]
+fn masked_self_join_decodes_the_union_of_both_aliases_columns() {
+    let mut s = masked_session();
+    // `x` needs ID and DOC, `y` needs ID and B: one table, one mask.
+    let r = s
+        .execute(
+            "SELECT x.id, y.b FROM t x, t y \
+             WHERE x.id = y.id AND XMLExists('$d/r[@k > 2]' passing x.doc as \"d\")",
+        )
+        .unwrap();
+    assert_eq!(r.render(), "row 1: 2 | b2\nrow 2: 3 | b3\n");
+}
+
+#[test]
+fn masked_xmltable_reads_the_column_named_only_in_passing() {
+    let mut s = masked_session();
+    let r = s
+        .execute(
+            "SELECT t.a, x.v FROM t, XMLTable('$d/r[@k >= 5]' passing doc as \"d\" \
+                COLUMNS v INTEGER PATH 'v') as x(v)",
+        )
+        .unwrap();
+    assert_eq!(r.render(), "row 1: a2 | 2\nrow 2: a3 | 3\n");
+    // XMLQUERY's PASSING in the select list likewise.
+    let r = s
+        .execute("SELECT id, XMLQuery('$d/r/@k' passing t.doc as \"d\") FROM t WHERE a = 'a3'")
+        .unwrap();
+    assert_eq!(r.render(), "row 1: 3 | 9\n");
+}
+
+#[test]
+fn masked_qualified_and_unqualified_references_resolve_alike() {
+    let mut s = masked_session();
+    let r = s.execute("SELECT t.a, b FROM t WHERE t.id > 1 AND b <> 'b3'").unwrap();
+    assert_eq!(r.render(), "row 1: a2 | b2\n");
+    assert_eq!(r.stats.xml_docs_parsed, 0, "no XML column is named");
+    let r = s.execute("SELECT a FROM t x WHERE X.ID = 1").unwrap();
+    assert_eq!(r.render(), "row 1: a1\n");
+}
+
+#[test]
+fn masked_update_set_reads_another_column_of_the_old_row() {
+    let mut s = masked_session();
+    let r = s.execute("UPDATE t SET a = b WHERE id = 2").unwrap();
+    assert_eq!(r.message.as_deref(), Some("1 row(s) updated"));
+    let r = s.execute("SELECT * FROM t").unwrap();
+    assert_eq!(
+        r.render(),
+        "row 1: 1 | a1 | b1 | <r k=\"1\"><v>1</v></r>\n\
+         row 2: 2 | b2 | b2 | <r k=\"5\"><v>2</v></r>\n\
+         row 3: 3 | a3 | b3 | <r k=\"9\"><v>3</v></r>\n"
+    );
+}
+
+#[test]
+fn masked_delete_with_xmlexists_and_scalar_where() {
+    let mut s = masked_session();
+    let r = s
+        .execute("DELETE FROM t WHERE XMLExists('$d/r[@k > 2]' passing doc as \"d\") AND id < 3")
+        .unwrap();
+    assert_eq!(r.message.as_deref(), Some("1 row(s) deleted"));
+    let r = s.execute("SELECT id, a FROM t").unwrap();
+    assert_eq!(r.render(), "row 1: 1 | a1\nrow 2: 3 | a3\n");
+}
+
+#[test]
+fn a_column_left_out_of_the_mask_is_absent_not_null() {
+    // `WHERE b IS NULL`-style logic must never see a skipped column as
+    // NULL: naming a column the table lacks still fails loudly.
+    let mut s = masked_session();
+    let err = s.execute("SELECT a FROM t WHERE nope = 1").unwrap_err();
+    assert_eq!(err.code, ErrorCode::SqlType);
+    assert!(err.to_string().contains("unknown column NOPE"), "{err}");
+}

@@ -31,6 +31,9 @@ pub enum Counter {
     QueriesCancelled,
     /// Documents fully evaluated (post-filter survivors plus full scans).
     DocsEvaluated,
+    /// Stored XML documents parsed by row decodes (only the columns a
+    /// statement reads are decoded, so scalar predicates parse none).
+    XmlDocsParsed,
     /// Evaluation steps charged to query budgets.
     EvalSteps,
     /// B+Tree nodes touched by index range scans (descent + leaf chain).
@@ -94,7 +97,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 39] = [
         Counter::QueriesExecuted,
         Counter::SqlStatements,
         Counter::IndexProbes,
@@ -104,6 +107,7 @@ impl Counter {
         Counter::BudgetExhaustions,
         Counter::QueriesCancelled,
         Counter::DocsEvaluated,
+        Counter::XmlDocsParsed,
         Counter::EvalSteps,
         Counter::BtreeNodeTouches,
         Counter::ParallelQueries,
@@ -147,6 +151,7 @@ impl Counter {
             Counter::BudgetExhaustions => "xqdb_budget_exhaustions_total",
             Counter::QueriesCancelled => "xqdb_queries_cancelled_total",
             Counter::DocsEvaluated => "xqdb_docs_evaluated_total",
+            Counter::XmlDocsParsed => "xqdb_xml_docs_parsed_total",
             Counter::EvalSteps => "xqdb_eval_steps_total",
             Counter::BtreeNodeTouches => "xqdb_btree_node_touches_total",
             Counter::ParallelQueries => "xqdb_parallel_queries_total",
@@ -191,6 +196,7 @@ impl Counter {
             Counter::BudgetExhaustions => "queries aborted on budget exhaustion",
             Counter::QueriesCancelled => "queries aborted by cancellation",
             Counter::DocsEvaluated => "documents fully evaluated",
+            Counter::XmlDocsParsed => "stored XML documents parsed by row decodes",
             Counter::EvalSteps => "evaluation steps charged to budgets",
             Counter::BtreeNodeTouches => "B+Tree nodes touched by index range scans",
             Counter::ParallelQueries => "queries that used more than one worker",

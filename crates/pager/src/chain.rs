@@ -39,6 +39,27 @@ fn read_link(buf: &[u8; PAGE_SIZE]) -> (PageId, usize) {
     (PageId::from_le_bytes(next), u32::from_le_bytes(len) as usize)
 }
 
+/// The page ids of the chain starting at `head`, head first (read-only:
+/// nothing is freed).
+pub fn chain_pages(pager: &Arc<Pager>, head: PageId) -> Result<Vec<PageId>, XdmError> {
+    let mut ids = Vec::new();
+    let mut cur = head;
+    let limit = pager.page_count();
+    while cur != 0 {
+        if ids.len() as u64 > limit {
+            return Err(XdmError::page_corrupt(format!("chain at page {head}: cycle detected")));
+        }
+        ids.push(cur);
+        cur = pager.with_page(cur, |buf| {
+            if page_kind(buf) != Some(PageKind::Chain) {
+                return Err(XdmError::page_corrupt(format!("page {cur}: expected a chain link")));
+            }
+            Ok(read_link(buf).0)
+        })??;
+    }
+    Ok(ids)
+}
+
 /// Write `bytes` as a fresh chain, returning its head page id.
 pub fn chain_write(pager: &Arc<Pager>, bytes: &[u8]) -> Result<PageId, XdmError> {
     let (head, guard) = pager.allocate(PageKind::Chain)?;
@@ -51,24 +72,7 @@ pub fn chain_write(pager: &Arc<Pager>, bytes: &[u8]) -> Result<PageId, XdmError>
 /// `head` stable: tail pages are reused, freed, or allocated as the new
 /// length requires.
 pub fn chain_rewrite(pager: &Arc<Pager>, head: PageId, bytes: &[u8]) -> Result<(), XdmError> {
-    // Existing chain page ids, head first.
-    let mut old = Vec::new();
-    let mut cur = head;
-    let limit = pager.page_count();
-    while cur != 0 {
-        if old.len() as u64 > limit {
-            return Err(XdmError::page_corrupt(format!("chain at page {head}: cycle detected")));
-        }
-        old.push(cur);
-        cur = pager.with_page(cur, |buf| {
-            if page_kind(buf) != Some(PageKind::Chain) {
-                return Err(XdmError::page_corrupt(format!(
-                    "page {cur}: expected a chain link"
-                )));
-            }
-            Ok(read_link(buf).0)
-        })??;
-    }
+    let old = chain_pages(pager, head)?;
     // Chunking: always at least one chunk so empty byte strings round-trip.
     let nchunks = bytes.len().div_ceil(CHAIN_CAP).max(1);
     let mut ids = old.clone();

@@ -254,8 +254,10 @@ struct ConnGuard<'a>(&'a Shared);
 
 impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::SeqCst);
+        // Gauge first: whoever sees the count reach zero must also see the
+        // gauge back at zero.
         self.0.obs.dec_gauge(Gauge::ActiveConnections);
+        self.0.open_connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

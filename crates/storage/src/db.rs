@@ -248,6 +248,12 @@ impl Database {
         t.replace_row(id, row)
     }
 
+    /// Stored XML documents parsed by row decodes across every table
+    /// (monotone; statements charge themselves the delta).
+    pub fn xml_docs_parsed(&self) -> u64 {
+        self.tables.values().map(Table::xml_docs_parsed).sum()
+    }
+
     /// All table names, sorted (for catalog listings).
     pub fn table_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
@@ -280,7 +286,7 @@ impl CollectionProvider for Database {
     fn xmlcolumn(&self, name: &str) -> Result<Sequence, XdmError> {
         let (table, col) = self.resolve_xml_column(name)?;
         let mut out = Vec::with_capacity(table.len());
-        for item in table.scan() {
+        for item in table.scan_masked(0, table.len(), table.column_mask(col)) {
             let (rowid, row) = item?;
             if let Some(inj) = &self.fault_injector {
                 if inj.should_fail() {
@@ -289,7 +295,7 @@ impl CollectionProvider for Database {
                     )));
                 }
             }
-            let cell = row.get(col).ok_or_else(|| {
+            let cell = row.get(col).and_then(Option::as_ref).ok_or_else(|| {
                 XdmError::internal(format!("row {rowid} of {name} is missing column {col}"))
             })?;
             match cell {

@@ -131,6 +131,28 @@ pub fn decode_header(bytes: &[u8]) -> Result<(u64, PathSignature), XdmError> {
 
 /// Decode a whole row. XML text re-parses into a fresh document tree.
 pub fn decode_row(bytes: &[u8]) -> Result<(u64, PathSignature, Vec<SqlValue>), XdmError> {
+    let (rowid, sig, row) = decode_with(bytes, |_| true)?;
+    Ok((rowid, sig, row.into_iter().flatten().collect()))
+}
+
+/// Decode only the columns `mask` selects: column `i` is materialized iff
+/// `mask[i]` (columns past the mask's end are skipped). A skipped column
+/// is `None` — absent, never NULL — and is stepped over by its length
+/// prefix without being parsed, so a scalar predicate over a row with an
+/// XML column never tokenizes the document. Tag and length checks still
+/// run on skipped columns: a truncated or garbled record is a typed
+/// `PageCorrupt` whichever columns were asked for.
+pub fn decode_row_masked(
+    bytes: &[u8],
+    mask: &[bool],
+) -> Result<(u64, PathSignature, Vec<Option<SqlValue>>), XdmError> {
+    decode_with(bytes, |i| mask.get(i).copied().unwrap_or(false))
+}
+
+fn decode_with(
+    bytes: &[u8],
+    keep: impl Fn(usize) -> bool,
+) -> Result<(u64, PathSignature, Vec<Option<SqlValue>>), XdmError> {
     let mut r = Reader { bytes, pos: 0 };
     let rowid = r.u64()?;
     let mut words = [0u64; SIGNATURE_WORDS];
@@ -139,9 +161,28 @@ pub fn decode_row(bytes: &[u8]) -> Result<(u64, PathSignature, Vec<SqlValue>), X
     }
     let ncols = r.u16()? as usize;
     let mut row = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
+    for col in 0..ncols {
         let tag = r.take(1)?[0];
-        row.push(match tag {
+        if !keep(col) {
+            match tag {
+                VTAG_NULL => {}
+                VTAG_INTEGER | VTAG_DOUBLE => {
+                    r.take(8)?;
+                }
+                VTAG_VARCHAR | VTAG_DATE | VTAG_TIMESTAMP | VTAG_XML => {
+                    let len = r.u32()? as usize;
+                    r.take(len)?;
+                }
+                t => {
+                    return Err(XdmError::page_corrupt(format!(
+                        "heap record: unknown value tag {t}"
+                    )))
+                }
+            }
+            row.push(None);
+            continue;
+        }
+        row.push(Some(match tag {
             VTAG_NULL => SqlValue::Null,
             VTAG_INTEGER => SqlValue::Integer(r.u64()? as i64),
             VTAG_DOUBLE => SqlValue::Double(f64::from_bits(r.u64()?)),
@@ -158,7 +199,7 @@ pub fn decode_row(bytes: &[u8]) -> Result<(u64, PathSignature, Vec<SqlValue>), X
             t => {
                 return Err(XdmError::page_corrupt(format!("heap record: unknown value tag {t}")))
             }
-        });
+        }));
     }
     Ok((rowid, PathSignature::from_words(words), row))
 }
@@ -216,5 +257,97 @@ mod tests {
         let tag_pos = RECORD_HEADER_LEN; // first value tag
         bad[tag_pos] = 200;
         assert!(decode_row(&bad).is_err());
+    }
+
+    fn all_types_row() -> Vec<SqlValue> {
+        let doc = xqdb_xmlparse::parse_document(r#"<a b="1">t&amp;x</a>"#).unwrap();
+        vec![
+            SqlValue::Null,
+            SqlValue::Integer(-42),
+            SqlValue::Double(-0.0),
+            SqlValue::Varchar("padded  ".into()),
+            SqlValue::Date(xqdb_xdm::Date::parse("2006-09-12").unwrap()),
+            SqlValue::Timestamp(xqdb_xdm::DateTime::parse("2006-09-12T23:59:59").unwrap()),
+            SqlValue::Xml(doc.root()),
+        ]
+    }
+
+    fn render(v: &SqlValue) -> String {
+        match v {
+            SqlValue::Xml(n) => xqdb_xmlparse::serialize_node(n),
+            SqlValue::Double(d) => format!("double bits {:x}", d.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn masked_decode_materializes_exactly_the_selected_column() {
+        let row = all_types_row();
+        let bytes = encode_row(3, &PathSignature::EMPTY, &row);
+        for (i, want) in row.iter().enumerate() {
+            let mask: Vec<bool> = (0..row.len()).map(|j| j == i).collect();
+            let (rowid, _, got) = decode_row_masked(&bytes, &mask).unwrap();
+            assert_eq!(rowid, 3);
+            assert_eq!(got.len(), row.len());
+            for (j, cell) in got.iter().enumerate() {
+                if j == i {
+                    let v = cell.as_ref().expect("selected column is present");
+                    assert_eq!(render(v), render(want), "column {j}");
+                } else {
+                    assert!(cell.is_none(), "column {j} is absent, not NULL");
+                }
+            }
+        }
+        // A short mask skips the columns past its end.
+        let (_, _, got) = decode_row_masked(&bytes, &[false, true]).unwrap();
+        assert!(got[1].is_some() && got[2..].iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn all_true_mask_equals_full_decode() {
+        let row = all_types_row();
+        let sig = observe_document(
+            &xqdb_xmlparse::parse_document("<a><b/></a>").unwrap().root(),
+            None,
+        );
+        let bytes = encode_row(11, &sig, &row);
+        let (rowid, sig1, full) = decode_row(&bytes).unwrap();
+        let (rowid2, sig2, masked) = decode_row_masked(&bytes, &[true; 7]).unwrap();
+        assert_eq!((rowid, sig1), (rowid2, sig2));
+        let masked: Vec<SqlValue> = masked.into_iter().map(Option::unwrap).collect();
+        let a: Vec<String> = full.iter().map(render).collect();
+        let b: Vec<String> = masked.iter().map(render).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn damage_inside_a_skipped_column_is_typed() {
+        let row = all_types_row();
+        let bytes = encode_row(0, &PathSignature::EMPTY, &row);
+        // Only the leading NULL is asked for: every other column is
+        // skipped, so each cut lands inside a skipped column.
+        let mask = [true];
+        for cut in RECORD_HEADER_LEN + 1..bytes.len() {
+            match decode_row_masked(&bytes[..cut], &mask) {
+                Ok(_) => panic!("decoded a record truncated at {cut}"),
+                Err(e) => assert_eq!(e.code, xqdb_xdm::ErrorCode::PageCorrupt, "cut {cut}"),
+            }
+        }
+        // An unknown tag on a skipped column.
+        let mut bad = bytes.clone();
+        bad[RECORD_HEADER_LEN + 1] = 200; // the Integer column's tag
+        let err = decode_row_masked(&bad, &mask).unwrap_err();
+        assert_eq!(err.code, xqdb_xdm::ErrorCode::PageCorrupt);
+        // A length prefix running past the record end, on the skipped XML
+        // column (the last one): its 4-byte length sits right after its tag.
+        let xml_text = xqdb_xmlparse::serialize_node(match &row[6] {
+            SqlValue::Xml(n) => n,
+            _ => unreachable!(),
+        });
+        let len_pos = bytes.len() - xml_text.len() - 4;
+        let mut long = bytes.clone();
+        long[len_pos..len_pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_row_masked(&long, &mask).unwrap_err();
+        assert_eq!(err.code, xqdb_xdm::ErrorCode::PageCorrupt);
     }
 }

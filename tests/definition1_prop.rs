@@ -133,3 +133,46 @@ fn planned_equals_unplanned() {
         }
     }
 }
+
+/// Fixed regression cases: a position on a sequence spanning documents
+/// (`xmlcolumn('S')[1]`) depends on which other documents exist, so an
+/// index probe must not narrow the collection first. With prices 5 and
+/// 500, the first stored order has no lineitem above 100; probing
+/// `li_price` used to return the first *qualifying* order's lineitem.
+#[test]
+fn positional_filters_over_the_collection_are_not_narrowed_by_a_probe() {
+    let queries = [
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')[1]//lineitem[@price > 100]",
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')[last()]//lineitem[@price < 100]",
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')[position() = 1]//lineitem[@price > 100]",
+        "(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem)[1][@price > 100]",
+        "let $c := db2-fn:xmlcolumn('ORDERS.ORDDOC') return $c[1]//lineitem[@price > 100]",
+    ];
+    let mut s = xqdb_core::SqlSession::new();
+    s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+    s.execute(r#"INSERT INTO orders VALUES (1, '<order><lineitem price="5"/></order>')"#).unwrap();
+    s.execute(r#"INSERT INTO orders VALUES (2, '<order><lineitem price="500"/></order>')"#)
+        .unwrap();
+    let run = |catalog: &Catalog, q: &str| {
+        let parsed = xqdb_xquery::parse_query(q).unwrap();
+        let plan = plan_query(catalog, parsed, &AnalysisEnv::new());
+        let out = execute_plan(catalog, &plan, &DynamicContext::new()).unwrap();
+        (xqdb_xmlparse::serialize_sequence(&out.sequence), out.stats.index_probes)
+    };
+    let unindexed: Vec<String> = queries.iter().map(|q| run(&s.catalog, q).0).collect();
+    assert_eq!(unindexed[0], "", "the first order has no lineitem above 100");
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    for (q, want) in queries.iter().zip(&unindexed) {
+        let (got, probes) = run(&s.catalog, q);
+        assert_eq!(&got, want, "{q}");
+        assert_eq!(probes, 0, "a position across documents is not index-eligible: {q}");
+    }
+    // A per-document filter on the collection still probes.
+    let (got, probes) =
+        run(&s.catalog, "db2-fn:xmlcolumn('ORDERS.ORDDOC')[order]//lineitem[@price > 100]");
+    assert_eq!(got, r#"<lineitem price="500"/>"#);
+    assert_eq!(probes, 1);
+}

@@ -78,6 +78,11 @@ fn assert_registry_matches_stats(
         stats.docs_evaluated_total() as u64,
         "{label}: documents evaluated"
     );
+    assert_eq!(
+        delta(Counter::XmlDocsParsed),
+        stats.xml_docs_parsed,
+        "{label}: xml documents parsed"
+    );
     assert_eq!(delta(Counter::EvalSteps), stats.steps_used, "{label}: eval steps");
     assert_eq!(
         delta(Counter::PrefilterDocsSkipped),
@@ -183,6 +188,7 @@ fn expected_counter_lines(stats: &ExecStats) -> Vec<String> {
             stats.docs_evaluated_total(),
             stats.docs_total.values().sum::<usize>()
         ),
+        format!("  xml docs parsed: {}\n", stats.xml_docs_parsed),
         format!("  prefilter docs skipped: {}\n", stats.prefilter_docs_skipped),
         format!(
             "  twig joins: {} ({} candidate(s), {} skipped)\n",
@@ -401,6 +407,11 @@ fn sql_explain_analyze_reconciles_with_registry() {
             delta(Counter::DocsEvaluated),
             result.stats.docs_evaluated_total() as u64,
             "{tag}: documents evaluated"
+        );
+        assert_eq!(
+            delta(Counter::XmlDocsParsed),
+            result.stats.xml_docs_parsed,
+            "{tag}: xml documents parsed"
         );
         assert!(result.stats.index_probes > 0, "{tag}: the probe actually ran");
         assert!(report.contains("-- executed:"), "{tag}: report ends with the row count");
@@ -682,6 +693,82 @@ fn sql_plan_cache_hit_and_ddl_invalidation() {
     assert_eq!(third.stats.plan_cache_misses, 1);
     assert!(third.stats.index_probes > 0, "the replanned statement uses the new index");
     assert_eq!(format!("{:?}", first.rows), format!("{:?}", third.rows));
+}
+
+#[test]
+fn xml_docs_parsed_counts_only_the_documents_a_statement_reads() {
+    // Statements decode only the columns they name, so a scalar predicate
+    // parses no stored XML, while an XMLEXISTS filter parses exactly the
+    // documents the access pipeline let through — on both front ends, and
+    // the registry moves by the same amount.
+    let obs = Obs::new(ObsConfig::enabled());
+    let mut s = SqlSession::new();
+    s.set_obs(obs.clone());
+    s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    for i in 0..200 {
+        s.execute(&format!(
+            r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
+            i * 5
+        ))
+        .unwrap();
+    }
+    let delta = |a: &MetricsSnapshot, b: &MetricsSnapshot| {
+        a.counter(Counter::XmlDocsParsed) - b.counter(Counter::XmlDocsParsed)
+    };
+
+    // A point SELECT on the scalar column: 200 rows visited, 0 parsed.
+    let before = snap(&obs);
+    let point = s.execute("SELECT ordid FROM orders WHERE ordid = 17").unwrap();
+    let after = snap(&obs);
+    assert_eq!(point.rows.len(), 1);
+    assert_eq!(point.stats.docs_evaluated_total(), 200, "the scalar WHERE visits every row");
+    assert_eq!(point.stats.xml_docs_parsed, 0, "and parses none of their documents");
+    assert_eq!(delta(&after, &before), 0);
+
+    // The XMLEXISTS price twin parses exactly its survivors.
+    let twin = "SELECT ordid FROM orders \
+                WHERE XMLEXISTS('$o//lineitem[@price > 900]' passing orddoc as \"o\")";
+    let before = snap(&obs);
+    let sql = s.execute(twin).unwrap();
+    let after = snap(&obs);
+    assert_eq!(sql.rows.len(), 19);
+    assert_eq!(sql.stats.xml_docs_parsed, sql.stats.docs_evaluated_total() as u64);
+    assert_eq!(sql.stats.xml_docs_parsed, 19);
+    assert_eq!(delta(&after, &before), sql.stats.xml_docs_parsed);
+    let xq = run_xquery_with_options(
+        &s.catalog,
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 900]",
+        &ExecOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(xq.stats.xml_docs_parsed, 19, "the XQuery twin parses the same survivors");
+
+    // DML matching on the scalar column parses nothing; the statement's
+    // total is the mutation's own reads of the one matched row.
+    for (dml, matched) in [
+        ("EXPLAIN ANALYZE DELETE FROM orders WHERE ordid = 17", "1 row(s) deleted"),
+        (
+            r#"EXPLAIN ANALYZE UPDATE orders SET orddoc = '<order><lineitem price="1"/></order>' WHERE ordid = 18"#,
+            "1 row(s) updated",
+        ),
+    ] {
+        let before = snap(&obs);
+        let out = s.execute(dml).unwrap();
+        let after = snap(&obs);
+        let report = out.message.expect("explain analyze returns a report");
+        assert!(report.contains(&format!("-- executed: {matched}")), "{report}");
+        assert!(
+            report.contains("scan") && report.contains("xml docs parsed=0"),
+            "{dml}: matching parses no document — report:\n{report}"
+        );
+        assert!(out.stats.xml_docs_parsed > 0 && out.stats.xml_docs_parsed < 5, "{dml}");
+        assert_eq!(delta(&after, &before), out.stats.xml_docs_parsed);
+        assert!(report.contains(&format!("  xml docs parsed: {}\n", out.stats.xml_docs_parsed)));
+    }
 }
 
 #[test]
