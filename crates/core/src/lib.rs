@@ -36,8 +36,8 @@ pub mod verify;
 pub use access::AccessConfig;
 pub use catalog::Catalog;
 pub use durability::{
-    open_durable_catalog, recover_catalog, snapshot_records, Durability, RecoveryReport,
-    PAGES_FILE,
+    checkpoint_pages, open_durable_catalog, recover_catalog, snapshot_records, CheckpointPages,
+    Durability, RecoveryReport, TablePages, PAGES_FILE,
 };
 pub use eligibility::{
     diagnose, diagnose_misestimate, estimate_probe_entries, AnalysisEnv, Candidate, CmpTarget,

@@ -32,7 +32,7 @@ mod page;
 mod pool;
 
 pub use chain::{chain_free, chain_read, chain_rewrite, chain_write, CHAIN_CAP};
-pub use heap::{discover_heap_pages, file_stats, HeapFile, HeapStats, RecordId};
+pub use heap::{discover_heap_pages, file_stats, frozen_heap_pages, HeapFile, HeapStats, RecordId};
 pub use page::{verify_page, PageKind, PAGE_MAGIC, PAGE_SIZE};
 pub use pool::{PageMut, PageRef, Pager, PagerStats, PoolStats, DEFAULT_BUFFER_PAGES};
 
