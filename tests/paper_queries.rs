@@ -467,25 +467,6 @@ fn query_30() {
     assert_eq!(rows.len(), 2);
 }
 
-/// The `structural prefilter:` and `twig join:` sections of a plain
-/// EXPLAIN report, verbatim (empty when neither is printed).
-fn structure_sections(report: &str) -> String {
-    let mut out = String::new();
-    let mut inside = false;
-    for line in report.lines() {
-        if line == "  structural prefilter:" || line == "  twig join:" {
-            inside = true;
-        } else if !line.starts_with("    ") {
-            inside = false;
-        }
-        if inside {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
 /// XQuery inputs of the structure characterization: the paper suite, one
 /// literal of each benchmark access shape, and the shapes where the
 /// signature prefilter and the twig pattern deliberately differ.
@@ -512,65 +493,44 @@ const STRUCTURE_SQL: &[(&str, &str)] = &[
     ("sql two conjuncts", "SELECT ordid FROM orders WHERE XMLEXISTS('$o/order[custid]//lineitem' passing orddoc as \"o\") AND XMLEXISTS('$o/order/promo//code' passing orddoc as \"o\")"),
 ];
 
-/// Expected structure sections, one per input above (paper queries first,
-/// in `PAPER_QUERIES` order).
-const STRUCTURE_EXPECTED: &[(&str, &str)] = &[
-    ("query_01", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price]]\n"),
-    ("query_02", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem]\n"),
-    ("query_03", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price]]\n"),
-    ("query_04", "  structural prefilter:\n    - CUSTOMER.CDOC: requires /customer & /customer/id\n    - ORDERS.ORDDOC: requires /order & /order/custid\n"),
-    ("query_07", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price]\n"),
-    ("query_17", ""),
-    ("query_18", ""),
-    ("query_19", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order\n"),
-    ("query_20", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/lineitem/@price\n"),
-    ("query_21", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/lineitem/@price\n"),
-    ("query_22", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order\n"),
-    ("query_23", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/lineitem\n"),
-    ("query_24", ""),
-    ("query_26", ""),
-    ("query_27", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/lineitem & /order/lineitem/product/id\n"),
-    ("query_30", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price][/@price]]\n"),
-    ("xq_access range", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price]]\n"),
-    ("xq_access between", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price][/@price]][/custid]\n"),
-    ("xq_access twig", "  twig join:\n    - ORDERS.ORDDOC: matches //order[/lineitem[/@price][/remark]][//custid]\n"),
-    ("xq_access prefilter", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/promo/code & /order/custid\n  twig join:\n    - ORDERS.ORDDOC: matches /order[/promo[/code]][/custid]\n"),
-    ("xq_access decoy", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price][/product[/id]]\n"),
-    ("for-var uses", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/custid\n"),
-    ("filter-init predicate", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/promo\n  twig join:\n    - ORDERS.ORDDOC: matches //x\n"),
-    ("descendant axis", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order\n  twig join:\n    - ORDERS.ORDDOC: matches /order[//remark]\n"),
-    ("sql_lifecycle range", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price]\n"),
-    ("sql_lifecycle between", "  twig join:\n    - ORDERS.ORDDOC: matches //lineitem[/@price][/@price]\n"),
-    ("sql for-var uses", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/custid\n"),
-    ("sql query_17 twin", ""),
-    ("sql query_21 twin", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order & /order/lineitem/@price\n"),
-    ("sql filter-init predicate", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/promo\n  twig join:\n    - ORDERS.ORDDOC: matches //x\n"),
-    ("sql two conjuncts", "  structural prefilter:\n    - ORDERS.ORDDOC: requires /order/custid & /order AND /order/promo\n  twig join:\n    - ORDERS.ORDDOC: matches /order[/custid][//lineitem] AND /order[/promo[//code]]\n"),
-];
-
-/// Characterization: the structure lines of plain EXPLAIN for every input
-/// above stay exactly as recorded. They are where the signature prefilter
-/// and the twig pattern differ on purpose (`for`-variable uses, `let` over
-/// a `for` path, filter predicates on the collection, descendant steps),
-/// so any change to structural extraction shows up here first.
+/// Characterization: every line of plain EXPLAIN the query walk decides —
+/// the source access line, cost decisions, structure sections, notes and
+/// rejected candidates — for every input above, over the paper data with
+/// and without the `li_price` index, stays exactly as recorded in
+/// `fixtures/explain_pinned.txt`. The structure lines are where the
+/// signature prefilter and the twig pattern differ on purpose
+/// (`for`-variable uses, `let` over a `for` path, filter predicates on the
+/// collection, descendant steps), so any change to the walk shows up here
+/// first.
 #[test]
 fn explain_structure_lines_are_pinned() {
-    let mut s = common::paper_session(true);
-    let mut got: Vec<(String, String)> = Vec::new();
-    let xqueries = common::PAPER_QUERIES.iter().chain(STRUCTURE_XQUERIES);
-    for (label, q) in xqueries {
-        let plan =
-            plan_query(&s.catalog, xqdb_xquery::parse_query(q).unwrap(), &AnalysisEnv::new());
-        got.push((label.to_string(), structure_sections(&xqdb_core::explain(&plan))));
+    let mut got = Vec::new();
+    for indexed in [false, true] {
+        let mut s = common::paper_session(indexed);
+        for (label, q) in common::PAPER_QUERIES.iter().chain(STRUCTURE_XQUERIES) {
+            let parsed = xqdb_xquery::parse_query(q).unwrap();
+            let plan = plan_query(&s.catalog, parsed, &AnalysisEnv::new());
+            got.push(format!("== {label} (indexed: {indexed})\n{}", xqdb_core::explain(&plan)));
+        }
+        for (label, q) in STRUCTURE_SQL {
+            let report = s.execute(&format!("EXPLAIN {q}")).unwrap().message.unwrap();
+            got.push(format!("== {label} (indexed: {indexed})\n{report}"));
+        }
     }
-    for (label, q) in STRUCTURE_SQL {
-        let report = s.execute(&format!("EXPLAIN {q}")).unwrap().message.unwrap();
-        got.push((label.to_string(), structure_sections(&report)));
-    }
-    let rendered: String = got.iter().map(|(l, g)| format!("    ({l:?}, {g:?}),\n")).collect();
-    assert_eq!(got.len(), STRUCTURE_EXPECTED.len(), "got:\n{rendered}");
-    for ((label, g), (want_label, want)) in got.iter().zip(STRUCTURE_EXPECTED) {
-        assert_eq!(label, want_label);
-        assert_eq!(g, want, "{label}");
+    let want = include_str!("fixtures/explain_pinned.txt").split_inclusive('\n').fold(
+        Vec::new(),
+        |mut blocks: Vec<String>, line| {
+            if line.starts_with("== ") {
+                blocks.push(String::new());
+            }
+            if let Some(block) = blocks.last_mut() {
+                block.push_str(line);
+            }
+            blocks
+        },
+    );
+    assert_eq!(got.len(), want.len(), "got:\n{}", got.concat());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w);
     }
 }
