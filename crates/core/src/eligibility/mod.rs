@@ -13,11 +13,7 @@ use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{Budget, XdmError};
 use xqdb_xmlindex::{ProbeRange, ProbeStats, XmlIndex};
 
-pub use candidates::{
-    analyze_filtering, analyze_non_filtering, analyze_non_filtering_with_ctx, analyze_query_root, render_cond,
-    render_steps, resolve_docs_path, Analysis, AnalysisEnv, BindingPublic, Candidate, CmpTarget,
-    Cond, Note,
-};
+pub use candidates::{render_cond, render_steps, AnalysisEnv, Candidate, CmpTarget, Cond, Note};
 pub use containment::path_contained_in;
 pub use cost::{estimate_probe_entries, CostModel, Est};
 pub use doctor::{diagnose, diagnose_misestimate, Diagnosis, Pitfall, RejectReason};
@@ -137,39 +133,14 @@ pub struct Compilation {
 /// Keep only the parts of `cond` that constrain documents of `source`;
 /// everything else becomes `Any` (conservative).
 pub fn restrict_to_source(cond: &Cond, source: &str) -> Cond {
+    let restrict = |cs: &[Cond]| cs.iter().map(|c| restrict_to_source(c, source)).collect();
     match cond {
-        Cond::Any => Cond::Any,
-        Cond::Pred(c) => {
-            if c.source == source {
-                cond.clone()
-            } else {
-                Cond::Any
-            }
+        Cond::Pred(Candidate { source: s, .. }) | Cond::Exists { source: s, .. } if s == source => {
+            cond.clone()
         }
-        Cond::Exists { source: s, .. } => {
-            if s == source {
-                cond.clone()
-            } else {
-                Cond::Any
-            }
-        }
-        Cond::And(cs) => {
-            let kept: Vec<Cond> = cs.iter().map(|c| restrict_to_source(c, source)).collect();
-            let kept: Vec<Cond> = kept.into_iter().filter(|c| !matches!(c, Cond::Any)).collect();
-            match kept.len() {
-                0 => Cond::Any,
-                1 => kept.into_iter().next().unwrap_or(Cond::Any),
-                _ => Cond::And(kept),
-            }
-        }
-        Cond::Or(cs) => {
-            let mapped: Vec<Cond> = cs.iter().map(|c| restrict_to_source(c, source)).collect();
-            if mapped.iter().any(|c| matches!(c, Cond::Any)) {
-                Cond::Any
-            } else {
-                Cond::Or(mapped)
-            }
-        }
+        Cond::And(cs) => Cond::and(restrict(cs)),
+        Cond::Or(cs) => Cond::or(restrict(cs)),
+        _ => Cond::Any,
     }
 }
 
@@ -235,7 +206,7 @@ fn compile_cond(
             let mut compiled = Vec::new();
             let mut value_preds = 0usize;
             for child in &merged {
-                if let MergedCond::Range { key: _, lo, hi, sample } = child {
+                if let MergedCond::Range { lo, hi, sample } = child {
                     let range = ProbeRange { lo: lo.clone(), hi: hi.clone() };
                     if let Some(probe) =
                         compile_range_probe(sample, range, indexes, rejections, true, cx)
@@ -313,8 +284,6 @@ fn compile_cond(
 enum MergedCond<'a> {
     Plain(&'a Cond),
     Range {
-        #[allow(dead_code)]
-        key: String,
         lo: Bound<xqdb_xdm::AtomicValue>,
         hi: Bound<xqdb_xdm::AtomicValue>,
         /// A representative candidate (for index matching).
@@ -377,12 +346,7 @@ fn merge_between<'a>(children: &'a [Cond]) -> Vec<MergedCond<'a>> {
                 CompareOp::Le => Bound::Included(hi_c.value.clone()),
                 _ => unreachable!("upper side is Lt/Le"),
             };
-            out.push(MergedCond::Range {
-                key: render_steps(&a.steps),
-                lo,
-                hi,
-                sample: a.clone(),
-            });
+            out.push(MergedCond::Range { lo, hi, sample: a.clone() });
             used[i] = true;
             used[j] = true;
             merged = true;
@@ -426,7 +390,7 @@ fn compile_pred(
 ) -> Option<(IndexCond, Est)> {
     let Some(range) = probe_range_for(c) else {
         rejections.push(Rejection {
-            candidate: render_cond(&Cond::Pred(c.clone())),
+            candidate: c.render(),
             reasons: vec![RejectReason {
                 pitfall: Pitfall::NotEqualsPredicate,
                 index: None,
@@ -537,7 +501,7 @@ fn compile_range_probe(
             });
         }
         rejections.push(Rejection {
-            candidate: render_cond(&Cond::Pred(c.clone())),
+            candidate: c.render(),
             reasons,
         });
         return None;

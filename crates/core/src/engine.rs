@@ -32,11 +32,12 @@ use xqdb_storage::SqlValue;
 use crate::access::{self, AccessConfig, AccessPaths, SourcePaths, Survivors};
 use crate::catalog::Catalog;
 use crate::eligibility::{
-    analyze_query_root, compile, diagnose, diagnose_misestimate, restrict_to_source, AnalysisEnv,
+    compile, diagnose, diagnose_misestimate, restrict_to_source, AnalysisEnv,
     Cond, IndexCond, Note, Rejection,
 };
 use crate::prefilter::SourcePrefilter;
 use crate::twig::SourceTwig;
+use crate::walk::{walk, Body};
 
 /// Per-collection access decision.
 #[derive(Debug, Clone)]
@@ -236,16 +237,20 @@ pub fn plan_query_costed(
     use_cost: bool,
 ) -> QueryPlan {
     let mut span = trace.span("plan");
-    let analysis = analyze_query_root(&query.body, env);
-    let mut sources = BTreeSet::new();
-    collect_sources(&query.body, &mut sources);
+    let (walked, prefilter, twig) = {
+        let mut walk_span = span.child("query walk");
+        let walked = walk(&query.body, env, Body::Query);
+        let (prefilter, twig) = (walked.structure.prefilters(), walked.structure.twigs());
+        walk_span.add_count((prefilter.len() + twig.len()) as u64);
+        (walked, prefilter, twig)
+    };
     let mut accesses = Vec::new();
     let mut rejections = Vec::new();
     let mut cost = PlanCost::default();
     {
         let mut elig = span.child("eligibility check");
-        for source in sources {
-            let restricted = restrict_to_source(&analysis.cond, &source);
+        for source in walked.sources {
+            let restricted = restrict_to_source(&walked.cond, &source);
             let indexes = catalog.indexes_for_source(&source);
             let model = if use_cost { catalog.cost_model_for(&source) } else { None };
             let compiled = compile(&restricted, &indexes, model.as_ref());
@@ -263,19 +268,12 @@ pub fn plan_query_costed(
         elig.add_count(accesses.len() as u64);
         elig.tag_with("rejections", || rejections.len().to_string());
     }
-    let (prefilter, twig) = {
-        let mut extract = span.child("structure extract");
-        let structure = crate::structure::extract(&query.body, env, true);
-        let (prefilter, twig) = (structure.prefilters(), structure.twigs());
-        extract.add_count((prefilter.len() + twig.len()) as u64);
-        (prefilter, twig)
-    };
     span.add_count(accesses.len() as u64);
     QueryPlan {
         query,
-        cond: analysis.cond,
+        cond: walked.cond,
         accesses,
-        notes: analysis.notes,
+        notes: walked.notes,
         rejections,
         prefilter,
         twig,
@@ -1116,15 +1114,6 @@ impl<'a> CollectionProvider for FilteredProvider<'a> {
     }
 }
 
-/// Collect every `db2-fn:xmlcolumn` literal referenced by the expression.
-pub fn collect_sources(expr: &Expr, out: &mut BTreeSet<String>) {
-    visit_exprs(expr, &mut |e| {
-        if let Some(src) = xmlcolumn_literal(e) {
-            out.insert(src);
-        }
-    });
-}
-
 /// The upper-cased source named by a `db2-fn:xmlcolumn('T.C')` call, if
 /// `expr` is exactly such a call with a string-literal argument.
 pub(crate) fn xmlcolumn_literal(expr: &Expr) -> Option<String> {
@@ -1140,7 +1129,7 @@ pub(crate) fn xmlcolumn_literal(expr: &Expr) -> Option<String> {
 
 /// Pre-order visit of every sub-expression, including step predicates,
 /// filter-step expressions and constructor content. The single walker
-/// behind [`collect_sources`] and the partitionability checks, so new
+/// behind the partitionability checks, so new
 /// `Expr` variants fail compilation here instead of silently escaping one
 /// of several hand-rolled traversals.
 pub(crate) fn visit_exprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {

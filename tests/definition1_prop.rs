@@ -73,6 +73,7 @@ const QUERIES: &[&str] = &[
     "avg(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > {t}]/@quantity/xs:double(.))",
     "sum(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > {t}]/@quantity/xs:double(.)) + 1",
     "string-join(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > {t}]/product/id/data(.), ',')",
+    "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return count($o/lineitem[@price > {t}])",
 ];
 
 #[test]
@@ -175,4 +176,50 @@ fn positional_filters_over_the_collection_are_not_narrowed_by_a_probe() {
         run(&s.catalog, "db2-fn:xmlcolumn('ORDERS.ORDDOC')[order]//lineitem[@price > 100]");
     assert_eq!(got, r#"<lineitem price="500"/>"#);
     assert_eq!(probes, 1);
+}
+
+/// Fixed regression cases: an aggregate evaluated per tuple is never empty
+/// (`count(())` is `0`), so a predicate inside one cannot eliminate the
+/// tuple's document. Only a root-level aggregate, evaluated once over the
+/// whole collection, filters by its argument. With lineitem prices 250, 5
+/// and none, an index probe used to keep only the first order.
+#[test]
+fn per_tuple_aggregates_are_not_narrowed_by_a_probe() {
+    let each = "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return";
+    let queries = [
+        format!("{each} count($o/lineitem[@price > 100])"),
+        format!("{each} empty($o/lineitem[@price > 100])"),
+        format!("{each} sum($o/lineitem[@price > 100]/@price) + 1"),
+    ];
+    let sql = "SELECT ordid FROM orders WHERE XMLEXISTS('for $o in $d/order \
+               return count($o/lineitem[@price > 100])' passing orddoc as \"d\")";
+    let mut s = xqdb_core::SqlSession::new();
+    s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+    for (i, doc) in [
+        r#"<order><lineitem price="250"/></order>"#,
+        r#"<order><lineitem price="5"/></order>"#,
+        "<order/>",
+    ]
+    .iter()
+    .enumerate()
+    {
+        s.execute(&format!("INSERT INTO orders VALUES ({i}, '{doc}')")).unwrap();
+    }
+    let run = |catalog: &Catalog, q: &str| {
+        let parsed = xqdb_xquery::parse_query(q).unwrap();
+        let plan = plan_query(catalog, parsed, &AnalysisEnv::new());
+        let out = execute_plan(catalog, &plan, &DynamicContext::new()).unwrap();
+        xqdb_xmlparse::serialize_sequence(&out.sequence)
+    };
+    let unindexed: Vec<String> = queries.iter().map(|q| run(&s.catalog, q)).collect();
+    assert_eq!(unindexed, ["1 0 0", "false true true", "251 1 1"]);
+    assert_eq!(s.execute(sql).unwrap().rows.len(), 3);
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    for (q, want) in queries.iter().zip(&unindexed) {
+        assert_eq!(&run(&s.catalog, q), want, "{q}");
+    }
+    assert_eq!(s.execute(sql).unwrap().rows.len(), 3, "{sql}");
 }
