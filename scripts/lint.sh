@@ -132,10 +132,11 @@ if [ -n "$switch_reads" ]; then
 fi
 
 # Twig patterns and required paths are built in exactly one place: the
-# structural walk in crates/core/src/structure.rs, which derives both the
-# signature-prefilter groups and the twig patterns from one record of the
-# query's uses. A second construction site would be a second extractor,
-# free to drift from the first on what a query requires. Exempt:
+# structural derivations in crates/core/src/structure.rs, which derive both
+# the signature-prefilter groups and the twig patterns from the query
+# walk's one record of the query's uses. A second construction site would
+# be a second extractor, free to drift from the first on what a query
+# requires. Exempt:
 # crates/twig, which owns Pattern, and test code (tests/ trees, and a
 # source file's trailing #[cfg(test)] module).
 STRUCT_BUILD='Pattern::root|\.add_child\(|PathComponent::(Element|Attribute)\('
@@ -151,6 +152,35 @@ struct_builds=$(
 if [ -n "$struct_builds" ]; then
   echo "$struct_builds"
   echo "error: twig pattern or required path built outside crates/core/src/structure.rs (derive it from the structural walk)" >&2
+  exit 1
+fi
+
+# Index candidates and linear query paths are built in exactly one place:
+# the query walk in crates/core/src/walk.rs, which derives the index-probe
+# condition, the notes and the structural uses from one pass over the
+# query. A `Cond::Pred`, `Cond::Exists` or `PatternStep` built anywhere
+# else would be a second extractor, free to drift from the walk on which
+# positions filter. Lines that only match against them (a pattern ahead
+# of the line's first `=`, before its `=>`; `let`/`for` destructuring;
+# `matches!`) are reads, not builds. Exempt: crates/xquery, which owns PatternStep; the PatternStep
+# rewrites of index patterns and synopsis paths in eligibility/cost.rs and
+# eligibility/doctor.rs, which never read a query; and test code (tests/
+# trees, and a source file's trailing #[cfg(test)] module).
+WALK_BUILD='Cond::Pred\(|Cond::Exists \{|PatternStep \{'
+walk_builds=$(
+  grep -rlE --include='*.rs' "$WALK_BUILD" crates \
+    | grep -v '^crates/xquery/' \
+    | grep -v '^crates/core/src/walk.rs$' \
+    | grep -v '/tests/' \
+    | while read -r f; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$WALK_BUILD" | sed "s|^|$f:|"
+      done \
+    | grep -vE "^[^:]*:[0-9]+:[^=]*($WALK_BUILD).*=>|(^|[^a-z_])(let|for) [^=]*($WALK_BUILD)|matches!\([^,]*,[^)]*($WALK_BUILD)" \
+    | grep -vE '^crates/core/src/eligibility/(cost|doctor)\.rs:[0-9]+:.*PatternStep \{'
+) || true
+if [ -n "$walk_builds" ]; then
+  echo "$walk_builds"
+  echo "error: index candidate or query path built outside crates/core/src/walk.rs (derive it from the query walk)" >&2
   exit 1
 fi
 
