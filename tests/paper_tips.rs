@@ -225,8 +225,8 @@ fn tip_9_predicates_before_construction() {
         "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem \
          where $i/product/id = 'p2' return $i/@quantity"
     ));
-    // After (through a constructed view): no index, and the scavenger
-    // explains.
+    // After (through a constructed view): no index, and the walk's notes
+    // explain.
     let q = xqdb_xquery::parse_query(
         "for $j in (for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order/lineitem \
                     return <item><pid>{$i/product/id/data(.)}</pid></item>) \
