@@ -1,6 +1,6 @@
-//! The access-path pipeline: index probe → twig join → signature
-//! pre-filter, the one place where a statement's sources are narrowed
-//! before any document is fetched.
+//! The access-path pipeline: scalar filter → index probe → twig join →
+//! signature pre-filter, the one place where a statement's sources are
+//! narrowed before any document is fetched.
 //!
 //! Every stage is a Definition 1 pre-filter: it may let extra rows through
 //! but never drops one the query keeps, so the survivors only bound what
@@ -8,11 +8,15 @@
 //! `DELETE`/`UPDATE` matching all call [`AccessPaths::survivors`] and differ
 //! only in how they fetch and evaluate what it returns.
 //!
-//! Stages run phase by phase — every probe, then every twig join, then
-//! every pre-filter — each over the sources in the caller's order. Probes
-//! are the only stage that touches the pager, so probe-side fault
-//! injection fires at the same points whether the later, purely in-memory
-//! stages run or not.
+//! Stages run phase by phase — every scalar filter, then every probe, then
+//! every twig join, then every pre-filter — each over the sources in the
+//! caller's order. The scalar filter is the one exact stage: it decides a
+//! SQL `column op literal` conjunct over an INTEGER column from the
+//! table's in-memory cells with the comparison the WHERE evaluation uses,
+//! so it drops exactly the rows that conjunct makes not TRUE. Probes are
+//! the only stage that touches the pager, so probe-side fault injection
+//! fires at the same points whether the purely in-memory stages run or
+//! not.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -20,7 +24,8 @@ use std::time::Instant;
 
 use xqdb_obs::{Histogram, Obs, Trace};
 use xqdb_runtime::{chunk_ranges, WorkerPool};
-use xqdb_storage::{SqlValue, Table};
+use xqdb_storage::{sql_compare, SqlValue, Table};
+use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{Budget, ErrorCode, XdmError};
 use xqdb_xmlindex::ProbeStats;
 
@@ -100,6 +105,42 @@ fn env_switch(var: &str) -> bool {
     }
 }
 
+/// A SQL conjunct `column op literal` over an INTEGER column, decided per
+/// row from [`Table::int_cells`] instead of the stored record.
+#[derive(Debug, Clone)]
+pub struct ScalarPred {
+    /// `TABLE.COLUMN`, for EXPLAIN and span tags.
+    pub column: String,
+    /// The column's position in the row.
+    pub col: usize,
+    /// The operator, with the column as its left operand (the planner
+    /// mirrors `literal op column`).
+    pub op: CompareOp,
+    /// The literal: an INTEGER or a DOUBLE value.
+    pub literal: SqlValue,
+}
+
+impl ScalarPred {
+    /// True iff the conjunct is TRUE for a row holding `cell` — the same
+    /// `sql_compare` + [`CompareOp::test`] three-valued rule the WHERE
+    /// evaluation applies, so NULL (and a deleted row, which holds NULL)
+    /// is never TRUE.
+    pub fn accepts(&self, cell: Option<i64>) -> bool {
+        let cell = cell.map_or(SqlValue::Null, SqlValue::Integer);
+        matches!(sql_compare(&cell, &self.literal), Ok(Some(o)) if self.op.test(Some(o)))
+    }
+
+    /// `TABLE.COLUMN op literal`.
+    pub fn render(&self) -> String {
+        let literal = match &self.literal {
+            SqlValue::Integer(i) => i.to_string(),
+            SqlValue::Double(d) => d.to_string(),
+            other => format!("{other:?}"),
+        };
+        format!("{} {} {literal}", self.column, self.op.general_symbol())
+    }
+}
+
 /// What the planner compiled for one source.
 pub(crate) struct SourcePaths<'p> {
     /// The `TABLE.COLUMN` collection: selects the indexes and tags spans.
@@ -115,6 +156,8 @@ pub(crate) struct SourcePaths<'p> {
     pub twigs: &'p [SourceTwig],
     /// Signature pre-filters, one per filtering conjunct; all must accept.
     pub prefilters: &'p [SourcePrefilter],
+    /// Scalar conjuncts over the key's table; all must be TRUE.
+    pub scalars: &'p [ScalarPred],
 }
 
 /// Survivor row sets by [`SourcePaths::key`]. A key with no entry was not
@@ -133,11 +176,11 @@ pub(crate) struct AccessPaths<'a> {
 }
 
 impl AccessPaths<'_> {
-    /// Run probe → twig → pre-filter over `sources` and return the
-    /// survivors, charging the probe, twig and pre-filter counters to
-    /// `stats`. A probe failing with `StorageFault` degrades its source to
-    /// a scan (correct by Definition 1) and is recorded in `stats`; any
-    /// other probe error — budget exhaustion, cancellation — propagates.
+    /// Run scalar filter → probe → twig → pre-filter over `sources` and
+    /// return the survivors, charging each stage's counters to `stats`. A
+    /// probe failing with `StorageFault` degrades its source to a scan
+    /// (correct by Definition 1) and is recorded in `stats`; any other
+    /// probe error — budget exhaustion, cancellation — propagates.
     pub fn survivors(
         &self,
         sources: &[SourcePaths<'_>],
@@ -145,6 +188,9 @@ impl AccessPaths<'_> {
         stats: &mut ExecStats,
     ) -> Result<Survivors, XdmError> {
         let mut survivors = Survivors::new();
+        for s in sources.iter().filter(|s| !s.scalars.is_empty()) {
+            self.scalar_filter(s, &mut survivors, stats);
+        }
         for s in sources {
             if let Some(cond) = s.index {
                 self.probe(s, cond, budget, &mut survivors, stats)?;
@@ -161,6 +207,34 @@ impl AccessPaths<'_> {
             }
         }
         Ok(survivors)
+    }
+
+    /// Keep the rows whose in-memory cells make every scalar conjunct
+    /// TRUE. Reads no page. The stage runs first, so what it visits is the
+    /// table's whole rowid domain (or an earlier scalar source's survivors,
+    /// all live); deleted rows hold NULL and drop out without a lookup in
+    /// the delete set, so the rows it skips are live rows.
+    fn scalar_filter(&self, s: &SourcePaths<'_>, survivors: &mut Survivors, stats: &mut ExecStats) {
+        let Some(table) = self.catalog.db.table(s.key) else { return };
+        let Some(cells) =
+            s.scalars.iter().map(|p| table.int_cells(p.col)).collect::<Option<Vec<_>>>()
+        else {
+            return;
+        };
+        let mut span = self.trace.span("scalar filter");
+        span.tag_with("source", || s.source.to_string());
+        let visited = survivors.get(s.key).map_or(table.live_len(), BTreeSet::len);
+        let kept: BTreeSet<u64> = rows_of(survivors.get(s.key), table)
+            .filter(|&row| {
+                let cell = |c: &&[Option<i64>]| c.get(row as usize).copied().flatten();
+                s.scalars.iter().zip(&cells).all(|(p, c)| p.accepts(cell(c)))
+            })
+            .collect();
+        let skipped = visited.saturating_sub(kept.len());
+        span.add_count(skipped as u64);
+        span.tag_with("survivors", || kept.len().to_string());
+        stats.scalar_rows_skipped += skipped;
+        survivors.insert(s.key.to_string(), kept);
     }
 
     fn probe(

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use xqdb_obs::{Counter, Obs};
 use xqdb_runtime::{chunk_ranges, RuntimeConfig, WorkerPool};
-use xqdb_xdm::{ErrorCode, FaultInjector, NodeHandle, XdmError};
+use xqdb_xdm::{ErrorCode, FaultInjector, NodeHandle, NodeKind, XdmError};
 use xqdb_xmlindex::XmlIndex;
 use xqdb_storage::{Database, RowId, SqlValue, Table};
 
@@ -253,71 +253,36 @@ impl Catalog {
 
     /// `INSERT`, maintaining every index on the table.
     pub fn insert(&mut self, table: &str, values: Vec<SqlValue>) -> Result<RowId, XdmError> {
-        let row = self.db.insert(table, values)?;
-        let t = self.db.table(table).ok_or_else(|| {
-            XdmError::internal(format!("table {table} vanished between insert and lookup"))
-        })?;
         let table_upper = table.to_ascii_uppercase();
-        // Collect the XML values of this row per column name.
-        let mut xml_cells: Vec<(String, NodeHandle)> = Vec::new();
-        if let Some(r) = t.row(row)? {
-            for (i, v) in r.iter().enumerate() {
-                if let SqlValue::Xml(n) = v {
-                    xml_cells.push((t.columns[i].name.clone(), n.clone()));
-                }
-            }
-        }
-        for idx in self.indexes.values_mut() {
-            if idx.table != table_upper {
-                continue;
-            }
-            for (col, doc) in &xml_cells {
-                if idx.column == *col {
-                    let before = idx.len();
-                    idx.insert_document(row as u64, doc);
-                    self.obs.add(Counter::IndexEntriesBuilt, (idx.len() - before) as u64);
-                }
-            }
-        }
+        let new_cells = self.indexed_cells(&table_upper, &values);
+        let row = self.db.insert(table, values)?;
+        let new_cells = match new_cells {
+            Some(cells) => cells,
+            None => self.stored_cells(&table_upper, row as u64)?,
+        };
+        self.index_cells(&table_upper, row as u64, &[], &new_cells);
         self.note_stats_drift(&table_upper);
         Ok(row)
     }
 
     /// `DELETE`, maintaining every index on the table. Each rowid must
     /// name a live row (validated inside [`Database::delete`] before the
-    /// statement is logged). The doomed rows' XML cells are collected
-    /// *first* — once the rows are gone they can no longer tell the
-    /// indexes which entries to drop. Index removal re-extracts entries
-    /// from the stored document, which yields exactly the keys insertion
-    /// built: node ids are per-document pre-order positions, deterministic
-    /// across re-parses of the same stored bytes. Returns rows deleted.
+    /// statement is logged). Each row is decoded once, by the table as it
+    /// retires the row's synopsis contribution, and its XML cells then
+    /// tell the indexes which entries to drop. Index removal re-extracts
+    /// entries from the stored document, which yields exactly the keys
+    /// insertion built: node ids are per-document pre-order positions,
+    /// deterministic across re-parses of the same stored bytes. Returns
+    /// rows deleted.
     pub fn delete(&mut self, table: &str, rowids: &[u64]) -> Result<u64, XdmError> {
         let table_upper = table.to_ascii_uppercase();
-        let t = self.db.table(&table_upper).ok_or_else(|| {
-            XdmError::new(ErrorCode::SqlType, format!("unknown table {table}"))
-        })?;
-        let mut xml_cells: Vec<(u64, String, NodeHandle)> = Vec::new();
-        let indexed = self.indexes.values().any(|idx| idx.table == table_upper);
-        for &id in rowids.iter().filter(|_| indexed) {
-            if let Some(r) = t.row(id as RowId)? {
-                for (i, v) in r.iter().enumerate() {
-                    if let SqlValue::Xml(n) = v {
-                        xml_cells.push((id, t.columns[i].name.clone(), n.clone()));
-                    }
-                }
+        let removed = self.db.delete(&table_upper, rowids)?;
+        for (row, values) in &removed {
+            if let Some(cells) = self.indexed_cells(&table_upper, values) {
+                self.index_cells(&table_upper, *row, &cells, &[]);
             }
         }
-        let n = self.db.delete(&table_upper, rowids)?;
-        for idx in self.indexes.values_mut() {
-            if idx.table != table_upper {
-                continue;
-            }
-            for (row, col, doc) in &xml_cells {
-                if idx.column == *col {
-                    idx.remove_document(*row, doc);
-                }
-            }
-        }
+        let n = removed.len() as u64;
         self.obs.add(Counter::RowsDeleted, n);
         self.note_stats_drift(&table_upper);
         Ok(n)
@@ -325,58 +290,112 @@ impl Catalog {
 
     /// Document REPLACE (`UPDATE t SET … WHERE …`, resolved to one rowid),
     /// maintaining every index: the old document's entries are removed and
-    /// the new document's inserted under the same rowid.
+    /// the new document's inserted under the same rowid. Decodes the old
+    /// row; [`Catalog::replace_decoded`] takes it from a caller that
+    /// already has it.
     pub fn replace(
         &mut self,
         table: &str,
         rowid: u64,
         values: Vec<SqlValue>,
     ) -> Result<(), XdmError> {
-        let table_upper = table.to_ascii_uppercase();
-        let t = self.db.table(&table_upper).ok_or_else(|| {
+        let t = self.db.table(table).ok_or_else(|| {
             XdmError::new(ErrorCode::SqlType, format!("unknown table {table}"))
         })?;
-        let mut old_cells: Vec<(String, NodeHandle)> = Vec::new();
-        let indexed = self.indexes.values().any(|idx| idx.table == table_upper);
-        if let Some(r) = if indexed { t.row(rowid as RowId)? } else { None } {
-            for (i, v) in r.iter().enumerate() {
-                if let SqlValue::Xml(n) = v {
-                    old_cells.push((t.columns[i].name.clone(), n.clone()));
-                }
-            }
-        }
-        self.db.replace(&table_upper, rowid, values)?;
-        let t = self.db.table(&table_upper).ok_or_else(|| {
-            XdmError::internal(format!("table {table} vanished during replace"))
+        let old = t.row(rowid as RowId)?.ok_or_else(|| {
+            XdmError::new(ErrorCode::SqlType, format!("UPDATE {}: no live row {rowid}", t.name))
         })?;
-        let mut new_cells: Vec<(String, NodeHandle)> = Vec::new();
-        if let Some(r) = if indexed { t.row(rowid as RowId)? } else { None } {
-            for (i, v) in r.iter().enumerate() {
-                if let SqlValue::Xml(n) = v {
-                    new_cells.push((t.columns[i].name.clone(), n.clone()));
-                }
-            }
-        }
-        for idx in self.indexes.values_mut() {
-            if idx.table != table_upper {
-                continue;
-            }
-            for (col, doc) in &old_cells {
-                if idx.column == *col {
-                    idx.remove_document(rowid, doc);
-                }
-            }
-            for (col, doc) in &new_cells {
-                if idx.column == *col {
-                    let before = idx.len();
-                    idx.insert_document(rowid, doc);
-                    self.obs.add(Counter::IndexEntriesBuilt, (idx.len() - before) as u64);
-                }
-            }
-        }
+        self.replace_decoded(table, rowid, &old, values)
+    }
+
+    /// [`Catalog::replace`] given the row's current contents `old`, as
+    /// [`Table::row`] returns them. The old row is not decoded again, and
+    /// the new row is indexed from `values` themselves, so a one-row
+    /// UPDATE parses only the stored document its SET list read.
+    pub fn replace_decoded(
+        &mut self,
+        table: &str,
+        rowid: u64,
+        old: &[SqlValue],
+        values: Vec<SqlValue>,
+    ) -> Result<(), XdmError> {
+        let table_upper = table.to_ascii_uppercase();
+        let old_cells = self.indexed_cells(&table_upper, old).unwrap_or_default();
+        let new_cells = self.indexed_cells(&table_upper, &values);
+        self.db.replace(&table_upper, rowid, old, values)?;
+        let new_cells = match new_cells {
+            Some(cells) => cells,
+            None => self.stored_cells(&table_upper, rowid)?,
+        };
+        self.index_cells(&table_upper, rowid, &old_cells, &new_cells);
         self.obs.incr(Counter::DocsReplaced);
         self.note_stats_drift(&table_upper);
         Ok(())
+    }
+
+    /// The XML cells of `row` that some index on `table` covers, by column
+    /// name — `Some(empty)` when no index covers any. `None` when such a
+    /// cell is not a parsed document (a node an `XMLQUERY` selected or
+    /// constructed): its node ids need not be the stored form's, so the
+    /// caller indexes the row as stored instead ([`Catalog::stored_cells`]).
+    fn indexed_cells(&self, table: &str, row: &[SqlValue]) -> Option<Vec<(String, NodeHandle)>> {
+        let t = self.db.table(table)?;
+        let mut cells = Vec::new();
+        for (c, v) in t.columns.iter().zip(row) {
+            let SqlValue::Xml(n) = v else { continue };
+            if !self.indexes.values().any(|i| i.table == t.name && i.column == c.name) {
+                continue;
+            }
+            if n.kind() != NodeKind::Document {
+                return None;
+            }
+            cells.push((c.name.clone(), n.clone()));
+        }
+        Some(cells)
+    }
+
+    /// [`Catalog::indexed_cells`] of row `rowid` as stored, decoding only
+    /// the indexed columns.
+    fn stored_cells(&self, table: &str, rowid: u64) -> Result<Vec<(String, NodeHandle)>, XdmError> {
+        let t = self.db.table(table).ok_or_else(|| {
+            XdmError::internal(format!("table {table} vanished during maintenance"))
+        })?;
+        let mask: Vec<bool> = t
+            .columns
+            .iter()
+            .map(|c| self.indexes.values().any(|i| i.table == t.name && i.column == c.name))
+            .collect();
+        let row = t.row_masked(rowid as RowId, &mask)?.unwrap_or_default();
+        let mut cells = Vec::new();
+        for (c, v) in t.columns.iter().zip(row) {
+            if let Some(SqlValue::Xml(n)) = v {
+                cells.push((c.name.clone(), n));
+            }
+        }
+        Ok(cells)
+    }
+
+    /// Move row `rowid`'s index entries from the documents `old` to the
+    /// documents `new` (cells by column name, as [`Catalog::indexed_cells`]
+    /// lists them).
+    fn index_cells(
+        &mut self,
+        table: &str,
+        rowid: u64,
+        old: &[(String, NodeHandle)],
+        new: &[(String, NodeHandle)],
+    ) {
+        for idx in self.indexes.values_mut().filter(|i| i.table == table) {
+            let column = idx.column.clone();
+            for (_, doc) in old.iter().filter(|(col, _)| *col == column) {
+                idx.remove_document(rowid, doc);
+            }
+            for (_, doc) in new.iter().filter(|(col, _)| *col == column) {
+                let before = idx.len();
+                idx.insert_document(rowid, doc);
+                self.obs.add(Counter::IndexEntriesBuilt, (idx.len() - before) as u64);
+            }
+        }
     }
 
     /// Indexes on a given `TABLE.COLUMN` source key, sorted by name so

@@ -120,6 +120,10 @@ pub struct ExecStats {
     pub parallel_workers: usize,
     /// Shards the surviving document list was split into (1 = serial).
     pub parallel_shards: usize,
+    /// Live rows the scalar filter dropped: a SQL `column op literal`
+    /// conjunct over an INTEGER column was not TRUE for their in-memory
+    /// cell, so they were never fetched.
+    pub scalar_rows_skipped: usize,
     /// Documents skipped by the structural pre-filter (signature lacked a
     /// required path in every requirement group).
     pub prefilter_docs_skipped: usize,
@@ -520,6 +524,7 @@ impl ParallelExecutor {
                     .get(&a.source)
                     .map(std::slice::from_ref)
                     .unwrap_or_default(),
+                scalars: &[],
             })
             .collect();
         let paths =
@@ -671,6 +676,7 @@ pub(crate) fn record_exec_metrics(obs: &Obs, stats: &ExecStats) {
     obs.add(Counter::DegradationsToScan, stats.degraded_sources.len() as u64);
     obs.add(Counter::DocsEvaluated, stats.docs_evaluated_total() as u64);
     obs.add(Counter::XmlDocsParsed, stats.xml_docs_parsed);
+    obs.add(Counter::ScalarRowsSkipped, stats.scalar_rows_skipped as u64);
     obs.add(Counter::PrefilterDocsSkipped, stats.prefilter_docs_skipped as u64);
     obs.add(Counter::TwigJoinsExecuted, stats.twig_joins);
     obs.add(Counter::TwigCandidates, stats.twig_candidates as u64);
@@ -964,6 +970,7 @@ pub(crate) fn render_execution_sections(out: &mut String, s: &ExecStats, trace: 
         s.docs_evaluated_total()
     ));
     out.push_str(&format!("  xml docs parsed: {}\n", s.xml_docs_parsed));
+    out.push_str(&format!("  scalar rows skipped: {}\n", s.scalar_rows_skipped));
     out.push_str(&format!(
         "  prefilter docs skipped: {}\n",
         s.prefilter_docs_skipped

@@ -19,12 +19,13 @@ use std::sync::{Arc, Mutex};
 
 use xqdb_obs::{Counter, Obs, Trace};
 use xqdb_runtime::{chunk_ranges, WorkerPool};
+use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{cast, AtomicType, AtomicValue, ErrorCode, ExpandedName, Item, Sequence, XdmError};
 use xqdb_xqeval::{eval_query, DynamicContext};
 use xqdb_xquery::Query;
 use xqdb_storage::{sql_compare, SqlType, SqlValue, Table};
 
-use crate::access::{self, AccessConfig, AccessPaths, SourcePaths, Survivors};
+use crate::access::{self, AccessConfig, AccessPaths, ScalarPred, SourcePaths, Survivors};
 use crate::catalog::Catalog;
 use crate::durability::{open_durable_catalog, Durability, RecoveryReport};
 use crate::eligibility::{
@@ -423,7 +424,7 @@ impl SqlSession {
                         XdmError::internal(format!("UPDATE {table}: matched row {rid} vanished"))
                     })?;
                     let row = self.eval_update_row(table, set, rid, &old, &budget)?;
-                    self.catalog.replace(table, rid, row)?;
+                    self.catalog.replace_decoded(table, rid, &old, row)?;
                     n += 1;
                 }
                 span.add_count(n);
@@ -748,14 +749,23 @@ impl SqlSession {
                 plan.masks.insert(t.name.clone(), mask);
             }
         }
-        // Walk XMLEXISTS conjuncts.
+        // Walk XMLEXISTS conjuncts; keep the scalar ones the scalar filter
+        // can decide.
         if let Some(cond) = &sel.where_cond {
             let mut conjuncts = Vec::new();
             flatten_and(cond, &mut conjuncts);
             for c in conjuncts {
-                if let SqlCond::XmlExists { query, passing } = c {
-                    let env = self.passing_env(passing, &plan.tables);
-                    plan_xquery_filter(query, &env, &mut plan);
+                match c {
+                    SqlCond::XmlExists { query, passing } => {
+                        let env = self.passing_env(passing, &plan.tables);
+                        plan_xquery_filter(query, &env, &mut plan);
+                    }
+                    SqlCond::Cmp(op, a, b) => {
+                        if let Some((table, pred)) = self.scalar_pred(*op, a, b, sel) {
+                            plan.scalars.entry(table).or_default().push(pred);
+                        }
+                    }
+                    _ => {}
                 }
             }
         }
@@ -807,6 +817,66 @@ impl SqlSession {
             }
         }
         Ok(plan)
+    }
+
+    /// The scalar-filter form of the conjunct `a op b`, with the table it
+    /// narrows, when the filter decides it exactly: one operand a column,
+    /// the other an INTEGER or DOUBLE literal (`literal op column` is
+    /// mirrored), `op` one of `=`, `<`, `<=`, `>`, `>=`, and the column an
+    /// INTEGER column of exactly one FROM item — a base table that appears
+    /// once in FROM. Anything else (an ambiguous or unknown column, a
+    /// self-join, an XMLTABLE column, another literal type) is left to the
+    /// WHERE evaluation, which also raises its errors.
+    fn scalar_pred(
+        &self,
+        op: CompareOp,
+        a: &SqlExpr,
+        b: &SqlExpr,
+        sel: &SelectStmt,
+    ) -> Option<(String, ScalarPred)> {
+        let (column, literal, op) = match (a, b) {
+            (SqlExpr::Column { .. }, lit) => (a, lit, op),
+            (lit, SqlExpr::Column { .. }) => (b, lit, op.flip()),
+            _ => return None,
+        };
+        let SqlExpr::Column { qualifier, name } = column else { return None };
+        let literal = match literal {
+            SqlExpr::Integer(i) => SqlValue::Integer(*i),
+            SqlExpr::Double(d) => SqlValue::Double(*d),
+            _ => return None,
+        };
+        if op == CompareOp::Ne {
+            return None;
+        }
+        // Every FROM item the reference could resolve to, as the WHERE
+        // evaluation resolves it (`RowCtx::lookup`).
+        let mut providers = sel.from.iter().filter(|item| match (item, qualifier) {
+            (FromItem::Table { alias, .. }, Some(q)) => alias.eq_ignore_ascii_case(q),
+            (FromItem::XmlTable { alias, .. }, Some(q)) => alias.eq_ignore_ascii_case(q),
+            (FromItem::Table { name: t, .. }, None) => {
+                self.table(t).is_ok_and(|t| t.column_index(name).is_some())
+            }
+            (FromItem::XmlTable { columns, column_aliases, .. }, None) => columns
+                .iter()
+                .map(|c| &c.name)
+                .chain(column_aliases)
+                .any(|c| c.eq_ignore_ascii_case(name)),
+        });
+        let (Some(FromItem::Table { name: table, .. }), None) = (providers.next(), providers.next())
+        else {
+            return None;
+        };
+        let t = self.table(table).ok()?;
+        let is_t = |item: &&FromItem| {
+            matches!(item, FromItem::Table { name, .. } if name.eq_ignore_ascii_case(&t.name))
+        };
+        let joined_once = sel.from.iter().filter(is_t).count() == 1;
+        let col = t.column_index(name)?;
+        if !joined_once || !matches!(t.columns[col].ty, SqlType::Integer) {
+            return None;
+        }
+        let column = format!("{}.{}", t.name, t.columns[col].name);
+        Some((t.name.clone(), ScalarPred { column, col, op, literal }))
     }
 
     /// Build an analysis env for a PASSING clause: variables bound to a
@@ -862,7 +932,8 @@ impl SqlSession {
 
     /// Run the access pipeline over every source the plan narrows, in
     /// source order. Survivors are keyed by table: a row passes only if
-    /// every filtering conjunct over any of its XML columns does.
+    /// every filtering conjunct over any of its columns does. A table's
+    /// scalar conjuncts form one source of their own, named by the table.
     fn survivors(
         &self,
         plan: &SqlPlan,
@@ -871,8 +942,13 @@ impl SqlSession {
         budget: &xqdb_xdm::Budget,
         stats: &mut ExecStats,
     ) -> Result<Survivors, XdmError> {
-        let sources: BTreeSet<&String> =
-            plan.accesses.keys().chain(plan.twigs.keys()).chain(plan.prefilters.keys()).collect();
+        let sources: BTreeSet<&String> = plan
+            .accesses
+            .keys()
+            .chain(plan.twigs.keys())
+            .chain(plan.prefilters.keys())
+            .chain(plan.scalars.keys())
+            .collect();
         let sources: Vec<SourcePaths<'_>> = sources
             .into_iter()
             .map(|source| SourcePaths {
@@ -881,6 +957,7 @@ impl SqlSession {
                 index: plan.accesses.get(source),
                 twigs: plan.twigs.get(source).map_or(&[], Vec::as_slice),
                 prefilters: plan.prefilters.get(source).map_or(&[], Vec::as_slice),
+                scalars: plan.scalars.get(source).map_or(&[], Vec::as_slice),
             })
             .collect();
         let paths = AccessPaths {
@@ -1265,6 +1342,11 @@ pub struct SqlPlan {
     /// statement names anywhere (select list, WHERE, PASSING), matched by
     /// name whatever the qualifier; all of them under `SELECT *`.
     pub masks: HashMap<String, Vec<bool>>,
+    /// Table name → the top-level WHERE conjuncts the scalar filter
+    /// decides from the table's in-memory INTEGER cells (all must be
+    /// TRUE). Only the predicates are planned; the cells are read at
+    /// execution, so a cached plan stays valid as rows change.
+    pub scalars: HashMap<String, Vec<ScalarPred>>,
 }
 
 impl SqlPlan {
@@ -1313,6 +1395,13 @@ pub fn render_plan(plan: &SqlPlan) -> String {
                 ));
                 printed = true;
             }
+        }
+        for pred in plan.scalars.get(table).into_iter().flatten() {
+            out.push_str(&format!(
+                "  table {table} (alias {alias}): SCALAR FILTER {}\n",
+                pred.render()
+            ));
+            printed = true;
         }
         if !printed {
             out.push_str(&format!("  table {table} (alias {alias}): TABLE SCAN\n"));

@@ -1,13 +1,19 @@
 //! Rebuild-oracle verification of derived state.
 //!
-//! DELETE and REPLACE maintain four derived structures incrementally —
+//! DELETE and REPLACE maintain five derived structures incrementally —
 //! B+Tree index entries, the per-table path synopsis, per-row path
-//! signatures, and the twig-join label streams. The contract for every
-//! one of them is *rebuild equality*: the incrementally-maintained
-//! structure must hold exactly what a from-scratch rebuild over the
-//! surviving rows would produce. [`verify_derived_state`] checks that
-//! contract, and the chaos/property suites run it after every recovery
-//! and every random interleaving.
+//! signatures, the twig-join label streams and the in-memory INTEGER
+//! cells of the scalar filter. The contract for every one of them is
+//! *rebuild equality*: the incrementally-maintained structure must hold
+//! exactly what a from-scratch rebuild over the surviving rows would
+//! produce. [`verify_derived_state`] checks that contract, and the
+//! chaos/property suites run it after every recovery and every random
+//! interleaving.
+//!
+//! The pass streams: one walk over a table's live rows feeds every
+//! rebuild at once, and each row's documents are dropped before the next
+//! row is decoded, so its memory follows the rebuilt state (index keys,
+//! synopsis, labels when they are compared), never the table's documents.
 //!
 //! Mismatches are **verdicts**, not errors: the pass inspects as much as
 //! it can, collects every discrepancy it finds, and only returns `Err`
@@ -17,9 +23,11 @@
 
 use std::collections::BTreeMap;
 
-use xqdb_storage::{observe_document_labeled, PathSynopsis, SqlValue, ValueStats};
+use xqdb_storage::{observe_document_labeled, PathSynopsis, SqlType, SqlValue, ValueStats};
 use xqdb_twig::{LabelEntry, LabelStore};
 use xqdb_xdm::XdmError;
+
+use xqdb_xmlindex::XmlIndex;
 
 use crate::catalog::Catalog;
 
@@ -82,9 +90,9 @@ impl VerifyReport {
 }
 
 /// Verify every table's derived state against a from-scratch rebuild over
-/// its live rows: synopsis entries, per-row signatures, label streams
-/// (when the store vouches for the table), index keys and skip counters,
-/// and the live-row bookkeeping itself.
+/// its live rows: synopsis entries, per-row signatures, in-memory INTEGER
+/// cells, label streams (when the store vouches for the table), index keys
+/// and skip counters, and the live-row bookkeeping itself.
 pub fn verify_derived_state(catalog: &Catalog) -> Result<VerifyReport, XdmError> {
     let mut report = VerifyReport::default();
     let mut names: Vec<String> =
@@ -104,12 +112,43 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
     let mut issues = Vec::new();
 
     // One pass over the live rows rebuilds everything at once, in rowid
-    // order — the order ingest observed them in.
+    // order — the order ingest observed them in. Labels are rebuilt only
+    // when the store claims completeness, the one case they are compared.
     let mut synopsis = PathSynopsis::default();
     let mut labels = LabelStore::default();
     let check_labels = t.labels().is_complete_for(t.len() as u64);
+    // Each index on the table, with the keys and skips its rebuild
+    // extracts as the rows stream by.
+    let mut rebuilds: Vec<IndexRebuild<'_>> = catalog
+        .all_indexes()
+        .into_iter()
+        .filter(|idx| idx.table == t.name)
+        .map(|idx| IndexRebuild {
+            idx,
+            col: t.column_index(&idx.column),
+            keys: Vec::new(),
+            skipped: 0,
+        })
+        .collect();
+    // The in-memory cells of each INTEGER column, diffed against the
+    // cells the records hold.
+    let mut int_cells: Vec<(usize, &[Option<i64>])> = Vec::new();
+    for (col, c) in t.columns.iter().enumerate() {
+        if !matches!(c.ty, SqlType::Integer) {
+            continue;
+        }
+        match t.int_cells(col) {
+            Some(cells) if cells.len() == t.len() => int_cells.push((col, cells)),
+            Some(cells) => issues.push(format!(
+                "column {}: {} in-memory cell(s) for {} row id(s)",
+                c.name,
+                cells.len(),
+                t.len()
+            )),
+            None => issues.push(format!("column {}: no in-memory integer cells", c.name)),
+        }
+    }
     let mut live = 0usize;
-    let mut live_rows: Vec<(usize, Vec<SqlValue>)> = Vec::new();
     for item in t.scan() {
         let (rid, values) = item?;
         live += 1;
@@ -125,16 +164,20 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
                     n,
                     Some(&mut synopsis),
                     &mut |path, pre, post, level| {
-                        labels.record_label(
-                            path,
-                            LabelEntry { row: rid as u64, cell: this_cell, pre, post, level },
-                        );
+                        if check_labels {
+                            labels.record_label(
+                                path,
+                                LabelEntry { row: rid as u64, cell: this_cell, pre, post, level },
+                            );
+                        }
                     },
                 ));
                 cell += 1;
             }
         }
-        labels.finish_row();
+        if check_labels {
+            labels.finish_row();
+        }
         match t.signature(rid) {
             None => issues.push(format!("row {rid}: live row has no signature")),
             Some(stored) if stored.words() != sig.words() => {
@@ -142,7 +185,26 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
             }
             Some(_) => {}
         }
-        live_rows.push((rid, values));
+        for (col, cells) in &int_cells {
+            let stored = match values.get(*col) {
+                Some(SqlValue::Integer(i)) => Some(*i),
+                _ => None,
+            };
+            let held = cells.get(rid).copied().flatten();
+            if held != stored {
+                issues.push(format!(
+                    "row {rid}: in-memory {} cell {held:?} differs from the record's {stored:?}",
+                    t.columns[*col].name
+                ));
+            }
+        }
+        for r in &mut rebuilds {
+            if let Some(SqlValue::Xml(n)) = r.col.and_then(|col| values.get(col)) {
+                let extracted = r.idx.extract_entries(rid as u64, n);
+                r.skipped += extracted.skipped;
+                r.keys.extend(extracted.keys);
+            }
+        }
     }
 
     // Live-row bookkeeping.
@@ -155,6 +217,14 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
     for rid in t.deleted_rows() {
         if t.signature(rid as usize).is_some() {
             issues.push(format!("row {rid}: deleted row still has a signature"));
+        }
+        for (col, cells) in &int_cells {
+            if let Some(Some(held)) = cells.get(rid as usize) {
+                issues.push(format!(
+                    "row {rid}: deleted row still holds {} cell {held}",
+                    t.columns[*col].name
+                ));
+            }
         }
     }
 
@@ -238,22 +308,10 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
     // Indexes on this table: the tree must hold exactly the keys a
     // rebuild over the live rows extracts, and the skip counter must
     // match the rebuild's skips.
-    for idx in catalog.all_indexes() {
-        if idx.table != t.name {
-            continue;
-        }
-        let Some(col) = t.column_index(&idx.column) else {
+    for IndexRebuild { idx, col, mut keys, skipped } in rebuilds {
+        if col.is_none() {
             issues.push(format!("index {}: column {} not on table", idx.name, idx.column));
             continue;
-        };
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut skipped = 0usize;
-        for (rid, values) in &live_rows {
-            if let SqlValue::Xml(n) = &values[col] {
-                let extracted = idx.extract_entries(*rid as u64, n);
-                skipped += extracted.skipped;
-                keys.extend(extracted.keys);
-            }
         }
         keys.sort_unstable();
         let stored = idx.all_keys();
@@ -274,6 +332,15 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
     }
 
     Ok(TableVerdict { table: t.name.clone(), rows: live, issues })
+}
+
+/// One index's rebuild, accumulated over the verifying row pass.
+struct IndexRebuild<'c> {
+    idx: &'c XmlIndex,
+    /// The indexed column's position (`None`: not on the table).
+    col: Option<usize>,
+    keys: Vec<Vec<u8>>,
+    skipped: usize,
 }
 
 /// One line summarizing how a stored synopsis differs from its rebuild.
@@ -343,6 +410,68 @@ mod tests {
         assert_eq!(report.tables.len(), 1);
         assert_eq!(report.tables[0].rows, 4);
         assert!(report.render().contains("table ORDERS: OK"));
+    }
+
+    /// Overwrite every occurrence of `from` with `to` (same length) on the
+    /// table's heap pages, behind the table's back: the stored records
+    /// change while the in-memory derived state does not. Returns the
+    /// number of occurrences rewritten.
+    fn rewrite_records(c: &Catalog, table: &str, from: &[u8], to: &[u8]) -> usize {
+        assert_eq!(from.len(), to.len());
+        let mut n = 0;
+        for &pid in c.db.table(table).unwrap().heap_pages() {
+            c.db.pager()
+                .with_page_mut(pid, |buf| {
+                    let mut at = 0;
+                    while let Some(pos) = buf[at..].windows(from.len()).position(|w| w == from) {
+                        buf[at + pos..at + pos + to.len()].copy_from_slice(to);
+                        at += pos + to.len();
+                        n += 1;
+                    }
+                })
+                .unwrap();
+        }
+        n
+    }
+
+    #[test]
+    fn detects_a_stale_label() {
+        let c = seeded_catalog();
+        let t = c.db.table("ORDERS").unwrap();
+        let labeled = t.labels().is_complete_for(t.len() as u64);
+        // Row 1's document now reads `<prize>` where the label store (and
+        // the synopsis, signature and index) still describe `<price>`.
+        assert_eq!(rewrite_records(&c, "ORDERS", b"price>15</price", b"prize>15</prize"), 1);
+        let report = verify_derived_state(&c).unwrap();
+        let rendered = report.render();
+        assert!(rendered.contains("row 1: stored signature differs"), "report: {rendered}");
+        assert!(rendered.contains("index IDX_PRICE"), "report: {rendered}");
+        // Labels are compared only when the store vouches for the table
+        // (not when twig labeling is switched off in the environment).
+        assert_eq!(rendered.contains("label stream"), labeled, "report: {rendered}");
+    }
+
+    #[test]
+    fn detects_an_integer_cell_that_differs_from_its_record() {
+        let mut c = seeded_catalog();
+        let planted = 0x0123_4567_89AB_CDEFi64;
+        let doc = xqdb_xmlparse::parse_document("<order><price>1</price></order>").unwrap();
+        c.insert("orders", vec![SqlValue::Integer(planted), SqlValue::Xml(doc.root())]).unwrap();
+        assert!(verify_derived_state(&c).unwrap().is_clean());
+        // Row 6's record now holds 77; its in-memory cell still the old id.
+        assert_eq!(
+            rewrite_records(&c, "ORDERS", &planted.to_le_bytes(), &77i64.to_le_bytes()),
+            1
+        );
+        let report = verify_derived_state(&c).unwrap();
+        let rendered = report.render();
+        assert_eq!(report.issue_count(), 1, "report: {rendered}");
+        assert!(
+            rendered.contains(&format!(
+                "row 6: in-memory ORDID cell Some({planted}) differs from the record's Some(77)"
+            )),
+            "report: {rendered}"
+        );
     }
 
     #[test]

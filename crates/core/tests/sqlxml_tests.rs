@@ -682,3 +682,216 @@ fn a_column_left_out_of_the_mask_is_absent_not_null() {
     assert_eq!(err.code, ErrorCode::SqlType);
     assert!(err.to_string().contains("unknown column NOPE"), "{err}");
 }
+
+// ------------------------------------------ the scalar filter vs. a scan
+//
+// A `column op literal` conjunct over an INTEGER column is decided from the
+// table's in-memory cells before any row is fetched. Each query below is
+// checked against an oracle written here: a plain `Table::scan` with the
+// WHERE evaluated per row by the SQL rule (`sql_compare`, `CompareOp::test`,
+// three-valued AND/OR/NOT), and the result must match row for row.
+
+use std::cmp::Ordering;
+
+use xqdb_storage::{sql_compare, SqlValue};
+use xqdb_xdm::compare::CompareOp;
+
+/// `T(id, n, doc)`: `n` is NULL on every fifth row, `doc` is `<r k="…"/>`;
+/// rows 3 and 11 are deleted and row 6 is updated, so the cells have been
+/// maintained, not just appended. An index on `//r/@k` serves XMLEXISTS.
+fn scalar_session() -> SqlSession {
+    let mut s = SqlSession::new();
+    s.execute("create table t (id integer, n integer, doc XML)").unwrap();
+    s.execute("create table u (n integer)").unwrap();
+    s.execute("CREATE INDEX r_k ON t(doc) USING XMLPATTERN '//r/@k' AS double").unwrap();
+    for i in 0..16i64 {
+        let n = if i % 5 == 4 { "NULL".to_string() } else { (i % 7).to_string() };
+        s.execute(&format!("INSERT INTO t VALUES ({i}, {n}, '<r k=\"{}\"/>')", i * 10)).unwrap();
+    }
+    s.execute("INSERT INTO u VALUES (3)").unwrap();
+    s.execute("DELETE FROM t WHERE id = 3").unwrap();
+    s.execute("DELETE FROM t WHERE 11 = id").unwrap();
+    s.execute("UPDATE t SET n = 2 WHERE id = 6").unwrap();
+    s
+}
+
+type Row = [SqlValue];
+
+/// The SQL comparison of `a op b` in three-valued logic.
+fn cmp3(a: &SqlValue, op: CompareOp, b: &SqlValue) -> Option<bool> {
+    let ord: Option<Ordering> = sql_compare(a, b).unwrap();
+    ord.map(|o| op.test(Some(o)))
+}
+
+fn n_cmp(op: CompareOp, lit: SqlValue) -> impl Fn(&Row) -> Option<bool> {
+    move |r| cmp3(&r[1], op, &lit)
+}
+
+fn lit_cmp(lit: SqlValue, op: CompareOp) -> impl Fn(&Row) -> Option<bool> {
+    move |r| cmp3(&lit, op, &r[1])
+}
+
+fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
+    }
+}
+
+/// The `k` attribute of a row's `<r k="…"/>` document.
+fn k_of(r: &Row) -> f64 {
+    let SqlValue::Xml(doc) = &r[2] else { panic!("row without a document") };
+    let el = doc.children().next().unwrap();
+    let k = el.attributes().next().unwrap().string_value();
+    k.parse().unwrap()
+}
+
+/// The ids the oracle keeps: every live row of `T`, scanned, for which
+/// `pred` is TRUE.
+fn oracle_ids(s: &SqlSession, pred: &dyn Fn(&Row) -> Option<bool>) -> Vec<String> {
+    let t = s.catalog.db.table("T").unwrap();
+    let mut ids = Vec::new();
+    for item in t.scan() {
+        let (_, row) = item.unwrap();
+        if pred(&row) == Some(true) {
+            let SqlValue::Integer(id) = row[0] else { panic!("id is an integer") };
+            ids.push(id.to_string());
+        }
+    }
+    ids
+}
+
+fn ids(r: &xqdb_core::SqlResult) -> Vec<String> {
+    r.rows.iter().map(|row| row[0].render()).collect()
+}
+
+#[test]
+fn scalar_filter_matches_a_full_scan_oracle() {
+    use CompareOp::*;
+    use SqlValue::{Double, Integer};
+    let mut s = scalar_session();
+    // (WHERE, oracle, whether the scalar filter narrows the statement)
+    type Case = (&'static str, Box<dyn Fn(&Row) -> Option<bool>>, bool);
+    let cases: Vec<Case> = vec![
+        ("n = 3", Box::new(n_cmp(Eq, Integer(3))), true),
+        ("n < 3", Box::new(n_cmp(Lt, Integer(3))), true),
+        ("n <= 3", Box::new(n_cmp(Le, Integer(3))), true),
+        ("n > 3", Box::new(n_cmp(Gt, Integer(3))), true),
+        ("n >= 3", Box::new(n_cmp(Ge, Integer(3))), true),
+        ("3 = n", Box::new(lit_cmp(Integer(3), Eq)), true),
+        ("3 < n", Box::new(lit_cmp(Integer(3), Lt)), true),
+        ("3 <= n", Box::new(lit_cmp(Integer(3), Le)), true),
+        ("3 > n", Box::new(lit_cmp(Integer(3), Gt)), true),
+        ("3 >= n", Box::new(lit_cmp(Integer(3), Ge)), true),
+        ("n = 1.5", Box::new(n_cmp(Eq, Double(1.5))), true),
+        ("n > 2.5", Box::new(n_cmp(Gt, Double(2.5))), true),
+        ("2.0 >= n", Box::new(lit_cmp(Double(2.0), Ge)), true),
+        ("t.n <= 1 AND n >= 1", Box::new(|r: &Row| {
+            and3(n_cmp(Le, Integer(1))(r), n_cmp(Ge, Integer(1))(r))
+        }), true),
+        ("n > 0 AND id < 9", Box::new(|r: &Row| {
+            and3(n_cmp(Gt, Integer(0))(r), cmp3(&r[0], Lt, &Integer(9)))
+        }), true),
+        // `<>` is never narrowed; OR and NOT are not top-level conjuncts.
+        ("n <> 3", Box::new(n_cmp(Ne, Integer(3))), false),
+        ("n = 3 OR n = 5", Box::new(|r: &Row| {
+            or3(n_cmp(Eq, Integer(3))(r), n_cmp(Eq, Integer(5))(r))
+        }), false),
+        ("NOT n = 3", Box::new(|r: &Row| n_cmp(Eq, Integer(3))(r).map(|b| !b)), false),
+        ("NOT (n < 3 AND id > 2)", Box::new(|r: &Row| {
+            and3(n_cmp(Lt, Integer(3))(r), cmp3(&r[0], Gt, &Integer(2))).map(|b| !b)
+        }), false),
+        ("n = NULL", Box::new(|_: &Row| None), false),
+        // Combined with an indexed XMLEXISTS: both narrow, and intersect.
+        (
+            "n >= 2 AND XMLEXISTS('$d/r[@k > 55]' passing doc as \"d\")",
+            Box::new(|r: &Row| and3(n_cmp(Ge, Integer(2))(r), Some(k_of(r) > 55.0))),
+            true,
+        ),
+    ];
+    for (cond, oracle, narrows) in &cases {
+        let q = format!("SELECT id FROM t WHERE {cond}");
+        let got = s.execute(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        assert_eq!(ids(&got), oracle_ids(&s, oracle.as_ref()), "{q}");
+        let plan = s.execute(&format!("EXPLAIN {q}")).unwrap().message.unwrap();
+        assert_eq!(plan.contains("SCALAR FILTER T.N"), *narrows, "{q}:\n{plan}");
+        if *narrows {
+            assert!(got.stats.scalar_rows_skipped > 0, "{q}: the filter ran");
+            // Without an XMLEXISTS, the filter is the only stage: each of
+            // the 14 live rows is either skipped by it or fetched.
+            let fetched_or_skipped =
+                got.stats.docs_evaluated_total() + got.stats.scalar_rows_skipped;
+            if cond.contains("XMLEXISTS") {
+                assert!(fetched_or_skipped < 14, "{q}: the probe narrows further");
+            } else {
+                assert_eq!(fetched_or_skipped, 14, "{q}");
+            }
+        } else {
+            assert_eq!(got.stats.scalar_rows_skipped, 0, "{q}");
+        }
+        // DML matching takes the same path: an UPDATE that rewrites `id`
+        // to itself must touch exactly the rows the SELECT returned.
+        let upd = s.execute(&format!("UPDATE t SET id = id WHERE {cond}")).unwrap();
+        assert_eq!(
+            upd.message,
+            Some(format!("{} row(s) updated", got.rows.len())),
+            "UPDATE WHERE {cond}"
+        );
+    }
+    let plan = s.execute("EXPLAIN SELECT id FROM t WHERE 3 > n").unwrap().message.unwrap();
+    assert!(plan.contains("  table T (alias T): SCALAR FILTER T.N < 3\n"), "{plan}");
+    assert!(!plan.contains("TABLE SCAN"), "{plan}");
+
+    // Cells follow DML: a range DELETE, then the same ranges again.
+    let before = oracle_ids(&s, &n_cmp(Lt, Integer(2)));
+    let del = s.execute("DELETE FROM t WHERE 2 > n").unwrap();
+    assert_eq!(del.message, Some(format!("{} row(s) deleted", before.len())));
+    assert!(s.execute("SELECT id FROM t WHERE n < 2").unwrap().rows.is_empty());
+    let got = s.execute("SELECT id FROM t WHERE n >= 2").unwrap();
+    assert_eq!(ids(&got), oracle_ids(&s, &n_cmp(Ge, Integer(2))));
+}
+
+#[test]
+fn scalar_filter_leaves_errors_to_the_where_evaluation() {
+    let mut s = scalar_session();
+    // A VARCHAR literal is not narrowed, and the comparison still fails.
+    for q in ["SELECT id FROM t WHERE n = 'abc'", "SELECT id FROM t WHERE n = 1 AND n = 'abc'"] {
+        let err = s.execute(q).unwrap_err();
+        assert_eq!(err.code, ErrorCode::SqlType, "{q}: {err}");
+    }
+    // An unqualified column two FROM items provide is ambiguous, whether
+    // both are the same table (a self-join) or two tables.
+    for q in [
+        "SELECT x.id FROM t x, t y WHERE n = 3",
+        "SELECT id FROM t, u WHERE n = 3",
+    ] {
+        let err = s.execute(q).unwrap_err();
+        assert_eq!(err.code, ErrorCode::SqlType, "{q}: {err}");
+        assert!(err.to_string().contains("ambiguous column N"), "{q}: {err}");
+    }
+    // A qualified conjunct over one alias of a self-join is evaluated,
+    // not narrowed: it says nothing about the other alias's rows.
+    let q = "SELECT x.id FROM t x, t y WHERE x.n = 3 AND x.id = y.id";
+    let r = s.execute(q).unwrap();
+    assert_eq!(ids(&r), oracle_ids(&s, &n_cmp(CompareOp::Eq, SqlValue::Integer(3))), "{q}");
+    assert_eq!(r.stats.scalar_rows_skipped, 0, "{q}");
+    // Two different tables: `u.n` narrows U only, `t.n` narrows T only.
+    let r = s.execute("SELECT t.id FROM t, u WHERE t.n = u.n AND u.n = 3").unwrap();
+    assert_eq!(ids(&r), oracle_ids(&s, &n_cmp(CompareOp::Eq, SqlValue::Integer(3))));
+    let plan = s
+        .execute("EXPLAIN SELECT t.id FROM t, u WHERE t.n = u.n AND u.n = 3 AND t.n >= 3")
+        .unwrap()
+        .message
+        .unwrap();
+    assert!(plan.contains("table U (alias U): SCALAR FILTER U.N = 3"), "{plan}");
+    assert!(plan.contains("table T (alias T): SCALAR FILTER T.N >= 3"), "{plan}");
+}

@@ -58,6 +58,9 @@ pub enum Counter {
     RecoveryNanos,
     /// Documents skipped by the structural path-signature pre-filter.
     PrefilterDocsSkipped,
+    /// Live rows the scalar filter dropped from their in-memory INTEGER
+    /// cells, before any fetch.
+    ScalarRowsSkipped,
     /// Query texts answered from the plan cache (parse and plan skipped).
     PlanCacheHits,
     /// Query texts parsed and planned because the cache had no entry.
@@ -97,7 +100,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 39] = [
+    pub const ALL: [Counter; 40] = [
         Counter::QueriesExecuted,
         Counter::SqlStatements,
         Counter::IndexProbes,
@@ -120,6 +123,7 @@ impl Counter {
         Counter::TornTailTruncations,
         Counter::RecoveryNanos,
         Counter::PrefilterDocsSkipped,
+        Counter::ScalarRowsSkipped,
         Counter::PlanCacheHits,
         Counter::PlanCacheMisses,
         Counter::SessionsAdmitted,
@@ -164,6 +168,7 @@ impl Counter {
             Counter::TornTailTruncations => "xqdb_torn_tail_truncations_total",
             Counter::RecoveryNanos => "xqdb_recovery_ns_total",
             Counter::PrefilterDocsSkipped => "xqdb_prefilter_docs_skipped_total",
+            Counter::ScalarRowsSkipped => "xqdb_scalar_rows_skipped_total",
             Counter::PlanCacheHits => "xqdb_plan_cache_hits_total",
             Counter::PlanCacheMisses => "xqdb_plan_cache_misses_total",
             Counter::SessionsAdmitted => "xqdb_sessions_admitted_total",
@@ -210,6 +215,9 @@ impl Counter {
             Counter::RecoveryNanos => "nanoseconds spent in recovery, cumulative",
             Counter::PrefilterDocsSkipped => {
                 "documents skipped by the structural path-signature pre-filter"
+            }
+            Counter::ScalarRowsSkipped => {
+                "rows dropped by the scalar filter from in-memory integer cells"
             }
             Counter::PlanCacheHits => "query texts answered from the plan cache",
             Counter::PlanCacheMisses => "query texts parsed and planned on a cache miss",

@@ -58,9 +58,11 @@ const STUB_LEN: usize = 1 + 8 + 8;
 
 /// A frozen heap page holding dead records whose live records occupy
 /// fewer bytes than this (slot entries included) is relocated at the next
-/// checkpoint: half a page, so a relocation at least halves the space its
-/// records hold.
-pub const RELOCATE_BELOW: usize = PAGE_SIZE / 2;
+/// checkpoint: three quarters of a page, so a frozen page is relocated
+/// once about a quarter of it is dead, and dead space stays a small share
+/// of the heap under steady DELETE/REPLACE churn. A relocation copies
+/// less than three quarters of a page and frees the whole page.
+pub const RELOCATE_BELOW: usize = PAGE_SIZE * 3 / 4;
 
 /// Stable address of a heap record: page plus slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -188,8 +188,13 @@ impl Database {
     /// Delete rows by id. Validation → write-ahead log → apply, mirroring
     /// [`Database::insert`]: every id must name a live row before anything
     /// is logged, so the WAL never records a delete that was refused.
-    /// Returns the number of rows deleted.
-    pub fn delete(&mut self, table: &str, rowids: &[u64]) -> Result<u64, XdmError> {
+    /// Returns each deleted row with its id, as [`Table::delete_row`]
+    /// decoded it (a repeated id is deleted once).
+    pub fn delete(
+        &mut self,
+        table: &str,
+        rowids: &[u64],
+    ) -> Result<Vec<(u64, Vec<SqlValue>)>, XdmError> {
         let upper = table.to_ascii_uppercase();
         let t = self.tables.get(&upper).ok_or_else(|| {
             XdmError::new(ErrorCode::SqlType, format!("unknown table {table}"))
@@ -209,22 +214,24 @@ impl Database {
         let t = self.tables.get_mut(&upper).ok_or_else(|| {
             XdmError::internal(format!("table {table} vanished during delete"))
         })?;
-        let mut n = 0u64;
+        let mut removed = Vec::with_capacity(rowids.len());
         for &id in rowids {
-            if t.delete_row(id as RowId)? {
-                n += 1;
+            if let Some(row) = t.delete_row(id as RowId)? {
+                removed.push((id, row));
             }
         }
-        Ok(n)
+        Ok(removed)
     }
 
     /// Replace one row's contents under its existing rowid (document
     /// REPLACE). Conform → validate → log → apply, like
-    /// [`Database::insert`].
+    /// [`Database::insert`]. `old` is the row's current contents (see
+    /// [`Table::replace_row`]).
     pub fn replace(
         &mut self,
         table: &str,
         rowid: u64,
+        old: &[SqlValue],
         values: Vec<SqlValue>,
     ) -> Result<(), XdmError> {
         let upper = table.to_ascii_uppercase();
@@ -245,7 +252,7 @@ impl Database {
         let t = self.tables.get_mut(&upper).ok_or_else(|| {
             XdmError::internal(format!("table {table} vanished during replace"))
         })?;
-        t.replace_row(id, row)
+        t.replace_row(id, old, row)
     }
 
     /// Stored XML documents parsed by row decodes across every table

@@ -164,21 +164,7 @@ fn decode_with(
     for col in 0..ncols {
         let tag = r.take(1)?[0];
         if !keep(col) {
-            match tag {
-                VTAG_NULL => {}
-                VTAG_INTEGER | VTAG_DOUBLE => {
-                    r.take(8)?;
-                }
-                VTAG_VARCHAR | VTAG_DATE | VTAG_TIMESTAMP | VTAG_XML => {
-                    let len = r.u32()? as usize;
-                    r.take(len)?;
-                }
-                t => {
-                    return Err(XdmError::page_corrupt(format!(
-                        "heap record: unknown value tag {t}"
-                    )))
-                }
-            }
+            skip_value(&mut r, tag)?;
             row.push(None);
             continue;
         }
@@ -202,6 +188,55 @@ fn decode_with(
         }));
     }
     Ok((rowid, PathSignature::from_words(words), row))
+}
+
+/// Read the INTEGER cells of the columns `wanted` selects, calling
+/// `visit(column, cell)` for each (`None` for NULL), in column order. Every
+/// other column is stepped over by its length prefix, as in a masked
+/// decode: nothing is parsed and nothing is allocated, which is what lets
+/// recovery rebuild a table's in-memory integer cells in the same header
+/// walk that rebuilds its row directory. A wanted column holding neither
+/// an integer nor NULL is a typed `PageCorrupt`.
+pub fn decode_int_cells(
+    bytes: &[u8],
+    wanted: impl Fn(usize) -> bool,
+    mut visit: impl FnMut(usize, Option<i64>),
+) -> Result<(), XdmError> {
+    let mut r = Reader { bytes, pos: RECORD_HEADER_LEN - 2 };
+    let ncols = r.u16()? as usize;
+    for col in 0..ncols {
+        let tag = r.take(1)?[0];
+        if !wanted(col) {
+            skip_value(&mut r, tag)?;
+            continue;
+        }
+        match tag {
+            VTAG_NULL => visit(col, None),
+            VTAG_INTEGER => visit(col, Some(r.u64()? as i64)),
+            t => {
+                return Err(XdmError::page_corrupt(format!(
+                    "heap record: column {col} holds value tag {t}, not an integer"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Step over one value whose tag has been read, without decoding it.
+fn skip_value(r: &mut Reader<'_>, tag: u8) -> Result<(), XdmError> {
+    match tag {
+        VTAG_NULL => {}
+        VTAG_INTEGER | VTAG_DOUBLE => {
+            r.take(8)?;
+        }
+        VTAG_VARCHAR | VTAG_DATE | VTAG_TIMESTAMP | VTAG_XML => {
+            let len = r.u32()? as usize;
+            r.take(len)?;
+        }
+        t => return Err(XdmError::page_corrupt(format!("heap record: unknown value tag {t}"))),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -318,6 +353,26 @@ mod tests {
         let a: Vec<String> = full.iter().map(render).collect();
         let b: Vec<String> = masked.iter().map(render).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn int_cells_read_only_the_wanted_integer_columns() {
+        let row = vec![
+            SqlValue::Integer(-42),
+            SqlValue::Xml(xqdb_xmlparse::parse_document("<a><b/></a>").unwrap().root()),
+            SqlValue::Null,
+            SqlValue::Integer(7),
+        ];
+        let bytes = encode_row(5, &PathSignature::EMPTY, &row);
+        let mut seen = Vec::new();
+        decode_int_cells(&bytes, |c| c != 1, |c, v| seen.push((c, v))).unwrap();
+        assert_eq!(seen, vec![(0, Some(-42)), (2, None), (3, Some(7))]);
+        // A wanted column that holds a document is corruption, not a cell.
+        let err = decode_int_cells(&bytes, |c| c == 1, |_, _| {}).unwrap_err();
+        assert_eq!(err.code, xqdb_xdm::ErrorCode::PageCorrupt);
+        for cut in RECORD_HEADER_LEN..bytes.len() {
+            assert!(decode_int_cells(&bytes[..cut], |c| c != 1, |_, _| {}).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

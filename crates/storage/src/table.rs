@@ -4,9 +4,18 @@
 //! [`crate::rowcodec`] into a slotted-page [`HeapFile`] behind a buffer
 //! pool, so a table bigger than the pool's frame budget still works (the
 //! pool evicts clean pages and writes back dirty ones). What stays in
-//! memory per row is deliberately tiny: the heap [`RecordId`] directory
-//! (rowid → record address) and the 32-byte structural path signature
-//! the pre-filter needs on every query.
+//! memory per row is deliberately small and fixed-size:
+//!
+//! * the heap [`RecordId`] directory (rowid → record address);
+//! * the 32-byte structural path signature the pre-filter needs on every
+//!   query;
+//! * the cell of every INTEGER column (16 bytes each, NULL for a NULL
+//!   cell and for a deleted row), which lets a scalar `WHERE` over such a
+//!   column pick its rows without reading a page.
+//!
+//! All three are derived from the stored records: inserts, deletes and
+//! replaces maintain them, and recovery rebuilds them in one walk over
+//! the record headers and integer cells, parsing no XML.
 //!
 //! Scans decode rows on the fly, which re-parses XML cells into fresh
 //! document trees. That is semantically safe for the same reason WAL
@@ -23,7 +32,7 @@ use xqdb_xdm::{ErrorCode, XdmError};
 
 use xqdb_twig::{LabelEntry, LabelStore};
 
-use crate::rowcodec::{decode_header, decode_row_masked, encode_row};
+use crate::rowcodec::{decode_header, decode_int_cells, decode_row_masked, encode_row};
 use crate::synopsis::{
     observe_document, observe_document_labeled, PathSignature, PathSynopsis,
 };
@@ -66,6 +75,8 @@ pub struct Table {
     /// cells), maintained in [`Table::push_row`] and persisted in the
     /// record header so recovery rebuilds it without parsing XML.
     signatures: Vec<PathSignature>,
+    /// The cells of every INTEGER column, in column order.
+    ints: Vec<IntColumn>,
     /// Dictionary of distinct rooted paths observed across all rows.
     synopsis: PathSynopsis,
     /// Per-path (pre, post, level) label streams for the twig-join path.
@@ -91,6 +102,36 @@ pub struct Table {
     /// columns a decode materializes are parsed, so this counts physical
     /// parse work, not rows visited.
     xml_parsed: AtomicU64,
+}
+
+/// The in-memory cells of one INTEGER column: one per rowid, `None` for a
+/// NULL cell and for every deleted row, so a reader deciding a comparison
+/// never has to consult the delete set (NULL never compares TRUE).
+#[derive(Debug)]
+struct IntColumn {
+    /// The column's position in the row.
+    col: usize,
+    cells: Vec<Option<i64>>,
+}
+
+impl IntColumn {
+    /// One empty cell list per INTEGER column of `columns`.
+    fn for_columns(columns: &[Column]) -> Vec<IntColumn> {
+        columns
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| matches!(c.ty, SqlType::Integer))
+            .map(|(col, _)| IntColumn { col, cells: Vec::new() })
+            .collect()
+    }
+
+    /// The cell `row` stores in this column.
+    fn cell_of(&self, row: &[SqlValue]) -> Option<i64> {
+        match row.get(self.col) {
+            Some(SqlValue::Integer(i)) => Some(*i),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Debug for Table {
@@ -121,12 +162,14 @@ impl Table {
         pager: Arc<Pager>,
         table_id: u32,
     ) -> Self {
+        let ints = IntColumn::for_columns(&columns);
         Table {
             name: name.as_ref().to_ascii_uppercase(),
             columns,
             heap: HeapFile::create(pager, table_id),
             directory: Vec::new(),
             signatures: Vec::new(),
+            ints,
             synopsis: PathSynopsis::default(),
             labels: LabelStore::default(),
             deleted: BTreeSet::new(),
@@ -139,9 +182,11 @@ impl Table {
     /// rowid `>= row_count` are ignored: they were inserted after the
     /// checkpoint that produced the manifest, and the WAL suffix re-creates
     /// them through [`Table::push_row`]. Signatures come from record
-    /// headers — no XML is parsed here, which is what makes suffix-only
-    /// recovery fast. The synopsis starts empty; the caller installs the
-    /// manifest's dictionary via [`Table::set_synopsis`].
+    /// headers and integer cells from the records' INTEGER columns, read
+    /// in the same walk with every other column skipped by its length —
+    /// no XML is parsed here, which is what makes suffix-only recovery
+    /// fast. The synopsis starts empty; the caller installs the manifest's
+    /// dictionary via [`Table::set_synopsis`].
     ///
     /// `deleted` lists rowids logically deleted while their record sat on a
     /// frozen page (the bytes survive but must be ignored); `stale` lists
@@ -169,6 +214,22 @@ impl Table {
     ) -> Result<Self, XdmError> {
         let name = name.as_ref().to_ascii_uppercase();
         let mut heap = HeapFile::open(pager, table_id, pages)?;
+        let mut ints = IntColumn::for_columns(&columns);
+        for ic in &mut ints {
+            ic.cells = vec![None; row_count as usize];
+        }
+        // Reads the integer cells of an adopted record (`rowid < row_count`).
+        let mut adopt_cells = |rowid: u64, bytes: &[u8]| {
+            decode_int_cells(
+                bytes,
+                |col| columns.get(col).is_some_and(|c| matches!(c.ty, SqlType::Integer)),
+                |col, cell| {
+                    if let Some(ic) = ints.iter_mut().find(|ic| ic.col == col) {
+                        ic.cells[rowid as usize] = cell;
+                    }
+                },
+            )
+        };
         let deleted: BTreeSet<RowId> = deleted.iter().map(|&r| r as RowId).collect();
         let live_page: BTreeMap<RowId, Option<PageId>> =
             stale.iter().map(|&(r, page)| (r as RowId, page)).collect();
@@ -195,6 +256,7 @@ impl Table {
                 match best.entry(rowid) {
                     btree_map::Entry::Vacant(e) => {
                         e.insert((rid, sig));
+                        adopt_cells(rowid, &bytes)?;
                     }
                     btree_map::Entry::Occupied(mut e) => {
                         if live_page.get(&(rowid as RowId)) != Some(&None) {
@@ -204,8 +266,12 @@ impl Table {
                             )));
                         }
                         // Without a recorded page the highest one wins.
-                        let loser =
-                            if rid.page > e.get().0.page { e.insert((rid, sig)).0 } else { rid };
+                        let loser = if rid.page > e.get().0.page {
+                            adopt_cells(rowid, &bytes)?;
+                            e.insert((rid, sig)).0
+                        } else {
+                            rid
+                        };
                         stale.entry(rowid as RowId).or_default().push(loser.page);
                         dead.push(loser);
                     }
@@ -247,6 +313,7 @@ impl Table {
             heap,
             directory,
             signatures,
+            ints,
             synopsis: PathSynopsis::default(),
             labels,
             deleted,
@@ -349,17 +416,23 @@ impl Table {
         let rid = self.heap.insert(&bytes)?;
         self.directory.push(rid);
         self.signatures.push(sig);
+        for ic in &mut self.ints {
+            ic.cells.push(ic.cell_of(&row));
+        }
         Ok(rowid as RowId)
     }
 
     /// Delete a row, maintaining every derived structure incrementally:
     /// the synopsis doc-count decrements once per path the row's documents
-    /// contained, its label streams are pruned, its signature zeroed. The
-    /// heap record is tombstoned in place when its page is still mutable;
-    /// a frozen page gets a logical delete only (persisted via the
-    /// manifest's deleted list). Returns `false` if the row was already
-    /// deleted — the operation is idempotent, which WAL replay relies on.
-    pub fn delete_row(&mut self, id: RowId) -> Result<bool, XdmError> {
+    /// contained, its label streams are pruned, its signature zeroed and
+    /// its integer cells set to NULL. The heap record is tombstoned in
+    /// place when its page is still mutable; a frozen page gets a logical
+    /// delete only (persisted via the manifest's deleted list). Returns
+    /// the removed row, decoded once here so the caller can retire its
+    /// index entries without fetching it again, or `None` if the row was
+    /// already deleted — the operation is idempotent, which WAL replay
+    /// relies on.
+    pub fn delete_row(&mut self, id: RowId) -> Result<Option<Vec<SqlValue>>, XdmError> {
         if id >= self.directory.len() {
             return Err(XdmError::new(
                 ErrorCode::SqlType,
@@ -367,7 +440,7 @@ impl Table {
             ));
         }
         if self.deleted.contains(&id) {
-            return Ok(false);
+            return Ok(None);
         }
         let row = self.row(id)?.ok_or_else(|| {
             XdmError::internal(format!("table {}: live row {id} has no heap record", self.name))
@@ -383,7 +456,10 @@ impl Table {
         self.deleted.insert(id);
         self.stale.remove(&id); // any older copies are ignored wholesale now
         self.signatures[id] = PathSignature::EMPTY;
-        Ok(true)
+        for ic in &mut self.ints {
+            ic.cells[id] = None;
+        }
+        Ok(Some(row))
     }
 
     /// Replace a row's contents under the same rowid (document REPLACE:
@@ -392,19 +468,25 @@ impl Table {
     /// highest-page copy), the new record appended, and all derived state
     /// swapped: synopsis counts move from the old documents' paths to the
     /// new ones, label streams are pruned and re-inserted in sort order
-    /// when the store is complete, and the signature is recomputed. The
-    /// row must be live; `values` must already be conformed.
-    pub fn replace_row(&mut self, id: RowId, row: Vec<SqlValue>) -> Result<(), XdmError> {
+    /// when the store is complete, and the signature and integer cells are
+    /// recomputed. The row must be live; `row` must already be conformed,
+    /// and `old` must be the row's current contents as [`Table::row`]
+    /// returns them — the caller has decoded them anyway (an UPDATE reads
+    /// the old row to evaluate its SET list), so they are not parsed a
+    /// second time here.
+    pub fn replace_row(
+        &mut self,
+        id: RowId,
+        old: &[SqlValue],
+        row: Vec<SqlValue>,
+    ) -> Result<(), XdmError> {
         if id >= self.directory.len() || self.deleted.contains(&id) {
             return Err(XdmError::new(
                 ErrorCode::SqlType,
                 format!("UPDATE {}: no live row {id}", self.name),
             ));
         }
-        let old = self.row(id)?.ok_or_else(|| {
-            XdmError::internal(format!("table {}: live row {id} has no heap record", self.name))
-        })?;
-        self.retire_row_synopsis(&old);
+        self.retire_row_synopsis(old);
         self.labels.prune_row(id as u64);
         let rowid = id as u64;
         let mut sig = PathSignature::default();
@@ -449,6 +531,9 @@ impl Table {
         let rid = self.heap.insert(&bytes)?;
         self.directory[id] = rid;
         self.signatures[id] = sig;
+        for ic in &mut self.ints {
+            ic.cells[id] = ic.cell_of(&row);
+        }
         Ok(())
     }
 
@@ -515,6 +600,13 @@ impl Table {
             return None;
         }
         self.signatures.get(id)
+    }
+
+    /// The in-memory cells of column `col`, one per rowid (see
+    /// [`Table::len`]): `None` for a NULL cell and for a deleted row.
+    /// `None` when `col` is not an INTEGER column.
+    pub fn int_cells(&self, col: usize) -> Option<&[Option<i64>]> {
+        self.ints.iter().find(|ic| ic.col == col).map(|ic| ic.cells.as_slice())
     }
 
     /// True if `id` names a row that existed and was deleted.
@@ -787,6 +879,34 @@ mod tests {
         assert!(r.row(20).unwrap().is_none());
     }
 
+    #[test]
+    fn int_cells_follow_insert_delete_and_replace() {
+        let mut t = Table::new(
+            "t",
+            vec![
+                Column::new("id", SqlType::Integer),
+                Column::new("doc", SqlType::Xml),
+                Column::new("n", SqlType::Integer),
+            ],
+        );
+        let row = |i: i64, n: SqlValue| {
+            let doc = xqdb_xmlparse::parse_document("<d/>").unwrap();
+            vec![SqlValue::Integer(i), SqlValue::Xml(doc.root()), n]
+        };
+        for i in 0..4 {
+            let n = if i == 2 { SqlValue::Null } else { SqlValue::Integer(10 * i) };
+            t.insert(row(i, n)).unwrap();
+        }
+        assert_eq!(t.int_cells(0).unwrap(), &[Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(t.int_cells(2).unwrap(), &[Some(0), Some(10), None, Some(30)]);
+        assert!(t.int_cells(1).is_none(), "an XML column has no integer cells");
+        t.delete_row(1).unwrap();
+        let old = t.row(3).unwrap().unwrap();
+        t.replace_row(3, &old, row(7, SqlValue::Integer(-5))).unwrap();
+        assert_eq!(t.int_cells(0).unwrap(), &[Some(0), None, Some(2), Some(7)]);
+        assert_eq!(t.int_cells(2).unwrap(), &[Some(0), None, None, Some(-5)]);
+    }
+
     fn doc_row(i: i64, xml: &str) -> Vec<SqlValue> {
         let doc = xqdb_xmlparse::parse_document(xml).unwrap();
         vec![SqlValue::Integer(i), SqlValue::Xml(doc.root())]
@@ -798,8 +918,8 @@ mod tests {
         t.insert(doc_row(0, "<order><gone/></order>")).unwrap();
         t.insert(doc_row(1, "<order><kept/></order>")).unwrap();
         let before = t.synopsis().len();
-        assert!(t.delete_row(0).unwrap());
-        assert!(!t.delete_row(0).unwrap(), "second delete is an idempotent no-op");
+        assert!(t.delete_row(0).unwrap().is_some());
+        assert!(t.delete_row(0).unwrap().is_none(), "second delete is an idempotent no-op");
         assert!(t.row(0).unwrap().is_none());
         assert!(t.signature(0).is_none());
         assert_eq!(t.len(), 2, "rowid domain keeps the retired id");
@@ -820,7 +940,8 @@ mod tests {
         let mut t = orders();
         t.insert(doc_row(0, "<order><old/></order>")).unwrap();
         t.insert(doc_row(1, "<order/>")).unwrap();
-        t.replace_row(0, t.conform_row(doc_row(7, "<order><new/></order>")).unwrap())
+        let old = t.row(0).unwrap().unwrap();
+        t.replace_row(0, &old, t.conform_row(doc_row(7, "<order><new/></order>")).unwrap())
             .unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.live_len(), 2);
@@ -833,7 +954,7 @@ mod tests {
         assert_eq!(t.synopsis().entries(), oracle.synopsis().entries());
         // Replacing a deleted row is refused.
         t.delete_row(1).unwrap();
-        assert!(t.replace_row(1, doc_row(9, "<x/>")).is_err());
+        assert!(t.replace_row(1, &old, doc_row(9, "<x/>")).is_err());
     }
 
     #[test]
@@ -851,7 +972,8 @@ mod tests {
         pager.flush_all().unwrap();
         pager.freeze().unwrap();
         t.delete_row(3).unwrap();
-        t.replace_row(5, t.conform_row(doc_row(55, "<d><new5/></d>")).unwrap()).unwrap();
+        let old5 = t.row(5).unwrap().unwrap();
+        t.replace_row(5, &old5, t.conform_row(doc_row(55, "<d><new5/></d>")).unwrap()).unwrap();
         pager.flush_all().unwrap();
         pager.freeze().unwrap();
         let deleted: Vec<u64> = t.deleted_rows().collect();
@@ -877,6 +999,13 @@ mod tests {
         for i in [0usize, 4, 9] {
             assert!(r.row(i).unwrap().is_some());
         }
+        // The in-memory cells come back from the records: NULL for the
+        // deleted row, the replacement's value for the stale one.
+        let cells = r.int_cells(0).unwrap();
+        assert_eq!(cells.len(), 10);
+        assert_eq!(cells[3], None);
+        assert_eq!(cells[5], Some(55));
+        assert_eq!(cells, t.int_cells(0).unwrap());
         // Without the stale annotation the duplicate rowid is corruption.
         let err =
             Table::from_pages("t", cols, pager, 5, pages, 10, &deleted, &[]).unwrap_err();

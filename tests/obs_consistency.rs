@@ -85,6 +85,11 @@ fn assert_registry_matches_stats(
     );
     assert_eq!(delta(Counter::EvalSteps), stats.steps_used, "{label}: eval steps");
     assert_eq!(
+        delta(Counter::ScalarRowsSkipped),
+        stats.scalar_rows_skipped as u64,
+        "{label}: scalar rows skipped"
+    );
+    assert_eq!(
         delta(Counter::PrefilterDocsSkipped),
         stats.prefilter_docs_skipped as u64,
         "{label}: prefilter docs skipped"
@@ -189,6 +194,7 @@ fn expected_counter_lines(stats: &ExecStats) -> Vec<String> {
             stats.docs_total.values().sum::<usize>()
         ),
         format!("  xml docs parsed: {}\n", stats.xml_docs_parsed),
+        format!("  scalar rows skipped: {}\n", stats.scalar_rows_skipped),
         format!("  prefilter docs skipped: {}\n", stats.prefilter_docs_skipped),
         format!(
             "  twig joins: {} ({} candidate(s), {} skipped)\n",
@@ -720,12 +726,18 @@ fn xml_docs_parsed_counts_only_the_documents_a_statement_reads() {
         a.counter(Counter::XmlDocsParsed) - b.counter(Counter::XmlDocsParsed)
     };
 
-    // A point SELECT on the scalar column: 200 rows visited, 0 parsed.
+    // A point SELECT on the scalar column: the scalar filter picks the
+    // one row from the in-memory cells, so 1 row is fetched, 0 parsed.
     let before = snap(&obs);
     let point = s.execute("SELECT ordid FROM orders WHERE ordid = 17").unwrap();
     let after = snap(&obs);
     assert_eq!(point.rows.len(), 1);
-    assert_eq!(point.stats.docs_evaluated_total(), 200, "the scalar WHERE visits every row");
+    assert_eq!(
+        point.stats.docs_evaluated_total(),
+        1,
+        "the scalar filter leaves only the matching row to fetch"
+    );
+    assert_eq!(point.stats.scalar_rows_skipped, 199, "every other live row is skipped");
     assert_eq!(point.stats.xml_docs_parsed, 0, "and parses none of their documents");
     assert_eq!(delta(&after, &before), 0);
 
@@ -748,7 +760,8 @@ fn xml_docs_parsed_counts_only_the_documents_a_statement_reads() {
     assert_eq!(xq.stats.xml_docs_parsed, 19, "the XQuery twin parses the same survivors");
 
     // DML matching on the scalar column parses nothing; the statement's
-    // total is the mutation's own reads of the one matched row.
+    // total is the mutation's own read of the one matched row, decoded
+    // once and handed down to the table and index maintenance.
     for (dml, matched) in [
         ("EXPLAIN ANALYZE DELETE FROM orders WHERE ordid = 17", "1 row(s) deleted"),
         (
@@ -765,9 +778,80 @@ fn xml_docs_parsed_counts_only_the_documents_a_statement_reads() {
             report.contains("scan") && report.contains("xml docs parsed=0"),
             "{dml}: matching parses no document — report:\n{report}"
         );
-        assert!(out.stats.xml_docs_parsed > 0 && out.stats.xml_docs_parsed < 5, "{dml}");
+        assert_eq!(out.stats.xml_docs_parsed, 1, "{dml}");
         assert_eq!(delta(&after, &before), out.stats.xml_docs_parsed);
         assert!(report.contains(&format!("  xml docs parsed: {}\n", out.stats.xml_docs_parsed)));
+    }
+}
+
+#[test]
+fn scalar_filter_reconciles_with_registry() {
+    // A scalar conjunct narrows the table from its in-memory INTEGER
+    // cells before the XMLEXISTS probe: the registry, the returned stats,
+    // the COUNTERS section and the `scalar filter` span agree exactly, at
+    // every thread count, for SELECT and for DML matching.
+    for threads in thread_matrix() {
+        let obs = Obs::new(ObsConfig::enabled());
+        let mut s = SqlSession::new();
+        s.set_obs(obs.clone());
+        s.catalog.runtime = xqdb_runtime::RuntimeConfig::with_threads(threads);
+        s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+        s.execute(
+            "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+        )
+        .unwrap();
+        for i in 0..40 {
+            s.execute(&format!(
+                r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
+                i * 25
+            ))
+            .unwrap();
+        }
+        let tag = format!("scalar filter at {threads} thread(s)");
+        let plan = s
+            .execute("EXPLAIN SELECT ordid FROM orders WHERE 30 <= ordid")
+            .unwrap()
+            .message
+            .unwrap();
+        assert!(
+            plan.contains("  table ORDERS (alias ORDERS): SCALAR FILTER ORDERS.ORDID >= 30\n"),
+            "{tag}: the mirrored conjunct is planned — plan:\n{plan}"
+        );
+        let before = snap(&obs);
+        let result = s
+            .execute(
+                "EXPLAIN ANALYZE SELECT ordid FROM orders WHERE 30 <= ordid \
+                 AND XMLEXISTS('$o//lineitem[@price > 500]' passing orddoc as \"o\")",
+            )
+            .expect("explain analyze select runs");
+        let after = snap(&obs);
+        let report = result.message.expect("explain analyze returns a report");
+        let delta = |c: Counter| after.counter(c) - before.counter(c);
+        assert_eq!(result.stats.scalar_rows_skipped, 30, "{tag}: rows 0..30 are skipped");
+        assert_eq!(delta(Counter::ScalarRowsSkipped), 30, "{tag}: registry");
+        assert_eq!(result.stats.docs_evaluated_total(), 10, "{tag}: 10 rows fetched");
+        assert_eq!(delta(Counter::DocsEvaluated), 10, "{tag}: registry documents");
+        assert_eq!(result.stats.xml_docs_parsed, 10, "{tag}: documents parsed");
+        assert!(report.contains("-- executed: 10 row(s) produced"), "{tag}: {report}");
+        for line in expected_counter_lines(&result.stats) {
+            assert!(report.contains(&line), "{tag}: report must carry {line:?}:\n{report}");
+        }
+        assert!(
+            report.lines().any(|l| l.contains("scalar filter") && l.contains("survivors=10")),
+            "{tag}: the span names the stage and its survivors — report:\n{report}"
+        );
+
+        let before = snap(&obs);
+        let del = s.execute("DELETE FROM orders WHERE ordid < 5").unwrap();
+        let after = snap(&obs);
+        assert_eq!(del.message.as_deref(), Some("5 row(s) deleted"));
+        assert_eq!(del.stats.scalar_rows_skipped, 35, "{tag}: DELETE matching");
+        assert_eq!(del.stats.docs_evaluated_total(), 5, "{tag}: DELETE fetches its matches");
+        assert_eq!(
+            after.counter(Counter::ScalarRowsSkipped) - before.counter(Counter::ScalarRowsSkipped),
+            35,
+            "{tag}: DELETE registry"
+        );
     }
 }
 
