@@ -285,10 +285,17 @@ impl AccessPaths<'_> {
     /// Drop rows no twig structurally matches. Labels live entirely in RAM,
     /// so the join adds no fault points. A table whose label store cannot
     /// vouch for every row (recovery adopted rows without re-parsing, or
-    /// labeling was off at ingest) is declined untouched. With more than
-    /// one worker the rows are sharded in contiguous chunks and the kept
-    /// lists concatenated in chunk order, so the result is independent of
-    /// the thread count.
+    /// labeling was off at ingest) is declined untouched.
+    ///
+    /// Candidates come from the posting lists, intersected with the
+    /// survivors when an earlier stage narrowed the source and taken from
+    /// the rarest pattern node's postings when none did, so the cost
+    /// follows the rows that reach the join, not the table. Only the
+    /// candidates' label runs are then matched. With more than one worker
+    /// the candidates are sharded in contiguous chunks and the kept lists
+    /// concatenated in chunk order, so the result is independent of the
+    /// thread count. Skips are counted over live rows: a deleted rowid is
+    /// no document.
     fn twig_join(&self, s: &SourcePaths<'_>, survivors: &mut Survivors, stats: &mut ExecStats) {
         let Ok((table, _)) = self.catalog.db.resolve_xml_column(s.source) else { return };
         let mut span = self.trace.span("twig join");
@@ -302,38 +309,29 @@ impl AccessPaths<'_> {
             span.tag_str("outcome", "declined: labels incomplete");
             return;
         };
-        let base: Vec<u64> = rows_of(survivors.get(s.key), table).collect();
-        let check = |rows: &[u64]| {
-            let mut kept = Vec::new();
-            let mut candidates = 0usize;
-            for &row in rows {
-                let candidate = prepared.iter().all(|p| p.is_candidate(row));
-                candidates += usize::from(candidate);
-                if candidate && prepared.iter().all(|p| p.accepts(row)) {
-                    kept.push(row);
-                }
-            }
-            (kept, candidates)
+        let narrowed: Option<Vec<u64>> = survivors.get(s.key).map(|k| k.iter().copied().collect());
+        let considered = narrowed.as_ref().map_or(table.live_len(), Vec::len);
+        let mut rows = narrowed;
+        for p in &prepared {
+            rows = Some(p.candidates(rows.as_deref()));
+        }
+        let candidates = rows.unwrap_or_default();
+        let check = |rows: &[u64]| -> Vec<u64> {
+            rows.iter().copied().filter(|&row| prepared.iter().all(|p| p.accepts(row))).collect()
         };
-        let (kept, candidates) = if self.pool.threads() > 1 && base.len() > 1 {
-            let ranges = chunk_ranges(base.len(), self.pool.default_chunks(base.len()));
-            let chunks = self.pool.run(ranges.len(), |i| check(&base[ranges[i].clone()]));
-            let mut kept = Vec::new();
-            let mut candidates = 0usize;
-            for (chunk, n) in chunks {
-                kept.extend(chunk);
-                candidates += n;
-            }
-            (kept, candidates)
+        let kept = if self.pool.threads() > 1 && candidates.len() > 1 {
+            let ranges =
+                chunk_ranges(candidates.len(), self.pool.default_chunks(candidates.len()));
+            self.pool.run(ranges.len(), |i| check(&candidates[ranges[i].clone()])).concat()
         } else {
-            check(&base)
+            check(&candidates)
         };
-        let skipped = base.len() - kept.len();
+        let skipped = considered.saturating_sub(kept.len());
         span.add_count(skipped as u64);
-        span.tag_with("candidates", || candidates.to_string());
+        span.tag_with("candidates", || candidates.len().to_string());
         span.tag_with("survivors", || kept.len().to_string());
         stats.twig_joins += 1;
-        stats.twig_candidates += candidates;
+        stats.twig_candidates += candidates.len();
         stats.twig_docs_skipped += skipped;
         survivors.insert(s.key.to_string(), kept.into_iter().collect());
     }

@@ -59,5 +59,5 @@ pub use sqlxml::{SqlSession, SqlResult};
 pub use twig::{PreparedTwig, SourceTwig};
 pub use verify::{verify_derived_state, TableVerdict, VerifyReport};
 pub use xqdb_obs::{Obs, ObsConfig};
-pub use xqdb_storage::{bucket_bounds, hash_rendered_path, PathSynopsis, ValueStats};
+pub use xqdb_storage::{bucket_bounds, PathSynopsis, ValueStats};
 pub use xqdb_wal::{CrashInjector, FsyncMode, WalConfig};

@@ -9,7 +9,7 @@
 //! Patterns only omit constraints, never add them, so a match set can only
 //! widen — the conservative direction of Definition 1.
 
-use xqdb_storage::{hash_rendered_path, PathSynopsis, Table};
+use xqdb_storage::{PathSynopsis, Table};
 use xqdb_twig::{Pattern, TwigJoin};
 
 /// The twig filter for one source: a row is kept iff any pattern
@@ -33,8 +33,7 @@ impl SourceTwig {
 /// Resolve a pattern against a table synopsis (the dataguide): per
 /// pattern node, the hashes of the synopsis paths that can produce it.
 pub fn resolve_for_synopsis(pattern: &Pattern, synopsis: &PathSynopsis) -> Vec<Vec<u64>> {
-    let paths: Vec<(&str, u64)> =
-        synopsis.paths().map(|(p, _)| (p, hash_rendered_path(p))).collect();
+    let paths: Vec<(&str, u64)> = synopsis.keyed_paths().collect();
     xqdb_twig::resolve_pattern(pattern, &paths)
 }
 
@@ -66,16 +65,26 @@ impl<'a> PreparedTwig<'a> {
         Some(PreparedTwig { joins })
     }
 
-    /// True if any join's cheap per-node row-set intersection admits the
-    /// row — the full structural match still has to confirm it. This is
-    /// what the `TwigCandidates` counter reports.
-    pub fn is_candidate(&self, row: u64) -> bool {
-        self.joins.iter().any(|j| j.is_candidate(row))
+    /// The rows among `rows` (sorted, distinct; every labeled row when
+    /// `None`) that some join's per-node posting intersection admits — the
+    /// full structural match still has to confirm them. This is what the
+    /// `TwigCandidates` counter reports.
+    pub fn candidates(&self, rows: Option<&[u64]>) -> Vec<u64> {
+        match self.joins.as_slice() {
+            [join] => join.candidates(rows),
+            joins => {
+                let mut any: Vec<u64> = joins.iter().flat_map(|j| j.candidates(rows)).collect();
+                any.sort_unstable();
+                any.dedup();
+                any
+            }
+        }
     }
 
-    /// True if any pattern's join structurally matches the row.
+    /// True if any pattern's join structurally matches the row. A row no
+    /// join admits as a candidate never matches.
     pub fn accepts(&self, row: u64) -> bool {
-        self.joins.iter().any(|j| j.is_candidate(row) && j.matches_row(row))
+        self.joins.iter().any(|j| j.matches_row(row))
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! DELETE and REPLACE maintain five derived structures incrementally —
 //! B+Tree index entries, the per-table path synopsis, per-row path
-//! signatures, the twig-join label streams and the in-memory INTEGER
-//! cells of the scalar filter. The contract for every one of them is
+//! signatures, the twig-join label runs and postings, and the in-memory
+//! INTEGER cells of the scalar filter. The contract for every one of them is
 //! *rebuild equality*: the incrementally-maintained structure must hold
 //! exactly what a from-scratch rebuild over the surviving rows would
 //! produce. [`verify_derived_state`] checks that contract, and the
@@ -91,8 +91,8 @@ impl VerifyReport {
 
 /// Verify every table's derived state against a from-scratch rebuild over
 /// its live rows: synopsis entries, per-row signatures, in-memory INTEGER
-/// cells, label streams (when the store vouches for the table), index keys
-/// and skip counters, and the live-row bookkeeping itself.
+/// cells, label runs and postings (when the store vouches for the table),
+/// index keys and skip counters, and the live-row bookkeeping itself.
 pub fn verify_derived_state(catalog: &Catalog) -> Result<VerifyReport, XdmError> {
     let mut report = VerifyReport::default();
     let mut names: Vec<String> =
@@ -156,6 +156,7 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
             issues.push(format!("row {rid}: deleted row surfaced in scan"));
         }
         let mut sig = xqdb_storage::PathSignature::default();
+        let mut run = Vec::new();
         let mut cell = 0u32;
         for v in &values {
             if let SqlValue::Xml(n) = v {
@@ -165,10 +166,7 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
                     Some(&mut synopsis),
                     &mut |path, pre, post, level| {
                         if check_labels {
-                            labels.record_label(
-                                path,
-                                LabelEntry { row: rid as u64, cell: this_cell, pre, post, level },
-                            );
+                            run.push((path, LabelEntry { cell: this_cell, pre, post, level }));
                         }
                     },
                 ));
@@ -176,7 +174,7 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
             }
         }
         if check_labels {
-            labels.finish_row();
+            labels.write_run(rid as u64, run);
         }
         match t.signature(rid) {
             None => issues.push(format!("row {rid}: live row has no signature")),
@@ -274,35 +272,12 @@ fn verify_table(catalog: &Catalog, name: &str) -> Result<TableVerdict, XdmError>
         // entries diff above; no second report needed.
     }
 
-    // Label streams: only when the store claims completeness — an
-    // incomplete store is honestly unusable and the planner already
-    // declines it, so there is nothing to verify against.
+    // Labels: only when the store claims completeness — an incomplete
+    // store is honestly unusable and the planner already declines it, so
+    // there is nothing to verify against. Runs and postings are compared
+    // by content (path hashes, not the ids either store interned).
     if check_labels {
-        let stored: BTreeMap<u64, &[LabelEntry]> = t.labels().streams().collect();
-        let rebuilt: BTreeMap<u64, &[LabelEntry]> = labels.streams().collect();
-        if stored.len() != rebuilt.len() {
-            issues.push(format!(
-                "label store holds {} stream(s), rebuild produced {}",
-                stored.len(),
-                rebuilt.len()
-            ));
-        }
-        for (hash, entries) in &rebuilt {
-            match stored.get(hash) {
-                None => issues.push(format!("label stream {hash:#x} missing from store")),
-                Some(s) if s != entries => issues.push(format!(
-                    "label stream {hash:#x}: {} stored entr(ies) differ from {} rebuilt",
-                    s.len(),
-                    entries.len()
-                )),
-                Some(_) => {}
-            }
-        }
-        for hash in stored.keys() {
-            if !rebuilt.contains_key(hash) {
-                issues.push(format!("label stream {hash:#x} stored but not rebuilt"));
-            }
-        }
+        issues.extend(diff_labels(t.labels(), &labels, t.len() as u64));
     }
 
     // Indexes on this table: the tree must hold exactly the keys a
@@ -341,6 +316,39 @@ struct IndexRebuild<'c> {
     col: Option<usize>,
     keys: Vec<Vec<u8>>,
     skipped: usize,
+}
+
+/// Every way a stored label store differs from its rebuild over the
+/// table's `rows` rowids: per-row runs, then per-path posting lists.
+fn diff_labels(stored: &LabelStore, rebuilt: &LabelStore, rows: u64) -> Vec<String> {
+    let mut issues = Vec::new();
+    for row in 0..rows {
+        let (s, r): (Vec<_>, Vec<_>) = (stored.run(row).collect(), rebuilt.run(row).collect());
+        if s != r {
+            issues.push(format!(
+                "row {row}: label run of {} label(s) differs from {} rebuilt",
+                s.len(),
+                r.len()
+            ));
+        }
+    }
+    let stored: BTreeMap<u64, &[u64]> = stored.postings().collect();
+    let rebuilt: BTreeMap<u64, &[u64]> = rebuilt.postings().collect();
+    for (hash, rows) in &rebuilt {
+        match stored.get(hash) {
+            None => issues.push(format!("label posting {hash:#x} missing from store")),
+            Some(s) if s != rows => issues.push(format!(
+                "label posting {hash:#x}: {} stored row(s) differ from {} rebuilt",
+                s.len(),
+                rows.len()
+            )),
+            Some(_) => {}
+        }
+    }
+    for hash in stored.keys().filter(|h| !rebuilt.contains_key(h)) {
+        issues.push(format!("label posting {hash:#x} stored but not rebuilt"));
+    }
+    issues
 }
 
 /// One line summarizing how a stored synopsis differs from its rebuild.
@@ -448,7 +456,33 @@ mod tests {
         assert!(rendered.contains("index IDX_PRICE"), "report: {rendered}");
         // Labels are compared only when the store vouches for the table
         // (not when twig labeling is switched off in the environment).
-        assert_eq!(rendered.contains("label stream"), labeled, "report: {rendered}");
+        assert_eq!(rendered.contains("row 1: label run"), labeled, "report: {rendered}");
+        assert_eq!(rendered.contains("label posting"), labeled, "report: {rendered}");
+    }
+
+    #[test]
+    fn a_selected_element_stored_by_update_verifies_clean() {
+        // The SET value is an element of the old document, not a parsed
+        // document: its arena ids are not those of the stored text it
+        // re-parses to, which is what its labels must describe.
+        let mut s = crate::SqlSession::new();
+        for stmt in [
+            "create table t (id integer, doc XML)",
+            "create index ik on t(doc) using xmlpattern '//b/@k' as double",
+            "insert into t values (1, '<r><a><b k=\"1\"/><b k=\"2\"/></a></r>')",
+            "insert into t values (2, '<r><a><b k=\"3\"/></a></r>')",
+            "update t set doc = XMLQUERY('$d/r/a' passing doc as \"d\") where id = 1",
+        ] {
+            s.execute(stmt).unwrap();
+        }
+        let report = verify_derived_state(&s.catalog).unwrap();
+        assert!(report.is_clean(), "unexpected issues:\n{}", report.render());
+        let t = s.catalog.db.table("T").unwrap();
+        let run: Vec<_> = t.labels().run(0).map(|(_, e)| (e.pre, e.level)).collect();
+        if t.labels().is_complete_for(t.len() as u64) {
+            // <a> is the stored document's root element: arena id 1, level 1.
+            assert_eq!(run.first(), Some(&(1, 1)), "run: {run:?}");
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ fn main() {
         };
         std::process::exit(run_verify(dir));
     }
-    // `xqdb labels PATH TABLE` — dump a table's label-stream cardinalities.
+    // `xqdb labels PATH TABLE` — dump a table's per-path label and row counts.
     if args.first().map(String::as_str) == Some("labels") {
         let (Some(dir), Some(table)) = (args.get(1), args.get(2)) else {
             eprintln!("usage: xqdb labels PATH TABLE (PATH is a data directory)");
@@ -548,11 +548,12 @@ fn run_verify(dir: &str) -> i32 {
 }
 
 /// `xqdb labels PATH TABLE`: recover the data directory (offline, no
-/// server needed) and print the table's structural-label streams — one
-/// line per synopsis path with its label cardinality. Labels are derived
-/// state rebuilt through the ordinary insert path, so a directory whose
-/// rows were adopted from a page snapshot (not re-parsed) honestly
-/// reports its store as incomplete: the twig join declines such tables.
+/// server needed) and print the table's structural labels — one line per
+/// synopsis path with its label count and the number of rows holding it.
+/// Labels are derived state rebuilt through the ordinary insert path, so
+/// a directory whose rows were adopted from a page snapshot (not
+/// re-parsed) honestly reports its store as incomplete: the twig join
+/// declines such tables.
 fn run_labels(dir: &str, table: &str) -> i32 {
     let catalog = match xqdb_core::recover_catalog(
         std::path::Path::new(dir),
@@ -582,27 +583,26 @@ fn run_labels(dir: &str, table: &str) -> i32 {
             "incomplete (twig join declines; navigation answers instead)"
         }
     );
-    // Label streams are keyed by path hash; render them through the
-    // synopsis, which knows every path the labeler has ever seen.
-    let mut rendered: std::collections::HashMap<u64, &str> = std::collections::HashMap::new();
-    for (path, _rows) in t.synopsis().paths() {
-        rendered.insert(xqdb_core::hash_rendered_path(path), path);
-    }
-    let mut streams: Vec<(String, usize)> = labels
-        .streams()
-        .map(|(hash, entries)| {
+    // Labels are keyed by path hash; render them through the synopsis,
+    // which knows every path the labeler has ever seen.
+    let rendered: std::collections::HashMap<u64, &str> =
+        t.synopsis().keyed_paths().map(|(path, hash)| (hash, path)).collect();
+    let mut paths: Vec<(String, usize, usize)> = labels
+        .path_counts()
+        .into_iter()
+        .map(|(hash, n, rows)| {
             let name = rendered
                 .get(&hash)
                 .map(|p| (*p).to_string())
                 .unwrap_or_else(|| format!("<path #{hash:016x}>"));
-            (name, entries.len())
+            (name, n, rows)
         })
         .collect();
-    streams.sort();
-    for (path, n) in &streams {
-        println!("  {path}: {n} label(s)");
+    paths.sort();
+    for (path, n, rows) in &paths {
+        println!("  {path}: {n} label(s) in {rows} row(s)");
     }
-    println!("-- {} stream(s)", streams.len());
+    println!("-- {} path(s)", paths.len());
     0
 }
 
@@ -1011,7 +1011,7 @@ fn dot_command(session: &mut SqlSession, cmd: &str) -> bool {
                  shell:        .tables  .indexes  .checkpoint  .help  .quit\n\
                  flags:        --timeout-ms N  --max-steps N  --max-doc-bytes N  --threads N  --buffer-pages N  --no-prefilter  --no-twig  --no-cost  --trace  --metrics-json PATH\n\
                  prefilter:    structural pre-filter is on by default; disable with --no-prefilter or XQDB_PREFILTER=off\n\
-                 twig:         holistic twig join is on by default; disable with --no-twig or XQDB_TWIG=off; xqdb labels PATH TABLE dumps label streams\n\
+                 twig:         holistic twig join is on by default; disable with --no-twig or XQDB_TWIG=off; xqdb labels PATH TABLE dumps per-path label counts\n\
                  cost:         cost-based index choice is on by default; disable with --no-cost or XQDB_COST=off; xqdb stats PATH TABLE dumps synopsis statistics\n\
                  storage:      --buffer-pages N (or XQDB_BUFFER_PAGES) caps every buffer pool; xqdb pages PATH prints page-file stats\n\
                  durability:   --data-dir PATH  --fsync always|batch|off  (xqdb recover PATH replays and reports)"

@@ -429,6 +429,13 @@ impl PathSynopsis {
         self.paths.values().map(|(p, n)| (p.as_str(), *n))
     }
 
+    /// Iterate `(rendered path, hash key)` in unspecified order. The key
+    /// is [`hash_rendered_path`] of the rendered path, stored rather than
+    /// recomputed.
+    pub fn keyed_paths(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.paths.iter().map(|(&h, (p, _))| (p.as_str(), h))
+    }
+
     /// True if a path with this hash has been observed.
     pub fn contains_hash(&self, hash: u64) -> bool {
         self.paths.contains_key(&hash)
@@ -556,11 +563,11 @@ pub fn observe_document(root: &NodeHandle, synopsis: Option<&mut PathSynopsis>) 
 
 /// [`observe_document`] plus structural labeling: `sink` receives
 /// `(path hash, pre, post, level)` for **every** element and attribute
-/// node (no per-document dedup — label streams need each occurrence).
+/// node (no per-document dedup — label runs need each occurrence).
 /// `pre` is the node's arena id, `post` the arena id of its last
 /// descendant (its own id for attributes), `level` its depth with the
 /// root element at 1. This is the ingest side of the twig-join label
-/// streams (see `xqdb-twig`).
+/// runs (see `xqdb-twig`).
 pub fn observe_document_labeled(
     root: &NodeHandle,
     synopsis: Option<&mut PathSynopsis>,
@@ -761,6 +768,18 @@ mod tests {
         let paths = document_paths(&d.root());
         assert!(paths.contains("/{urn:x}a"));
         assert!(paths.contains("/{urn:x}a/b"));
+    }
+
+    #[test]
+    fn keyed_paths_key_is_the_rendered_hash() {
+        let mut syn = PathSynopsis::default();
+        let d = doc("<o:a xmlns:o=\"urn:x\" k=\"1\"><b><c/></b></o:a>");
+        observe_document(&d.root(), Some(&mut syn));
+        let keyed: Vec<(&str, u64)> = syn.keyed_paths().collect();
+        assert_eq!(keyed.len(), 4);
+        for (rendered, hash) in keyed {
+            assert_eq!(hash, hash_rendered_path(rendered), "{rendered}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xqdb_pager::{HeapFile, PageId, Pager, RecordId};
-use xqdb_xdm::{ErrorCode, XdmError};
+use xqdb_xdm::{ErrorCode, NodeKind, XdmError};
 
 use xqdb_twig::{LabelEntry, LabelStore};
 
@@ -79,7 +79,8 @@ pub struct Table {
     ints: Vec<IntColumn>,
     /// Dictionary of distinct rooted paths observed across all rows.
     synopsis: PathSynopsis,
-    /// Per-path (pre, post, level) label streams for the twig-join path.
+    /// Per-row (pre, post, level) label runs and per-path posting lists
+    /// for the twig-join path.
     /// Derived state like the synopsis, but — unlike signatures — not
     /// persisted in record headers: recovery paths that skip XML parsing
     /// mark the store incomplete and the planner declines twig joins for
@@ -381,37 +382,7 @@ impl Table {
     /// and the table synopsis stay consistent with the stored documents.
     pub fn push_row(&mut self, row: Vec<SqlValue>) -> Result<RowId, XdmError> {
         let rowid = self.directory.len() as u64;
-        let mut sig = PathSignature::default();
-        let labeling = xqdb_twig::enabled_in_env() && !self.labels.is_incomplete();
-        let mut cell = 0u32;
-        for v in &row {
-            if let SqlValue::Xml(n) = v {
-                if labeling {
-                    let (synopsis, labels) = (&mut self.synopsis, &mut self.labels);
-                    let this_cell = cell;
-                    sig.union_with(&observe_document_labeled(
-                        n,
-                        Some(synopsis),
-                        &mut |path, pre, post, level| {
-                            labels.record_label(
-                                path,
-                                LabelEntry { row: rowid, cell: this_cell, pre, post, level },
-                            );
-                        },
-                    ));
-                } else {
-                    sig.union_with(&observe_document(n, Some(&mut self.synopsis)));
-                }
-                cell += 1;
-            }
-        }
-        if labeling {
-            self.labels.finish_row();
-        } else {
-            // Labeling disabled (XQDB_TWIG=off) or already incomplete:
-            // keep the store honestly unusable rather than part-labeled.
-            self.labels.mark_incomplete();
-        }
+        let sig = self.observe_row(rowid, &row);
         let bytes = encode_row(rowid, &sig, &row);
         let rid = self.heap.insert(&bytes)?;
         self.directory.push(rid);
@@ -424,7 +395,7 @@ impl Table {
 
     /// Delete a row, maintaining every derived structure incrementally:
     /// the synopsis doc-count decrements once per path the row's documents
-    /// contained, its label streams are pruned, its signature zeroed and
+    /// contained, its label run is emptied, its signature zeroed and
     /// its integer cells set to NULL. The heap record is tombstoned in
     /// place when its page is still mutable; a frozen page gets a logical
     /// delete only (persisted via the manifest's deleted list). Returns
@@ -467,13 +438,12 @@ impl Table {
     /// page) or marked stale (frozen page — recovery then keeps the
     /// highest-page copy), the new record appended, and all derived state
     /// swapped: synopsis counts move from the old documents' paths to the
-    /// new ones, label streams are pruned and re-inserted in sort order
-    /// when the store is complete, and the signature and integer cells are
-    /// recomputed. The row must be live; `row` must already be conformed,
-    /// and `old` must be the row's current contents as [`Table::row`]
-    /// returns them — the caller has decoded them anyway (an UPDATE reads
-    /// the old row to evaluate its SET list), so they are not parsed a
-    /// second time here.
+    /// new ones, the row's label run is rewritten when the store is
+    /// complete, and the signature and integer cells are recomputed. The
+    /// row must be live; `row` must already be conformed, and `old` must
+    /// be the row's current contents as [`Table::row`] returns them — the
+    /// caller has decoded them anyway (an UPDATE reads the old row to
+    /// evaluate its SET list), so they are not parsed a second time here.
     pub fn replace_row(
         &mut self,
         id: RowId,
@@ -487,39 +457,8 @@ impl Table {
             ));
         }
         self.retire_row_synopsis(old);
-        self.labels.prune_row(id as u64);
         let rowid = id as u64;
-        let mut sig = PathSignature::default();
-        let labeling = xqdb_twig::enabled_in_env() && !self.labels.is_incomplete();
-        let mut cell = 0u32;
-        for v in &row {
-            if let SqlValue::Xml(n) = v {
-                if labeling {
-                    let (synopsis, labels) = (&mut self.synopsis, &mut self.labels);
-                    let this_cell = cell;
-                    sig.union_with(&observe_document_labeled(
-                        n,
-                        Some(synopsis),
-                        &mut |path, pre, post, level| {
-                            labels.insert_label_sorted(
-                                path,
-                                LabelEntry { row: rowid, cell: this_cell, pre, post, level },
-                            );
-                        },
-                    ));
-                } else {
-                    sig.union_with(&observe_document(n, Some(&mut self.synopsis)));
-                }
-                cell += 1;
-            }
-        }
-        if !labeling {
-            // The replacement could not be labeled (twig labeling off, or
-            // the store was already incomplete): sticky downgrade, same
-            // policy as push_row. No finish_row in the labeled case — the
-            // rowid domain is unchanged by a replace.
-            self.labels.mark_incomplete();
-        }
+        let sig = self.observe_row(rowid, &row);
         let old_rid = self.directory[id];
         if self.heap.pager().is_frozen(old_rid.page) {
             self.heap.retire(old_rid)?;
@@ -535,6 +474,51 @@ impl Table {
             ic.cells[id] = ic.cell_of(&row);
         }
         Ok(())
+    }
+
+    /// Observe an incoming row's XML cells (INSERT/REPLACE): add them to
+    /// the synopsis, write the row's label run when the store is still
+    /// complete (or mark it incomplete when labeling is off), and return
+    /// the row's path signature. A cell that is not a parsed document — a
+    /// node an `XMLQUERY` selected or constructed — is labeled from the
+    /// document its serialization parses to, which is the form the record
+    /// stores and every later decode sees: the node's own arena ids are
+    /// not that document's. Its paths, values and signature are the same
+    /// either way.
+    fn observe_row(&mut self, rowid: u64, row: &[SqlValue]) -> PathSignature {
+        let labeling = xqdb_twig::enabled_in_env() && !self.labels.is_incomplete();
+        let mut sig = PathSignature::default();
+        let mut run = Vec::new();
+        let mut cell = 0u32;
+        for v in row {
+            let SqlValue::Xml(n) = v else { continue };
+            let reparsed = (labeling && n.kind() != NodeKind::Document)
+                .then(|| xqdb_xmlparse::parse_document(&xqdb_xmlparse::serialize_node(n)).ok())
+                .flatten()
+                .map(|d| d.root());
+            let n = reparsed.as_ref().unwrap_or(n);
+            if labeling {
+                let this_cell = cell;
+                sig.union_with(&observe_document_labeled(
+                    n,
+                    Some(&mut self.synopsis),
+                    &mut |path, pre, post, level| {
+                        run.push((path, LabelEntry { cell: this_cell, pre, post, level }));
+                    },
+                ));
+            } else {
+                sig.union_with(&observe_document(n, Some(&mut self.synopsis)));
+            }
+            cell += 1;
+        }
+        if labeling {
+            self.labels.write_run(rowid, run);
+        } else {
+            // Labeling disabled (XQDB_TWIG=off) or already incomplete:
+            // keep the store honestly unusable rather than part-labeled.
+            self.labels.mark_incomplete();
+        }
+        sig
     }
 
     /// Remove an outgoing row's synopsis contribution (DELETE/REPLACE):
@@ -632,7 +616,7 @@ impl Table {
         &self.synopsis
     }
 
-    /// The table's structural label streams (twig joins). Check
+    /// The table's structural labels (twig joins). Check
     /// [`LabelStore::is_complete_for`] against [`Table::len`] before
     /// trusting them.
     pub fn labels(&self) -> &LabelStore {

@@ -4,18 +4,29 @@
 //! *(pre, post, level)* label at insert time: `pre` is the node's
 //! document-order position, `post` the position of its last descendant
 //! (so `a` is an ancestor of `d` iff `a.pre < d.pre && d.pre <= a.post`),
-//! and `level` its depth. Labels are grouped into **streams**, one per
-//! rooted path of the table's path synopsis, so a stream holds exactly
-//! the nodes the dataguide says can match a given pattern node.
+//! and `level` its depth. Each label also names the rooted path of the
+//! table's path synopsis it sits on, so the dataguide says which pattern
+//! nodes it can match.
+//!
+//! Labels are stored **row-major**: each row has one contiguous *run* of
+//! its labels in `(cell, pre)` order, and each path has a sorted *posting
+//! list* of the rows whose run holds it. Path hashes are interned per
+//! store to dense `u32` ids.
 //!
 //! A [`Pattern`] is a small tree of named steps joined by child or
 //! descendant edges — the shape of a branching path query like
 //! `//order[lineitem/@price]//id`. [`resolve_pattern`] maps each pattern
 //! node to the synopsis paths that can produce it (pruning impossible
-//! branches), and [`TwigJoin`] runs a TwigStack-style merge of the
-//! resolved streams: one pass over a row's labels with a stack per
-//! pattern node, partial matches encoded as open stack entries with a
-//! child-satisfaction bitmask.
+//! branches). A [`TwigJoin`] then works in two steps, both proportional
+//! to the rows that reach it rather than to the collection:
+//!
+//! * [`TwigJoin::candidates`] intersects the rows handed to it with each
+//!   pattern node's posting lists, smallest node first, walking the
+//!   shorter side of each step and galloping through the longer one;
+//! * [`TwigJoin::matches_row`] reads one candidate's run once, in document
+//!   order, with a stack per pattern node — a TwigStack-style merge where
+//!   partial matches are open stack entries with a child-satisfaction
+//!   bitmask.
 //!
 //! The join is a conservative pre-selection in the sense of the paper's
 //! Definition 1: a row it rejects provably cannot match the pattern, and
@@ -24,11 +35,11 @@
 //!
 //! The crate is std-only and knows nothing about tables, documents or
 //! queries: callers feed it rendered path strings (clark-notation
-//! components separated by `/`), label entries, and patterns.
+//! components separated by `/`), labels, and patterns.
 
 use std::collections::HashMap;
 
-/// One labeled node: which row and XML cell it lives in, plus its
+/// Where one labeled node sits in its row: the XML cell, plus the node's
 /// (pre, post, level) structural label.
 ///
 /// `pre` and `post` are arena node ids: `pre` is the node's own id (ids
@@ -37,8 +48,6 @@ use std::collections::HashMap;
 /// node, with the root element at 1 and its attributes/children at 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelEntry {
-    /// Row id within the owning table.
-    pub row: u64,
     /// Ordinal of the XML cell within the row (tables may have several
     /// XML columns; labels from different cells must never join).
     pub cell: u32,
@@ -51,84 +60,103 @@ pub struct LabelEntry {
     pub level: u32,
 }
 
-/// Per-table label streams, keyed by rooted-path hash.
+/// One entry of a run: the interned path id and the label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Label {
+    path: u32,
+    at: LabelEntry,
+}
+
+/// Per-table structural labels in row-major form.
 ///
-/// Streams are append-only and ordered: entries arrive in (row, cell,
-/// pre) order because rows are labeled as they are inserted and each
-/// document is walked in document order. [`LabelStore::is_complete_for`]
-/// reports whether every row of the table was labeled — recovery paths
-/// that adopt rows without re-parsing their XML mark the store
-/// incomplete, and the planner then declines the twig path for the
-/// table (falling back to navigation, which is always correct).
+/// Rowid `r` owns `runs[r]`, its labels sorted by `(cell, pre)`; a deleted
+/// row's run is empty. `postings[id]` lists, ascending, the rows whose run
+/// holds path `id`. [`LabelStore::is_complete_for`] reports whether every
+/// row of the table was labeled — recovery paths that adopt rows without
+/// re-parsing their XML mark the store incomplete, and the planner then
+/// declines the twig path for the table (falling back to navigation,
+/// which is always correct).
 #[derive(Debug, Default, Clone)]
 pub struct LabelStore {
-    streams: HashMap<u64, Vec<LabelEntry>>,
-    labeled_rows: u64,
+    /// Path hash → interned id.
+    ids: HashMap<u64, u32>,
+    /// Interned id → path hash.
+    hashes: Vec<u64>,
+    /// Interned id → sorted rows whose run holds the path.
+    postings: Vec<Vec<u64>>,
+    /// Rowid → labels in `(cell, pre)` order.
+    runs: Vec<Box<[Label]>>,
     incomplete: bool,
 }
 
 impl LabelStore {
-    /// Append one label to the stream for `path`. No-op once the store
-    /// has been marked incomplete (the labels could never be trusted).
-    pub fn record_label(&mut self, path: u64, entry: LabelEntry) {
+    /// Write `row`'s run: every label of the row's XML cells, each with
+    /// the hash of its rooted path. A row that already had a run (the
+    /// re-label half of a document REPLACE) loses it first. Labels may
+    /// arrive in any order; the run keeps them sorted by `(cell, pre)`.
+    /// Rowids between the last run and `row` get empty runs. No-op once
+    /// the store has been marked incomplete (the labels could never be
+    /// trusted).
+    pub fn write_run(&mut self, row: u64, labels: impl IntoIterator<Item = (u64, LabelEntry)>) {
         if self.incomplete {
             return;
         }
-        self.streams.entry(path).or_default().push(entry);
+        self.prune_row(row);
+        let mut run: Vec<Label> =
+            labels.into_iter().map(|(hash, at)| Label { path: self.intern(hash), at }).collect();
+        run.sort_by_key(|l| (l.at.cell, l.at.pre));
+        let mut paths: Vec<u32> = run.iter().map(|l| l.path).collect();
+        paths.sort_unstable();
+        paths.dedup();
+        for id in paths {
+            let posting = &mut self.postings[id as usize];
+            // Ingest appends ascending rowids, so this is almost always a
+            // push at the end; a REPLACE lands between its neighbours.
+            let pos = posting.partition_point(|&r| r < row);
+            posting.insert(pos, row);
+        }
+        let slot = row as usize;
+        if self.runs.len() <= slot {
+            self.runs.resize_with(slot + 1, Box::default);
+        }
+        self.runs[slot] = run.into_boxed_slice();
     }
 
-    /// Count one fully labeled row. Called once per inserted row after
-    /// all its XML cells have been walked.
-    pub fn finish_row(&mut self) {
-        self.labeled_rows += 1;
+    fn intern(&mut self, hash: u64) -> u32 {
+        let next = self.hashes.len() as u32;
+        let id = *self.ids.entry(hash).or_insert(next);
+        if id == next {
+            self.hashes.push(hash);
+            self.postings.push(Vec::new());
+        }
+        id
     }
 
     /// Record that at least one row was adopted without labels (e.g.
     /// page-image recovery, or ingest with labeling disabled). Sticky:
     /// the table's twig path stays disabled until the store is rebuilt.
     pub fn mark_incomplete(&mut self) {
-        self.incomplete = true;
-        self.streams.clear();
+        *self = LabelStore { incomplete: true, ..LabelStore::default() };
     }
 
-    /// Remove every label of `row` from every stream (row DELETE, or the
-    /// un-label half of a document REPLACE). Streams are sorted by row,
-    /// so each removal is one binary-searched drain; streams left empty
-    /// are dropped so the store compares equal to one rebuilt from
-    /// scratch over the surviving rows. No-op once incomplete. Does not
-    /// touch `labeled_rows`: [`LabelStore::is_complete_for`] vouches for
+    /// Empty `row`'s run and take the row out of the posting list of every
+    /// path it held (row DELETE). No-op once incomplete. The rowid keeps
+    /// its (now empty) run: [`LabelStore::is_complete_for`] vouches for
     /// the rowid *domain*, and a deleted rowid stays in the domain.
     pub fn prune_row(&mut self, row: u64) {
-        if self.incomplete {
-            return;
+        let Some(run) = self.runs.get_mut(row as usize) else { return };
+        for label in std::mem::take(run).iter() {
+            let posting = &mut self.postings[label.path as usize];
+            // A run holds a path once per occurrence; the first removes it.
+            if let Ok(pos) = posting.binary_search(&row) {
+                posting.remove(pos);
+            }
         }
-        self.streams.retain(|_, v| {
-            let lo = v.partition_point(|e| e.row < row);
-            let hi = v.partition_point(|e| e.row <= row);
-            v.drain(lo..hi);
-            !v.is_empty()
-        });
-    }
-
-    /// Insert one label at its sorted `(row, cell, pre)` position — the
-    /// re-label half of a document REPLACE, where the new labels of an
-    /// old rowid land between neighbouring rows' entries instead of at
-    /// the end. Equal keys keep insertion order, so a row walked in
-    /// document order rebuilds exactly the stream an ingest-time
-    /// labeling would have produced. No-op once incomplete.
-    pub fn insert_label_sorted(&mut self, path: u64, entry: LabelEntry) {
-        if self.incomplete {
-            return;
-        }
-        let v = self.streams.entry(path).or_default();
-        let key = (entry.row, entry.cell, entry.pre);
-        let pos = v.partition_point(|e| (e.row, e.cell, e.pre) <= key);
-        v.insert(pos, entry);
     }
 
     /// True if every one of the table's `rows` rows was labeled.
     pub fn is_complete_for(&self, rows: u64) -> bool {
-        !self.incomplete && self.labeled_rows == rows
+        !self.incomplete && self.labeled_rows() == rows
     }
 
     /// True if the store was marked incomplete.
@@ -136,21 +164,46 @@ impl LabelStore {
         self.incomplete
     }
 
-    /// Number of rows labeled so far.
+    /// Number of rowids labeled so far (deleted ones included).
     pub fn labeled_rows(&self) -> u64 {
-        self.labeled_rows
+        self.runs.len() as u64
     }
 
-    /// The label stream for a path hash (empty if the path was never
-    /// seen).
-    pub fn stream(&self, path: u64) -> &[LabelEntry] {
-        self.streams.get(&path).map(Vec::as_slice).unwrap_or(&[])
+    /// `row`'s labels in `(cell, pre)` order, each with its path hash
+    /// (empty for a deleted or unknown row).
+    pub fn run(&self, row: u64) -> impl Iterator<Item = (u64, LabelEntry)> + '_ {
+        self.run_of(row).iter().map(|l| (self.hashes[l.path as usize], l.at))
     }
 
-    /// All streams, for offline inspection. Iteration order is
-    /// unspecified; callers sort.
-    pub fn streams(&self) -> impl Iterator<Item = (u64, &[LabelEntry])> {
-        self.streams.iter().map(|(&h, v)| (h, v.as_slice()))
+    fn run_of(&self, row: u64) -> &[Label] {
+        self.runs.get(row as usize).map_or(&[], |r| r)
+    }
+
+    /// Every path some row holds, with its posting list. Iteration order
+    /// is unspecified; callers sort.
+    pub fn postings(&self) -> impl Iterator<Item = (u64, &[u64])> {
+        self.hashes
+            .iter()
+            .zip(&self.postings)
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(&hash, rows)| (hash, rows.as_slice()))
+    }
+
+    /// Per path some row holds: `(hash, labels, rows)`, in unspecified
+    /// order. Counting labels walks every run — an inspection tool's
+    /// cost, not the join's.
+    pub fn path_counts(&self) -> Vec<(u64, usize, usize)> {
+        let mut labels = vec![0usize; self.hashes.len()];
+        for label in self.runs.iter().flat_map(|r| r.iter()) {
+            labels[label.path as usize] += 1;
+        }
+        self.hashes
+            .iter()
+            .zip(&self.postings)
+            .zip(labels)
+            .filter(|((_, rows), _)| !rows.is_empty())
+            .map(|((&hash, rows), n)| (hash, n, rows.len()))
+            .collect()
     }
 }
 
@@ -386,17 +439,20 @@ struct OpenEntry {
     mask: u64,
 }
 
-/// A holistic twig join over one table's label streams: the pattern,
-/// the streams resolved for each pattern node, and the candidate row
-/// set (rows that have at least one label in every node's streams).
+/// A holistic twig join over one table's label store: the pattern, the
+/// posting lists resolved for each pattern node, and the map from path id
+/// to the pattern nodes the path can match.
 pub struct TwigJoin<'a> {
     pattern: &'a Pattern,
-    children: Vec<Vec<usize>>,
+    store: &'a LabelStore,
+    /// Per pattern node, the bitmask a fully satisfied entry carries.
     full_mask: Vec<u64>,
-    /// Per pattern node, the resolved streams (sorted by row).
-    streams: Vec<Vec<&'a [LabelEntry]>>,
-    /// Sorted rows that survive the per-node presence intersection.
-    candidates: Vec<u64>,
+    /// Per pattern node, its bit in its parent's mask (0 for the root).
+    parent_bit: Vec<u64>,
+    /// Per pattern node, the posting lists of its resolved paths.
+    postings: Vec<Vec<&'a [u64]>>,
+    /// Per interned path id, the pattern nodes it can match, as a bitmask.
+    nodes_of: Vec<u64>,
 }
 
 impl<'a> TwigJoin<'a> {
@@ -405,66 +461,95 @@ impl<'a> TwigJoin<'a> {
     pub fn new(pattern: &'a Pattern, store: &'a LabelStore, resolved: &[Vec<u64>]) -> Self {
         let children = pattern.children();
         // MAX_PATTERN_NODES caps children at 63, so the shift is safe.
-        let full_mask: Vec<u64> =
-            children.iter().map(|c| (1u64 << c.len().min(63)) - 1).collect();
-        let streams: Vec<Vec<&[LabelEntry]>> = resolved
+        let full_mask = children.iter().map(|c| (1u64 << c.len().min(63)) - 1).collect();
+        let mut parent_bit = vec![0u64; pattern.nodes.len()];
+        for siblings in &children {
+            for (position, &child) in siblings.iter().enumerate() {
+                parent_bit[child] = 1u64 << position;
+            }
+        }
+        let mut nodes_of = vec![0u64; store.hashes.len()];
+        let postings = resolved
             .iter()
-            .map(|hashes| {
-                hashes.iter().map(|&h| store.stream(h)).filter(|s| !s.is_empty()).collect()
+            .enumerate()
+            .map(|(node, hashes)| {
+                let mut lists = Vec::new();
+                for id in hashes.iter().filter_map(|h| store.ids.get(h)) {
+                    nodes_of[*id as usize] |= 1u64 << node;
+                    let rows = store.postings[*id as usize].as_slice();
+                    if !rows.is_empty() {
+                        lists.push(rows);
+                    }
+                }
+                lists
             })
             .collect();
-        let mut candidates: Option<Vec<u64>> = None;
-        for node_streams in &streams {
-            let rows = distinct_rows(node_streams);
-            candidates = Some(match candidates {
-                None => rows,
-                Some(prev) => intersect_sorted(&prev, &rows),
-            });
-            if candidates.as_ref().is_some_and(Vec::is_empty) {
+        TwigJoin { pattern, store, full_mask, parent_bit, postings, nodes_of }
+    }
+
+    /// The rows that have at least one label in every pattern node's
+    /// paths — the only rows [`Self::matches_row`] can accept — among
+    /// `rows` (sorted, distinct), or among all labeled rows when `rows` is
+    /// `None`. Nodes are taken in ascending posting-list size, each step
+    /// an adaptive intersection, so the cost follows the smaller of the
+    /// rows handed in and the rarest node's postings.
+    pub fn candidates(&self, rows: Option<&[u64]>) -> Vec<u64> {
+        let mut order: Vec<usize> = (0..self.postings.len()).collect();
+        order.sort_by_key(|&node| self.postings[node].iter().map(|p| p.len()).sum::<usize>());
+        let mut order = order.into_iter();
+        let Some(first) = order.next() else { return Vec::new() };
+        let mut kept = match rows {
+            Some(rows) => self.narrow(rows, first),
+            None => {
+                let mut all: Vec<u64> = self.postings[first].concat();
+                if self.postings[first].len() > 1 {
+                    all.sort_unstable();
+                    all.dedup();
+                }
+                all
+            }
+        };
+        for node in order {
+            if kept.is_empty() {
                 break;
             }
+            kept = self.narrow(&kept, node);
         }
-        TwigJoin {
-            pattern,
-            children,
-            full_mask,
-            streams,
-            candidates: candidates.unwrap_or_default(),
-        }
+        kept
     }
 
-    /// Rows that have at least one label in every pattern node's
-    /// streams — the only rows [`Self::matches_row`] can accept.
-    pub fn candidates(&self) -> &[u64] {
-        &self.candidates
-    }
-
-    /// True if `row` is in the candidate set.
-    pub fn is_candidate(&self, row: u64) -> bool {
-        self.candidates.binary_search(&row).is_ok()
-    }
-
-    /// Run the stack-merge over one row's labels: true iff some
-    /// embedding of the whole pattern exists in one of the row's XML
-    /// cells.
-    pub fn matches_row(&self, row: u64) -> bool {
-        // Gather this row's events: (label, pattern node) pairs, one per
-        // stream occurrence, ordered by (cell, pre, node).
-        let mut events: Vec<(LabelEntry, usize)> = Vec::new();
-        for (node, node_streams) in self.streams.iter().enumerate() {
-            for stream in node_streams {
-                let lo = stream.partition_point(|e| e.row < row);
-                let hi = stream.partition_point(|e| e.row <= row);
-                for e in &stream[lo..hi] {
-                    events.push((*e, node));
+    /// The rows of `rows` that appear in any of `node`'s posting lists.
+    fn narrow(&self, rows: &[u64], node: usize) -> Vec<u64> {
+        match self.postings[node].as_slice() {
+            [] => Vec::new(),
+            [posting] => {
+                let mut out = Vec::new();
+                for_each_common(rows, posting, |i| out.push(rows[i]));
+                out
+            }
+            lists => {
+                let mut hit = vec![false; rows.len()];
+                for posting in lists {
+                    for_each_common(rows, posting, |i| hit[i] = true);
                 }
+                rows.iter().zip(hit).filter(|(_, h)| *h).map(|(&r, _)| r).collect()
             }
         }
-        events.sort_unstable_by_key(|(e, node)| (e.cell, e.pre, *node));
+    }
 
+    /// Run the stack-merge over one row's run: true iff some embedding
+    /// of the whole pattern exists in one of the row's XML cells. The run
+    /// is already in document order per cell, so it is read once, in
+    /// place.
+    pub fn matches_row(&self, row: u64) -> bool {
         let mut stacks: Vec<Vec<OpenEntry>> = vec![Vec::new(); self.pattern.nodes.len()];
         let mut current_cell = None;
-        for (entry, node) in events {
+        for label in self.store.run_of(row) {
+            let mut nodes = self.nodes_of.get(label.path as usize).copied().unwrap_or(0);
+            if nodes == 0 {
+                continue;
+            }
+            let entry = label.at;
             if current_cell != Some(entry.cell) {
                 // New document cell: finish the previous one entirely.
                 if self.drain(&mut stacks, u32::MAX) {
@@ -477,12 +562,16 @@ impl<'a> TwigJoin<'a> {
             if self.drain(&mut stacks, entry.pre) {
                 return true;
             }
-            stacks[node].push(OpenEntry {
-                pre: entry.pre,
-                post: entry.post,
-                level: entry.level,
-                mask: 0,
-            });
+            while nodes != 0 {
+                let node = nodes.trailing_zeros() as usize;
+                nodes &= nodes - 1;
+                stacks[node].push(OpenEntry {
+                    pre: entry.pre,
+                    post: entry.post,
+                    level: entry.level,
+                    mask: 0,
+                });
+            }
         }
         self.drain(&mut stacks, u32::MAX)
     }
@@ -521,11 +610,7 @@ impl<'a> TwigJoin<'a> {
                     }
                 }
                 Some(parent) => {
-                    let Some(position) = self.children[parent].iter().position(|&c| c == node)
-                    else {
-                        continue;
-                    };
-                    let bit = 1u64 << position;
+                    let bit = self.parent_bit[node];
                     let edge = self.pattern.nodes[node].edge;
                     for open in &mut stacks[parent] {
                         let is_ancestor = open.pre < entry.pre && entry.pre <= open.post;
@@ -544,63 +629,51 @@ impl<'a> TwigJoin<'a> {
     }
 }
 
-/// Distinct rows across a node's streams, sorted ascending. Each
-/// stream is already sorted by row, so this is a k-way merge.
-fn distinct_rows(streams: &[&[LabelEntry]]) -> Vec<u64> {
-    let mut out: Vec<u64> = Vec::new();
-    for stream in streams {
-        let mut rows: Vec<u64> = Vec::with_capacity(stream.len().min(1024));
-        for e in *stream {
-            if rows.last() != Some(&e.row) {
-                rows.push(e.row);
+/// Call `hit(i)` for every `i` whose `rows[i]` is in `posting` (both
+/// sorted and distinct). The shorter side is walked and the longer one
+/// galloped through, so two sides of lengths `s <= l` cost
+/// `O(s · log(l / s))` comparisons.
+fn for_each_common(rows: &[u64], posting: &[u64], mut hit: impl FnMut(usize)) {
+    if rows.len() <= posting.len() {
+        let mut at = 0;
+        for (i, &row) in rows.iter().enumerate() {
+            at += gallop(&posting[at..], row);
+            match posting.get(at) {
+                None => return,
+                Some(&p) if p == row => {
+                    hit(i);
+                    at += 1;
+                }
+                Some(_) => {}
             }
         }
-        out = if out.is_empty() { rows } else { union_sorted(&out, &rows) };
-    }
-    out
-}
-
-fn union_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len().max(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let next = match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                i += 1;
-                a[i - 1]
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                b[j - 1]
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-                a[i - 1]
-            }
-        };
-        out.push(next);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-fn intersect_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
+    } else {
+        let mut at = 0;
+        for &p in posting {
+            at += gallop(&rows[at..], p);
+            match rows.get(at) {
+                None => return,
+                Some(&row) if row == p => {
+                    hit(at);
+                    at += 1;
+                }
+                Some(_) => {}
             }
         }
     }
-    out
+}
+
+/// The first position of sorted `s` holding a value `>= x`: probe
+/// positions 0, 1, 3, 7, … until one reaches `x`, then binary-search the
+/// last bracket.
+fn gallop(s: &[u64], x: u64) -> usize {
+    let mut hi = 1;
+    while hi <= s.len() && s[hi - 1] < x {
+        hi *= 2;
+    }
+    let lo = hi / 2;
+    let hi = hi.min(s.len());
+    lo + s[lo..hi].partition_point(|&v| v < x)
 }
 
 /// The `XQDB_TWIG` kill switch: `off`, `0` or `false` (any case)
@@ -617,22 +690,36 @@ pub fn enabled_in_env() -> bool {
 mod tests {
     use super::*;
 
-    fn entry(row: u64, cell: u32, pre: u32, post: u32, level: u32) -> LabelEntry {
-        LabelEntry { row, cell, pre, post, level }
+    fn entry(cell: u32, pre: u32, post: u32, level: u32) -> LabelEntry {
+        LabelEntry { cell, pre, post, level }
     }
 
     /// `<a><b x="1"/><c/></a>`: arena ids doc=0, a=1, b=2, @x=3, c=4.
     fn store_abc(row: u64) -> LabelStore {
         let mut s = LabelStore::default();
-        s.record_label(1, entry(row, 0, 1, 4, 1)); // /a
-        s.record_label(2, entry(row, 0, 2, 3, 2)); // /a/b
-        s.record_label(3, entry(row, 0, 3, 3, 3)); // /a/b/@x
-        s.record_label(4, entry(row, 0, 4, 4, 2)); // /a/c
-        s.finish_row();
+        s.write_run(
+            row,
+            [
+                (1, entry(0, 1, 4, 1)), // /a
+                (2, entry(0, 2, 3, 2)), // /a/b
+                (3, entry(0, 3, 3, 3)), // /a/b/@x
+                (4, entry(0, 4, 4, 2)), // /a/c
+            ],
+        );
         s
     }
 
     const PATHS_ABC: [(&str, u64); 4] = [("/a", 1), ("/a/b", 2), ("/a/b/@x", 3), ("/a/c", 4)];
+
+    fn posting(s: &LabelStore, hash: u64) -> Vec<u64> {
+        s.postings().find(|(h, _)| *h == hash).map_or_else(Vec::new, |(_, r)| r.to_vec())
+    }
+
+    fn intersect(rows: &[u64], posting: &[u64]) -> Vec<u64> {
+        let mut out = Vec::new();
+        for_each_common(rows, posting, |i| out.push(rows[i]));
+        out
+    }
 
     #[test]
     fn split_handles_plain_and_clark_segments() {
@@ -671,7 +758,9 @@ mod tests {
         p.add_child(0, Edge::Child, "c", false).unwrap();
         let resolved = resolve_pattern(&p, &PATHS_ABC);
         let join = TwigJoin::new(&p, &store, &resolved);
-        assert_eq!(join.candidates(), &[7]);
+        assert_eq!(join.candidates(None), vec![7]);
+        assert_eq!(join.candidates(Some(&[3, 7, 9])), vec![7]);
+        assert!(join.candidates(Some(&[3, 9])).is_empty());
         assert!(join.matches_row(7));
         assert!(!join.matches_row(8));
     }
@@ -686,17 +775,22 @@ mod tests {
         let resolved = resolve_pattern(&p, &PATHS_ABC);
         assert!(resolved[2].is_empty());
         let join = TwigJoin::new(&p, &store, &resolved);
-        assert!(join.candidates().is_empty());
+        assert!(join.candidates(None).is_empty());
+        assert!(join.candidates(Some(&[0])).is_empty());
     }
 
     #[test]
     fn join_handles_recursive_elements() {
         // <a><a><b/></a></a>: doc=0, outer a=1, inner a=2, b=3.
         let mut store = LabelStore::default();
-        store.record_label(10, entry(0, 0, 1, 3, 1)); // /a
-        store.record_label(11, entry(0, 0, 2, 3, 2)); // /a/a
-        store.record_label(12, entry(0, 0, 3, 3, 3)); // /a/a/b
-        store.finish_row();
+        store.write_run(
+            0,
+            [
+                (10, entry(0, 1, 3, 1)), // /a
+                (11, entry(0, 2, 3, 2)), // /a/a
+                (12, entry(0, 3, 3, 3)), // /a/a/b
+            ],
+        );
         let paths = [("/a", 10u64), ("/a/a", 11), ("/a/a/b", 12)];
         // //a[/b]: only the inner a has a b child.
         let mut p = Pattern::root(Edge::Descendant, "a", false);
@@ -704,6 +798,7 @@ mod tests {
         let resolved = resolve_pattern(&p, &paths);
         assert_eq!(resolved[0], vec![10, 11]);
         let join = TwigJoin::new(&p, &store, &resolved);
+        assert_eq!(join.candidates(None), vec![0], "a node over two paths counts a row once");
         assert!(join.matches_row(0));
         // /a[/b]: the outer a has no direct b child — level discipline
         // must reject the grandchild.
@@ -712,7 +807,7 @@ mod tests {
         let resolved2 = resolve_pattern(&p2, &paths);
         assert!(resolved2[1].is_empty());
         let join2 = TwigJoin::new(&p2, &store, &resolved2);
-        assert!(join2.candidates().is_empty());
+        assert!(join2.candidates(None).is_empty());
         // //a//b matches through the descendant edge.
         let mut p3 = Pattern::root(Edge::Descendant, "a", false);
         p3.add_child(0, Edge::Descendant, "b", false).unwrap();
@@ -726,10 +821,14 @@ mod tests {
         // Row with two XML cells: a in cell 0, b (inside a different a)
         // in cell 1. Pattern /a[/b] must not stitch them together.
         let mut store = LabelStore::default();
-        store.record_label(20, entry(0, 0, 1, 1, 1)); // cell 0: lone /a
-        store.record_label(20, entry(0, 1, 1, 2, 1)); // cell 1: /a
-        store.record_label(21, entry(0, 1, 2, 2, 2)); // cell 1: /a/b
-        store.finish_row();
+        store.write_run(
+            0,
+            [
+                (20, entry(0, 1, 1, 1)), // cell 0: lone /a
+                (20, entry(1, 1, 2, 1)), // cell 1: /a
+                (21, entry(1, 2, 2, 2)), // cell 1: /a/b
+            ],
+        );
         let paths = [("/a", 20u64), ("/a/b", 21)];
         let mut p = Pattern::root(Edge::Child, "a", false);
         p.add_child(0, Edge::Child, "b", false).unwrap();
@@ -740,9 +839,14 @@ mod tests {
         // …but with cell 1's b removed, cell 0's a + a stray b in a
         // later cell must not match.
         let mut store2 = LabelStore::default();
-        store2.record_label(20, entry(0, 0, 1, 1, 1)); // cell 0: lone /a
-        store2.record_label(21, entry(0, 1, 2, 2, 2)); // cell 1: b without its a label
-        store2.finish_row();
+        store2.write_run(
+            0,
+            [
+                (21, entry(1, 2, 2, 2)), // cell 1: b without its a label
+                (20, entry(0, 1, 1, 1)), // cell 0: lone /a (out of order on purpose)
+            ],
+        );
+        assert_eq!(store2.run(0).map(|(_, e)| e.cell).collect::<Vec<_>>(), vec![0, 1]);
         let join2 = TwigJoin::new(&p, &store2, &resolved);
         assert!(!join2.matches_row(0));
     }
@@ -754,46 +858,132 @@ mod tests {
         assert!(!store.is_complete_for(2));
         store.mark_incomplete();
         assert!(!store.is_complete_for(1));
-        store.record_label(1, entry(1, 0, 1, 1, 1));
-        assert_eq!(store.stream(1), &[]);
+        store.write_run(1, [(1, entry(0, 1, 1, 1))]);
+        assert_eq!(store.run(1).count(), 0);
+        assert_eq!(store.postings().count(), 0);
     }
 
     #[test]
-    fn prune_row_drains_and_drops_empty_streams() {
+    fn prune_row_empties_the_run_and_its_postings() {
         let mut s = LabelStore::default();
         for row in 0..3u64 {
-            s.record_label(1, entry(row, 0, 1, 4, 1));
-            s.record_label(2, entry(row, 0, 2, 3, 2));
-            s.finish_row();
+            let mut run = vec![(1, entry(0, 1, 4, 1)), (2, entry(0, 2, 3, 2))];
+            if row == 1 {
+                run.push((9, entry(0, 4, 4, 2))); // a path only row 1 has
+            }
+            s.write_run(row, run);
         }
-        s.record_label(9, entry(1, 0, 4, 4, 2)); // path only row 1 has
         s.prune_row(1);
-        assert_eq!(s.stream(1).iter().map(|e| e.row).collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(s.stream(9), &[], "stream emptied by the prune is dropped");
-        assert_eq!(s.streams().count(), 2);
-        // Pruning a row with no labels is a no-op.
+        assert_eq!(posting(&s, 1), vec![0, 2]);
+        assert_eq!(s.run(1).count(), 0);
+        assert!(posting(&s, 9).is_empty(), "a path no row holds has no posting");
+        assert_eq!(s.postings().count(), 2);
+        assert_eq!(s.labeled_rows(), 3, "a deleted rowid stays in the domain");
+        // Pruning a row with no labels, or past the domain, is a no-op.
+        s.prune_row(1);
         s.prune_row(77);
-        assert_eq!(s.stream(1).len(), 2);
+        assert_eq!(posting(&s, 1), vec![0, 2]);
     }
 
     #[test]
-    fn sorted_insert_matches_rebuild_order() {
-        // Rows 0 and 2 ingested, then row 1 re-labeled (replace): the
-        // stream must read exactly as if rows 0,1,2 were ingested in order.
+    fn rewritten_run_equals_a_fresh_one() {
+        // Rows 0..3 ingested, then row 1 re-labeled (replace): runs and
+        // postings must read exactly as if row 1 had been ingested so.
         let mut replaced = LabelStore::default();
-        replaced.record_label(1, entry(0, 0, 1, 2, 1));
-        replaced.finish_row();
-        replaced.record_label(1, entry(2, 0, 1, 2, 1));
-        replaced.finish_row();
-        replaced.insert_label_sorted(1, entry(1, 0, 1, 3, 1));
-        replaced.insert_label_sorted(1, entry(1, 0, 2, 3, 2));
-        let mut rebuilt = LabelStore::default();
-        for (row, pre, post, level) in
-            [(0, 1, 2, 1), (1, 1, 3, 1), (1, 2, 3, 2), (2, 1, 2, 1)]
-        {
-            rebuilt.record_label(1, entry(row, 0, pre, post, level));
+        for row in 0..3u64 {
+            replaced.write_run(row, [(1, entry(0, 1, 2, 1))]);
         }
-        assert_eq!(replaced.stream(1), rebuilt.stream(1));
+        replaced.write_run(1, [(2, entry(0, 2, 3, 2)), (1, entry(0, 1, 3, 1))]);
+        let mut fresh = LabelStore::default();
+        fresh.write_run(0, [(1, entry(0, 1, 2, 1))]);
+        fresh.write_run(1, [(1, entry(0, 1, 3, 1)), (2, entry(0, 2, 3, 2))]);
+        fresh.write_run(2, [(1, entry(0, 1, 2, 1))]);
+        for row in 0..3 {
+            assert_eq!(replaced.run(row).collect::<Vec<_>>(), fresh.run(row).collect::<Vec<_>>());
+        }
+        for hash in [1, 2] {
+            assert_eq!(posting(&replaced, hash), posting(&fresh, hash));
+        }
+        assert_eq!(posting(&replaced, 2), vec![1]);
+        let mut counts = replaced.path_counts();
+        counts.sort_unstable();
+        assert_eq!(counts, vec![(1, 3, 3), (2, 1, 1)]);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_position_not_below() {
+        let s = [2u64, 4, 6, 8, 10, 12, 14];
+        for (x, want) in [(0, 0), (2, 0), (3, 1), (8, 3), (13, 6), (14, 6), (15, 7)] {
+            assert_eq!(gallop(&s, x), want, "x = {x}");
+        }
+        assert_eq!(gallop(&[], 5), 0);
+    }
+
+    #[test]
+    fn intersection_of_empty_inputs_is_empty() {
+        assert!(intersect(&[], &[]).is_empty());
+        assert!(intersect(&[], &[1, 2, 3]).is_empty());
+        assert!(intersect(&[1, 2, 3], &[]).is_empty());
+    }
+
+    #[test]
+    fn intersection_of_disjoint_inputs_is_empty() {
+        assert!(intersect(&[1, 3, 5], &[2, 4, 6]).is_empty());
+        assert!(intersect(&[1, 2], &[10, 20, 30, 40]).is_empty());
+        assert!(intersect(&[100, 200, 300], &[1]).is_empty());
+    }
+
+    #[test]
+    fn intersection_of_equal_inputs_is_either_input() {
+        let v: Vec<u64> = (0..50).map(|i| i * 3).collect();
+        assert_eq!(intersect(&v, &v), v);
+    }
+
+    #[test]
+    fn intersection_with_the_rows_side_longer() {
+        let rows: Vec<u64> = (0..1000).collect();
+        let posting = [0u64, 17, 500, 999, 5000];
+        assert_eq!(intersect(&rows, &posting), vec![0, 17, 500, 999]);
+        let mut hits = Vec::new();
+        for_each_common(&rows, &posting, |i| hits.push(i));
+        assert_eq!(hits, vec![0, 17, 500, 999], "hits are positions in `rows`");
+    }
+
+    #[test]
+    fn intersection_with_the_postings_side_longer() {
+        let posting: Vec<u64> = (0..1000).map(|i| i * 2).collect();
+        let rows = [1u64, 4, 5, 998, 1998, 1999, 4000];
+        assert_eq!(intersect(&rows, &posting), vec![4, 998, 1998]);
+        let mut hits = Vec::new();
+        for_each_common(&rows, &posting, |i| hits.push(i));
+        assert_eq!(hits, vec![1, 3, 4], "hits are positions in `rows`");
+    }
+
+    #[test]
+    fn candidates_agree_narrowed_and_unnarrowed() {
+        // 40 rows: /a everywhere, /a/b on multiples of 3, /a/c on even rows.
+        let mut s = LabelStore::default();
+        for row in 0..40u64 {
+            let mut run = vec![(1, entry(0, 1, 3, 1))];
+            if row % 3 == 0 {
+                run.push((2, entry(0, 2, 2, 2)));
+            }
+            if row % 2 == 0 {
+                run.push((4, entry(0, 3, 3, 2)));
+            }
+            s.write_run(row, run);
+        }
+        s.prune_row(12);
+        let mut p = Pattern::root(Edge::Child, "a", false);
+        p.add_child(0, Edge::Child, "b", false).unwrap();
+        p.add_child(0, Edge::Child, "c", false).unwrap();
+        let resolved = resolve_pattern(&p, &PATHS_ABC);
+        let join = TwigJoin::new(&p, &s, &resolved);
+        let want: Vec<u64> = (0..40).filter(|r| r % 6 == 0 && *r != 12).collect();
+        assert_eq!(join.candidates(None), want);
+        let all: Vec<u64> = (0..40).collect();
+        assert_eq!(join.candidates(Some(&all)), want);
+        assert_eq!(join.candidates(Some(&[6, 7, 12, 30])), vec![6, 30]);
     }
 
     #[test]

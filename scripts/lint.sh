@@ -70,17 +70,23 @@ if grep -rn --include='*.rs' -E '\b(TcpListener|TcpStream)\b' crates tests \
   exit 1
 fi
 
-# Structural label streams are built in exactly one place: `Table::push_row`
-# calling into crates/twig's LabelStore. Any other construction site could
-# drift from the insert path and break the labels-complete invariant the
-# twig join's soundness rests on. The rebuild oracle (core/src/verify.rs)
-# is the one exception: it constructs a scratch LabelStore from the live
-# rows to *compare* against the maintained one, and never installs it.
-if grep -rn --include='*.rs' -E '\.(record_label|finish_row)\(' crates tests \
+# Structural label runs are written in exactly one place: `Table::push_row`
+# and `Table::replace_row` (through `Table::observe_row`) calling into
+# crates/twig's `LabelStore::write_run`. Any other writer could drift from
+# the insert path and break the labels-complete invariant the twig join's
+# soundness rests on. The rebuild oracle (core/src/verify.rs) is the one
+# exception: it writes a scratch LabelStore from the live rows to *compare*
+# against the maintained one, and never installs it. The grep must find the
+# storage call site, or a rename would leave it passing vacuously.
+if ! grep -qn --include='*.rs' -rE '\.write_run\(' crates/storage/src; then
+  echo "error: no LabelStore::write_run call in crates/storage (update this confinement check to the label-writing method)" >&2
+  exit 1
+fi
+if grep -rn --include='*.rs' -E '\.write_run\(' crates tests \
     | grep -v '^crates/twig/' \
     | grep -v '^crates/storage/' \
     | grep -v '^crates/core/src/verify.rs'; then
-  echo "error: label-stream construction outside crates/twig and crates/storage (labels are built only on the insert path)" >&2
+  echo "error: label-run writes outside crates/twig and crates/storage (labels are built only on the insert path)" >&2
   exit 1
 fi
 
