@@ -549,7 +549,7 @@ fn prefilter_report() {
          \"off_millis\": {:.3},\n  \"on_millis\": {:.3},\n  \"speedup\": {speedup:.3},\n  \
          \"prefilter_docs_skipped\": {skipped},\n  \
          \"plan_cache\": {{ \"runs\": {cache_runs}, \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \
-         \"note\": \"off = ExecOptions.prefilter=false, equivalent to XQDB_PREFILTER=off or --no-prefilter; results are asserted identical on and off\"\n}}\n",
+         \"note\": \"off = ExecOptions.prefilter=false, equivalent to --no-prefilter; results are asserted identical on and off\"\n}}\n",
         query.replace('\"', "\\\""),
         docs + promo,
         best[0],
@@ -647,7 +647,7 @@ fn twig_report() {
          \"off_millis\": {:.3},\n  \"on_millis\": {:.3},\n  \"speedup\": {speedup:.3},\n  \
          \"twig_joins\": {joins},\n  \"twig_candidates\": {candidates},\n  \
          \"twig_docs_skipped\": {skipped},\n  \
-         \"note\": \"off = ExecOptions.twig=false, equivalent to XQDB_TWIG=off or --no-twig; the leading // defeats the rooted-path prefilter, so off means full navigation; results are asserted identical on and off\"\n}}\n",
+         \"note\": \"off = ExecOptions.twig=false, equivalent to --no-twig; the leading // defeats the rooted-path prefilter, so off means full navigation; results are asserted identical on and off\"\n}}\n",
         query.replace('\"', "\\\""),
         docs + remarked,
         best[0],
@@ -671,7 +671,7 @@ fn twig_report() {
 /// (what the rule-based planner takes first) is steered by index names;
 /// the report builds both orders, asserts the costed planner picks the
 /// narrow index under both while the forced first-eligible twin
-/// (`cost: false`, i.e. `XQDB_COST=off`) follows catalog order, and
+/// (`cost: false`, i.e. `--no-cost`) follows catalog order, and
 /// times costed vs forced-wrong-index on the order where the broad
 /// index comes first. Document count overridable via
 /// `XQDB_BENCH_PLANNER_DOCS`.
@@ -788,7 +788,7 @@ fn planner_report() {
          \"forced_wrong_index_millis\": {:.3},\n  \"costed_millis\": {:.3},\n  \
          \"speedup\": {speedup:.3},\n  \"est_rows\": {est},\n  \"actual_rows\": {actual},\n  \
          \"order_independent\": true,\n  \
-         \"note\": \"forced = ExecOptions.cost=false, equivalent to XQDB_COST=off or --no-cost; the costed planner picks the narrow index under both catalog orders and results are asserted identical\"\n}}\n",
+         \"note\": \"forced = ExecOptions.cost=false, equivalent to --no-cost; the costed planner picks the narrow index under both catalog orders and results are asserted identical\"\n}}\n",
         query.replace('\"', "\\\""),
         best[0],
         best[1],

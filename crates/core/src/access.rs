@@ -36,13 +36,8 @@ use crate::prefilter::SourcePrefilter;
 use crate::twig::{PreparedTwig, SourceTwig};
 
 /// The access-path switches: structural pre-filter, holistic twig join and
-/// cost-based index choice, all on by default.
-///
-/// The environment wins: `XQDB_PREFILTER`, `XQDB_TWIG` and `XQDB_COST` set
-/// to `off`/`0`/`false` (any case) turn a switch off whatever the caller
-/// asks, so the effective value is environment AND caller. Callers fold
-/// the environment in once, with [`AccessConfig::resolve`]; the resolved
-/// value then drives planning, the plan-cache key and the pipeline.
+/// cost-based index choice, all on by default. A session's or a run's
+/// value drives planning, the plan-cache key and the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessConfig {
     /// Apply the structural pre-filter (path signatures).
@@ -61,30 +56,6 @@ impl Default for AccessConfig {
 }
 
 impl AccessConfig {
-    /// The switches the environment leaves on. The only reader of the
-    /// switch variables outside the ingest-time labeling gate in storage.
-    pub fn from_env() -> AccessConfig {
-        AccessConfig {
-            prefilter: env_switch("XQDB_PREFILTER"),
-            twig: xqdb_twig::enabled_in_env(),
-            cost: env_switch("XQDB_COST"),
-        }
-    }
-
-    /// This configuration with the environment folded in.
-    pub(crate) fn resolve(self) -> AccessConfig {
-        self.and(AccessConfig::from_env())
-    }
-
-    /// Switch-wise AND.
-    pub(crate) fn and(self, other: AccessConfig) -> AccessConfig {
-        AccessConfig {
-            prefilter: self.prefilter && other.prefilter,
-            twig: self.twig && other.twig,
-            cost: self.cost && other.cost,
-        }
-    }
-
     /// The plan-cache key for `text`. Cost is part of it: a costed and a
     /// rule-based plan for the same text are different plans, and a
     /// cost-off run must never leave a plan a cost-on run reuses.
@@ -94,14 +65,6 @@ impl AccessConfig {
         } else {
             Cow::Owned(format!("#nocost\n{text}"))
         }
-    }
-}
-
-/// True unless `var` is set to `off`/`0`/`false` (case-insensitive).
-fn env_switch(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
     }
 }
 
@@ -167,7 +130,7 @@ pub(crate) type Survivors = HashMap<String, BTreeSet<u64>>;
 /// One statement's run of the pipeline.
 pub(crate) struct AccessPaths<'a> {
     pub catalog: &'a Catalog,
-    /// The resolved switches.
+    /// The switches.
     pub config: AccessConfig,
     /// Twig joins shard their row sets over this pool.
     pub pool: WorkerPool,

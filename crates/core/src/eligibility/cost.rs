@@ -11,8 +11,9 @@
 //!
 //! Every estimate is advisory: probes remain conservative pre-filters, so a
 //! misestimate can only cost time, never rows (Definition 1). That is what
-//! makes the costed planner safe to gate behind `XQDB_COST` and to compare
-//! byte-for-byte against the rule-based one in `tests/cost_prop.rs`.
+//! makes the costed planner safe to switch off (`AccessConfig::cost`) and to
+//! compare byte-for-byte against the rule-based one in
+//! `tests/access_oracle.rs`.
 
 use std::ops::Bound;
 

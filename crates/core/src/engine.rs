@@ -218,15 +218,14 @@ pub fn plan_query(catalog: &Catalog, query: Query, env: &AnalysisEnv) -> QueryPl
 }
 
 /// [`plan_query`] recording a `plan` span with an `eligibility check`
-/// child when the trace is live. Costing follows the environment
-/// ([`AccessConfig::from_env`]).
+/// child when the trace is live. Index choice is costed.
 pub fn plan_query_traced(
     catalog: &Catalog,
     query: Query,
     env: &AnalysisEnv,
     trace: &Trace,
 ) -> QueryPlan {
-    plan_query_costed(catalog, query, env, trace, AccessConfig::from_env().cost)
+    plan_query_costed(catalog, query, env, trace, true)
 }
 
 /// [`plan_query_traced`] with the cost model explicitly enabled or
@@ -301,10 +300,8 @@ pub fn run_xquery_with_limits(
 
 /// Execution options: resource limits, the parallelism degree, the
 /// observability handle and the caller's [`AccessConfig`] switches, kept
-/// as three flat fields. Each run resolves them against the environment
-/// once ([`AccessConfig::resolve`]): the environment wins, so the flags
-/// only let benches and tests compare both paths in-process without
-/// racing on the environment.
+/// as three flat fields so the shell, benches and tests can compare the
+/// access paths in-process.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Resource limits for the run.
@@ -365,8 +362,7 @@ fn run_traced(
     let started = obs.metrics_enabled().then(Instant::now);
     obs.incr(Counter::QueriesExecuted);
     let result: Result<(Arc<QueryPlan>, ExecOutcome), XdmError> = (|| {
-        let access =
-            AccessConfig { prefilter: opts.prefilter, twig: opts.twig, cost: opts.cost }.resolve();
+        let access = AccessConfig { prefilter: opts.prefilter, twig: opts.twig, cost: opts.cost };
         let key = access.plan_key(text);
         let cached = catalog.cached_plan(&key);
         let cache_hit = cached.is_some();
@@ -468,13 +464,12 @@ pub struct ParallelExecutor {
 
 impl ParallelExecutor {
     /// Executor with the given parallelism degree (0 and 1 mean serial)
-    /// and the environment's access switches ([`AccessConfig::from_env`]).
+    /// and every access switch on.
     pub fn new(threads: usize) -> Self {
-        ParallelExecutor::with_access(threads, AccessConfig::from_env())
+        ParallelExecutor::with_access(threads, AccessConfig::default())
     }
 
-    /// Executor running the access pipeline under already-resolved
-    /// switches.
+    /// Executor running the access pipeline under `access`.
     pub(crate) fn with_access(threads: usize, access: AccessConfig) -> Self {
         ParallelExecutor { pool: WorkerPool::new(threads), access }
     }
@@ -532,7 +527,7 @@ impl ParallelExecutor {
         let filters = paths.survivors(&sources, &ctx.budget, &mut stats)?;
         for a in &plan.accesses {
             let total =
-                catalog.db.resolve_xml_column(&a.source).map(|(t, _)| t.len()).unwrap_or(0);
+                catalog.db.resolve_xml_column(&a.source).map_or(0, |(t, _)| t.live_len());
             let evaluated = filters.get(&a.source).map_or(total, BTreeSet::len);
             stats.docs_total.insert(a.source.clone(), total);
             stats.docs_evaluated.insert(a.source.clone(), evaluated);

@@ -12,7 +12,7 @@
 //! * [`catalog`] — tables + XML indexes, with maintenance on insert;
 //! * [`access`] — the one access-path pipeline (scalar filter → index
 //!   probe → twig join → signature pre-filter) both front ends and DML
-//!   narrow their sources with, under one resolved [`AccessConfig`];
+//!   narrow their sources with, under one [`AccessConfig`];
 //! * `walk` — the one pass over a query (filtering-context analysis):
 //!   index candidates, EXPLAIN notes and the structural uses that
 //!   `structure` derives into prefilter groups and twig patterns;

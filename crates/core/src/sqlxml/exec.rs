@@ -153,12 +153,9 @@ pub struct SqlSession {
     pub parse_limits: xqdb_xmlparse::ParseLimits,
     /// Observability handle shared by every statement of the session.
     pub obs: Obs,
-    /// The caller's access-path switches (all on by default). The
-    /// environment still wins: each statement runs under these AND the
-    /// environment's switches, which the session read once when built.
+    /// The access-path switches every statement runs under (all on by
+    /// default).
     pub access: AccessConfig,
-    /// The environment's switches, read when the session was built.
-    env_access: AccessConfig,
     /// The durability layer, when the session is backed by a data
     /// directory (see [`SqlSession::open_durable`]).
     durability: Option<Arc<Durability>>,
@@ -175,7 +172,6 @@ impl Default for SqlSession {
             parse_limits: xqdb_xmlparse::ParseLimits::default(),
             obs: Obs::default(),
             access: AccessConfig::default(),
-            env_access: AccessConfig::from_env(),
             durability: None,
             stmt_cache: Mutex::new(PlanCache::default()),
         }
@@ -248,12 +244,6 @@ impl SqlSession {
         session.catalog = catalog;
         session.durability = Some(durability);
         Ok((session, report))
-    }
-
-    /// The switches statements run under: [`SqlSession::access`] with the
-    /// environment folded in.
-    pub(crate) fn access_config(&self) -> AccessConfig {
-        self.access.and(self.env_access)
     }
 
     /// The durability layer, when this session has one.
@@ -462,7 +452,7 @@ impl SqlSession {
         let pool = WorkerPool::new(self.catalog.runtime.effective_threads());
         let filters = self.survivors(&plan, pool, trace, budget, &mut stats)?;
         let mut span = trace.span("scan");
-        stats.docs_total.insert(t.name.clone(), t.len());
+        stats.docs_total.insert(t.name.clone(), t.live_len());
         let parsed_before = self.catalog.db.xml_docs_parsed();
         let mut fetched = 0usize;
         let mut out = Vec::new();
@@ -571,7 +561,7 @@ impl SqlSession {
         // *shared* catalog, so a DDL — or heavy DML drift — committed by
         // any other session of a server invalidates this session's
         // cached plans on the next lookup.
-        let key = self.access_config().plan_key(sql);
+        let key = self.access.plan_key(sql);
         let epoch = self.catalog.plan_epoch();
         let cached = match self.stmt_cache.lock() {
             Ok(mut cache) => cache.get(&key, epoch),
@@ -791,10 +781,10 @@ impl SqlSession {
             }
         }
         // Compile per-source access conditions, costed against the table's
-        // synopsis statistics when the session (and environment) allow it.
+        // synopsis statistics when the session allows it.
         // Sources are visited in sorted order so cost notes and candidate
         // tallies are deterministic across runs.
-        let use_cost = self.access_config().cost;
+        let use_cost = self.access.cost;
         let mut all_conds: Vec<_> = plan.conds.clone().into_iter().collect();
         all_conds.sort_by(|a, b| a.0.cmp(&b.0));
         for (source, conds) in all_conds {
@@ -962,7 +952,7 @@ impl SqlSession {
             .collect();
         let paths = AccessPaths {
             catalog: &self.catalog,
-            config: self.access_config(),
+            config: self.access,
             pool,
             obs: &self.obs,
             trace,
@@ -996,7 +986,7 @@ impl SqlSession {
             match item {
                 FromItem::Table { name, alias } => {
                     let t = self.table(name)?;
-                    stats.docs_total.insert(t.name.clone(), t.len());
+                    stats.docs_total.insert(t.name.clone(), t.live_len());
                     // Survivors narrow a table under every alias, so a table
                     // joined with itself is fetched whole: a conjunct over
                     // one alias says nothing about the other's rows.

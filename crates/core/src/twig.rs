@@ -236,11 +236,6 @@ mod tests {
     #[test]
     fn end_to_end_against_real_labels() {
         use xqdb_storage::{Column, SqlType, SqlValue, Table};
-        if !xqdb_twig::enabled_in_env() {
-            // The lint gate's XQDB_TWIG=off pass: labels are never built,
-            // so prepare correctly declines — nothing end-to-end to check.
-            return;
-        }
         let mut t = Table::new(
             "orders",
             vec![Column::new("id", SqlType::Integer), Column::new("doc", SqlType::Xml)],

@@ -445,8 +445,6 @@ mod tests {
     #[test]
     fn detects_a_stale_label() {
         let c = seeded_catalog();
-        let t = c.db.table("ORDERS").unwrap();
-        let labeled = t.labels().is_complete_for(t.len() as u64);
         // Row 1's document now reads `<prize>` where the label store (and
         // the synopsis, signature and index) still describe `<price>`.
         assert_eq!(rewrite_records(&c, "ORDERS", b"price>15</price", b"prize>15</prize"), 1);
@@ -454,10 +452,8 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("row 1: stored signature differs"), "report: {rendered}");
         assert!(rendered.contains("index IDX_PRICE"), "report: {rendered}");
-        // Labels are compared only when the store vouches for the table
-        // (not when twig labeling is switched off in the environment).
-        assert_eq!(rendered.contains("row 1: label run"), labeled, "report: {rendered}");
-        assert_eq!(rendered.contains("label posting"), labeled, "report: {rendered}");
+        assert!(rendered.contains("row 1: label run"), "report: {rendered}");
+        assert!(rendered.contains("label posting"), "report: {rendered}");
     }
 
     #[test]
@@ -479,10 +475,8 @@ mod tests {
         assert!(report.is_clean(), "unexpected issues:\n{}", report.render());
         let t = s.catalog.db.table("T").unwrap();
         let run: Vec<_> = t.labels().run(0).map(|(_, e)| (e.pre, e.level)).collect();
-        if t.labels().is_complete_for(t.len() as u64) {
-            // <a> is the stored document's root element: arena id 1, level 1.
-            assert_eq!(run.first(), Some(&(1, 1)), "run: {run:?}");
-        }
+        // <a> is the stored document's root element: arena id 1, level 1.
+        assert_eq!(run.first(), Some(&(1, 1)), "run: {run:?}");
     }
 
     #[test]

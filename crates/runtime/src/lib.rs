@@ -78,12 +78,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Parallelism degree requested by the test environment
-/// (`XQDB_TEST_THREADS=N`), used by test suites to re-run under a pool.
-pub fn test_threads_from_env() -> Option<usize> {
-    std::env::var("XQDB_TEST_THREADS").ok()?.trim().parse().ok()
-}
-
 /// Split `len` items into at most `chunks` contiguous ranges of
 /// near-equal size. Empty ranges are never produced; fewer ranges than
 /// requested come back when `len < chunks`.

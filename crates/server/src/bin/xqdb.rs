@@ -1010,9 +1010,9 @@ fn dot_command(session: &mut SqlSession, cmd: &str) -> bool {
                  XQuery:       xquery <expr>;        explain xquery <expr>;        explain analyze xquery <expr>;\n\
                  shell:        .tables  .indexes  .checkpoint  .help  .quit\n\
                  flags:        --timeout-ms N  --max-steps N  --max-doc-bytes N  --threads N  --buffer-pages N  --no-prefilter  --no-twig  --no-cost  --trace  --metrics-json PATH\n\
-                 prefilter:    structural pre-filter is on by default; disable with --no-prefilter or XQDB_PREFILTER=off\n\
-                 twig:         holistic twig join is on by default; disable with --no-twig or XQDB_TWIG=off; xqdb labels PATH TABLE dumps per-path label counts\n\
-                 cost:         cost-based index choice is on by default; disable with --no-cost or XQDB_COST=off; xqdb stats PATH TABLE dumps synopsis statistics\n\
+                 prefilter:    structural pre-filter is on by default; disable with --no-prefilter\n\
+                 twig:         holistic twig join is on by default; disable with --no-twig; xqdb labels PATH TABLE dumps per-path label counts\n\
+                 cost:         cost-based index choice is on by default; disable with --no-cost; xqdb stats PATH TABLE dumps synopsis statistics\n\
                  storage:      --buffer-pages N (or XQDB_BUFFER_PAGES) caps every buffer pool; xqdb pages PATH prints page-file stats\n\
                  durability:   --data-dir PATH  --fsync always|batch|off  (xqdb recover PATH replays and reports)"
             );

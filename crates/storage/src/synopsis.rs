@@ -20,7 +20,7 @@
 //! direct inserts and WAL replay go through, so recovery rebuilds them
 //! without any log-format change.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use xqdb_xdm::{ExpandedName, NodeHandle, NodeKind};
 
@@ -582,7 +582,8 @@ fn observe_impl(
     sink: Option<&mut dyn FnMut(u64, u32, u32, u32)>,
 ) -> PathSignature {
     let mut sig = PathSignature::default();
-    let mut walker = Walker { sig: &mut sig, synopsis, sink, components: Vec::new() };
+    let mut walker =
+        Walker { sig: &mut sig, synopsis, sink, components: Vec::new(), seen: HashSet::new() };
     match root.kind() {
         NodeKind::Document => {
             for child in root.children() {
@@ -620,17 +621,17 @@ struct Walker<'a, 's> {
     synopsis: Option<&'a mut PathSynopsis>,
     sink: Option<&'s mut dyn FnMut(u64, u32, u32, u32)>,
     components: Vec<(bool, ExpandedName)>,
+    /// The path hashes this document has recorded. Signature bits cannot
+    /// stand in for it: two paths may share a bit, and a path counted
+    /// short at insert is decremented in full at delete.
+    seen: HashSet<u64>,
 }
 
 impl Walker<'_, '_> {
     fn visit(&mut self, hash: u64) {
-        let first_in_doc = !self.sig.contains_hash(hash);
         self.sig.set_hash(hash);
         if let Some(s) = self.synopsis.as_deref_mut() {
-            // Bit-idempotence above is per signature; the dictionary counts
-            // a path once per document, approximated by "once per new bit"
-            // plus exact hash dedup below.
-            if first_in_doc || !s.contains_hash(hash) {
+            if self.seen.insert(hash) {
                 let components = &self.components;
                 s.record(hash, || {
                     let mut out = String::new();
@@ -748,6 +749,26 @@ mod tests {
         assert!(signature_for_document(&plain.root()).contains_hash(h_plain));
         assert!(signature_for_document(&spaced.root()).contains_hash(h_ns));
         assert!(!signature_for_document(&spaced.root()).contains_hash(h_plain));
+    }
+
+    #[test]
+    fn a_path_sharing_a_signature_bit_is_counted_per_document() {
+        // `/r/qN` sets the bit `/r/p` maps to, ahead of `/r/p` in one document.
+        let mut bit = PathSignature::default();
+        bit.set_hash(hash_path(&["r", "p"]));
+        let q = (0..)
+            .map(|i| format!("q{i}"))
+            .find(|q| bit.contains_hash(hash_path(&["r", q])))
+            .unwrap();
+        let mut syn = PathSynopsis::default();
+        let kept = doc("<r><p/></r>");
+        let gone = doc(&format!("<r><{q}/><p/></r>"));
+        observe_document(&kept.root(), Some(&mut syn));
+        observe_document(&gone.root(), Some(&mut syn));
+        for h in document_path_hashes(&gone.root()) {
+            syn.decrement(h);
+        }
+        assert_eq!(syn.paths().find(|(p, _)| *p == "/r/p").map(|(_, n)| n), Some(1));
     }
 
     #[test]

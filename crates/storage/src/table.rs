@@ -477,16 +477,15 @@ impl Table {
     }
 
     /// Observe an incoming row's XML cells (INSERT/REPLACE): add them to
-    /// the synopsis, write the row's label run when the store is still
-    /// complete (or mark it incomplete when labeling is off), and return
-    /// the row's path signature. A cell that is not a parsed document — a
-    /// node an `XMLQUERY` selected or constructed — is labeled from the
-    /// document its serialization parses to, which is the form the record
-    /// stores and every later decode sees: the node's own arena ids are
-    /// not that document's. Its paths, values and signature are the same
-    /// either way.
+    /// the synopsis, write the row's label run unless the store is already
+    /// incomplete, and return the row's path signature. A cell that is not
+    /// a parsed document — a node an `XMLQUERY` selected or constructed —
+    /// is labeled from the document its serialization parses to, which is
+    /// the form the record stores and every later decode sees: the node's
+    /// own arena ids are not that document's. Its paths, values and
+    /// signature are the same either way.
     fn observe_row(&mut self, rowid: u64, row: &[SqlValue]) -> PathSignature {
-        let labeling = xqdb_twig::enabled_in_env() && !self.labels.is_incomplete();
+        let labeling = !self.labels.is_incomplete();
         let mut sig = PathSignature::default();
         let mut run = Vec::new();
         let mut cell = 0u32;
@@ -513,10 +512,6 @@ impl Table {
         }
         if labeling {
             self.labels.write_run(rowid, run);
-        } else {
-            // Labeling disabled (XQDB_TWIG=off) or already incomplete:
-            // keep the store honestly unusable rather than part-labeled.
-            self.labels.mark_incomplete();
         }
         sig
     }

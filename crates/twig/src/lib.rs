@@ -132,9 +132,9 @@ impl LabelStore {
         id
     }
 
-    /// Record that at least one row was adopted without labels (e.g.
-    /// page-image recovery, or ingest with labeling disabled). Sticky:
-    /// the table's twig path stays disabled until the store is rebuilt.
+    /// Record that at least one row was adopted without labels (page-image
+    /// recovery). Sticky: the table's twig path stays disabled until the
+    /// store is rebuilt.
     pub fn mark_incomplete(&mut self) {
         *self = LabelStore { incomplete: true, ..LabelStore::default() };
     }
@@ -674,16 +674,6 @@ fn gallop(s: &[u64], x: u64) -> usize {
     let lo = hi / 2;
     let hi = hi.min(s.len());
     lo + s[lo..hi].partition_point(|&v| v < x)
-}
-
-/// The `XQDB_TWIG` kill switch: `off`, `0` or `false` (any case)
-/// disables both label construction at ingest and the twig path at
-/// execution; anything else — including unset — enables them.
-pub fn enabled_in_env() -> bool {
-    match std::env::var("XQDB_TWIG") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Lint gate: deny warnings plus unwrap/expect in non-test code, keep thread
-# spawning confined to the runtime crate, and run the test suite a second
-# time at a parallel degree.
+# spawning (and the other confined concerns below) in their crates, and run
+# the test suite once more with durable sessions and a starved buffer pool.
 #
 # unwrap_used/expect_used are allowed inside #[cfg(test)] (see clippy.toml);
 # production code must return typed errors instead. The only blanket opt-out
@@ -112,28 +112,13 @@ if grep -rln --include='*.rs' 'reclaim_tombstones' crates tests \
   exit 1
 fi
 
-# The access-path switches are read in exactly one place: AccessConfig
-# (crates/core/src/access.rs) folds XQDB_PREFILTER, XQDB_TWIG and XQDB_COST
-# into a session's or a run's configuration once, and everything else asks
-# it. Another reader could drift from the documented precedence
-# (environment AND caller) or read the environment mid-statement. Exempt:
-# crates/twig, which owns the XQDB_TWIG parser; the ingest-time labeling
-# gate in crates/storage/src/table.rs, which cannot see session config; and
-# test code (tests/ trees, and a source file's trailing #[cfg(test)] module).
-SWITCH_READ='var(_os)?\("XQDB_(PREFILTER|TWIG|COST)"|xqdb_twig::enabled_in_env\(\)'
-switch_reads=$(
-  grep -rlE --include='*.rs' "$SWITCH_READ" crates \
-    | grep -v '^crates/twig/' \
-    | grep -v '^crates/storage/src/table.rs$' \
-    | grep -v '^crates/core/src/access.rs$' \
-    | grep -v '/tests/' \
-    | while read -r f; do
-        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$SWITCH_READ" | sed "s|^|$f:|"
-      done
-) || true
-if [ -n "$switch_reads" ]; then
-  echo "$switch_reads"
-  echo "error: access-path switch read outside AccessConfig (resolve it through xqdb_core::AccessConfig)" >&2
+# The access-path switches have no environment spelling: a session's or a
+# run's AccessConfig (the shell's --no-prefilter/--no-twig/--no-cost, the
+# ExecOptions fields) is the only way to turn a stage off, and
+# tests/access_oracle.rs checks every combination in-process. A variable
+# read anywhere would bring back a configuration no test covers.
+if grep -rnE 'XQDB_(PREFILTER|TWIG|COST|TEST_THREADS)' crates tests; then
+  echo "error: access-path switch or test-thread environment variable (use AccessConfig / ExecOptions)" >&2
   exit 1
 fi
 
@@ -195,51 +180,24 @@ fi
 # direct in-process execution.
 cargo test -p xqdb-server --test paper_over_wire -q
 
-# Second test pass at a parallel degree: the chaos matrix picks the extra
-# thread count up from the environment, and every other test runs under
-# the same build to catch degree-dependent flakiness.
-XQDB_TEST_THREADS=4 cargo test --workspace -q
-
-# Third pass with every session transparently durable: XQDB_DATA_DIR makes
-# SqlSession::new() attach a WAL in a unique subdirectory (fsync off — the
-# fast mode), so the whole suite doubles as a write-ahead-ordering and
-# replay-compatibility soak. Baselines built via SqlSession::default() stay
-# in-memory by design, so oracle comparisons remain meaningful.
+# One more test pass, with every session transparently durable and
+# starved for buffer pages. XQDB_DATA_DIR makes SqlSession::new() attach a
+# WAL in a unique subdirectory (fsync off, the fast mode), so the suite
+# doubles as a write-ahead-ordering and replay-compatibility soak;
+# baselines built via SqlSession::default() stay in-memory by design, so
+# oracle comparisons remain meaningful. A 4-frame pool (the minimum that
+# still holds a pinned page and its chain successor) forces continuous
+# eviction and re-fetch through every pager-backed structure, and
+# XQDB_TEST_DML_OPS lengthens the workload crate's mixed-DML scenario so
+# tombstoned, replaced and reclaimed pages cycle through that eviction.
+# Switch combinations, thread counts and reopened storage are covered
+# in-process by tests/access_oracle.rs.
 DURABLE_TMP="target/lint-durable-$$"
 rm -rf "$DURABLE_TMP"
 mkdir -p "$DURABLE_TMP"
-XQDB_DATA_DIR="$DURABLE_TMP" XQDB_FSYNC=off cargo test --workspace -q
+XQDB_DATA_DIR="$DURABLE_TMP" XQDB_FSYNC=off XQDB_BUFFER_PAGES=4 XQDB_TEST_DML_OPS=2000 \
+  cargo test --workspace -q
 rm -rf "$DURABLE_TMP"
-
-# Fourth pass with the structural pre-filter disabled: every result the
-# suite asserts must be reachable by the plain evaluation path too, so a
-# pre-filter bug can never hide behind its own optimization being on.
-XQDB_PREFILTER=off cargo test --workspace -q
-
-# Fifth pass starved for buffer pages: a 4-frame pool (the minimum that
-# still holds a pinned page and its chain successor) forces continuous
-# eviction and re-fetch through every pager-backed structure — tables,
-# index node pools, recovery — so no test may depend on pages staying
-# resident.
-XQDB_BUFFER_PAGES=4 cargo test --workspace -q
-
-# Sixth pass with the twig join disabled: labels are never built and every
-# query answers through navigation, so a twig-join bug can never hide
-# behind its own optimization being on (mirrors the pre-filter pass above).
-XQDB_TWIG=off cargo test --workspace -q
-
-# Seventh pass: buffer starvation × update churn. The 4-frame pool from
-# pass five combined with a much longer mixed-DML scenario run (inserts,
-# amends, deletes, hot-key skew — XQDB_TEST_DML_OPS scales the workload
-# crate's scenario test) cycles tombstoned, replaced, and reclaimed pages
-# through continuous eviction, so no DML path may depend on a retired
-# record's page staying resident.
-XQDB_BUFFER_PAGES=4 XQDB_TEST_DML_OPS=2000 cargo test --workspace -q
-
-# Eighth pass with cost-based planning disabled: every index choice falls
-# back to the first-eligible rule, so a costing bug can never hide behind
-# its own optimization being on (mirrors the pre-filter and twig passes).
-XQDB_COST=off cargo test --workspace -q
 
 # Histogram construction is confined to the storage crate: per-path value
 # statistics are recorded in exactly one place — the synopsis Walker on

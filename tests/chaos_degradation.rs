@@ -178,18 +178,8 @@ fn cancellation_token_stops_evaluation() {
 
 // ------------------------------------------------- parallel execution matrix
 
-/// The thread counts every matrix test runs at. `XQDB_TEST_THREADS` (set by
-/// `scripts/lint.sh` for its second test pass) adds an extra degree on top
-/// of the fixed {1, 2, 4, 8} ladder.
-fn thread_matrix() -> Vec<usize> {
-    let mut degrees = vec![1, 2, 4, 8];
-    if let Some(n) = xqdb_runtime::test_threads_from_env() {
-        if !degrees.contains(&n) {
-            degrees.push(n);
-        }
-    }
-    degrees
-}
+/// The thread counts every matrix test runs at.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn run_with_threads(c: &Catalog, q: &str, threads: usize) -> String {
     let opts = ExecOptions { threads, ..ExecOptions::default() };
@@ -208,7 +198,7 @@ fn paper_queries_byte_identical_across_thread_counts_and_fault_seeds() {
     let healthy = common::paper_session(true);
     for (label, q) in common::PAPER_QUERIES {
         let want = render(&run_xquery(&baseline.catalog, q).expect("baseline runs").sequence);
-        for &threads in &thread_matrix() {
+        for threads in THREADS {
             let got = run_with_threads(&healthy.catalog, q, threads);
             assert_eq!(got, want, "{label} diverged at {threads} threads (healthy index)");
         }
@@ -217,7 +207,7 @@ fn paper_queries_byte_identical_across_thread_counts_and_fault_seeds() {
             faulty.catalog.set_index_fault_injector(Some(Arc::new(FaultInjector::new(
                 FaultMode::Probability { permille: 500, seed },
             ))));
-            for &threads in &thread_matrix() {
+            for threads in THREADS {
                 let got = run_with_threads(&faulty.catalog, q, threads);
                 assert_eq!(
                     got, want,
@@ -243,7 +233,7 @@ fn workload_queries_byte_identical_across_thread_counts_and_fault_seeds() {
         seeded.set_index_fault_injector(Some(Arc::new(FaultInjector::new(
             FaultMode::Probability { permille: 500, seed: 7 },
         ))));
-        for &threads in &thread_matrix() {
+        for threads in THREADS {
             for (kind, c) in
                 [("healthy", &healthy), ("always-faulty", &always), ("seeded-faulty", &seeded)]
             {
@@ -323,19 +313,17 @@ fn prefiltered_scans_byte_identical_across_threads_and_faults() {
         }
     }
     // The on-filter runs above were not vacuous: the selective query really
-    // skips the synthetic orders (unless the environment disables it). The
-    // twig join is held off so the pre-filter is what does the skipping —
-    // it runs first and would otherwise leave the filter nothing to prune.
-    if std::env::var("XQDB_PREFILTER").map_or(true, |v| v != "off") {
-        let out = run_xquery_with_options(
-            &mixed(false),
-            prefilter_queries[0],
-            &ExecOptions { twig: false, ..ExecOptions::default() },
-        )
-        .expect("runs");
-        assert_eq!(out.stats.prefilter_docs_skipped, 100, "every promo-less doc is skipped");
-        assert_eq!(out.sequence.len(), 5, "every promo doc survives");
-    }
+    // skips the synthetic orders. The twig join is held off so the
+    // pre-filter is what does the skipping — it runs first and would
+    // otherwise leave the filter nothing to prune.
+    let out = run_xquery_with_options(
+        &mixed(false),
+        prefilter_queries[0],
+        &ExecOptions { twig: false, ..ExecOptions::default() },
+    )
+    .expect("runs");
+    assert_eq!(out.stats.prefilter_docs_skipped, 100, "every promo-less doc is skipped");
+    assert_eq!(out.sequence.len(), 5, "every promo doc survives");
 }
 
 /// The holistic twig join is, like the pre-filter, a pure execution
@@ -411,18 +399,15 @@ fn twig_joins_byte_identical_across_threads_and_faults() {
         }
     }
     // The twig-on runs above were not vacuous: the selective query really
-    // routes through the join and skips documents (unless the environment
-    // disables it).
-    if std::env::var("XQDB_TWIG").map_or(true, |v| !v.eq_ignore_ascii_case("off")) {
-        let opts = ExecOptions { prefilter: false, ..ExecOptions::default() };
-        let out = run_xquery_with_options(&mixed(false), twig_queries[2], &opts).expect("runs");
-        assert_eq!(out.stats.twig_joins, 1, "the branching query routes through the twig join");
-        assert_eq!(
-            out.stats.twig_docs_skipped, 100,
-            "every remark-less synthetic order is skipped structurally"
-        );
-        assert_eq!(out.sequence.len(), 5, "every remark order survives");
-    }
+    // routes through the join and skips documents.
+    let opts = ExecOptions { prefilter: false, ..ExecOptions::default() };
+    let out = run_xquery_with_options(&mixed(false), twig_queries[2], &opts).expect("runs");
+    assert_eq!(out.stats.twig_joins, 1, "the branching query routes through the twig join");
+    assert_eq!(
+        out.stats.twig_docs_skipped, 100,
+        "every remark-less synthetic order is skipped structurally"
+    );
+    assert_eq!(out.sequence.len(), 5, "every remark order survives");
 }
 
 /// Buffer-pool pressure is, like the index, the pre-filter and parallelism,
@@ -471,7 +456,7 @@ fn cancellation_under_parallelism_matches_serial_error_code() {
     // A partitionable query, so degrees > 1 actually exercise the pool.
     let query = xqdb_xquery::parse_query(QUERIES[2]).expect("query parses");
     let plan = xqdb_core::plan_query(&c, query, &xqdb_core::AnalysisEnv::new());
-    for &threads in &thread_matrix() {
+    for threads in THREADS {
         let budget = Arc::new(Budget::new(Limits::unlimited()));
         budget.cancel();
         let ctx = xqdb_xqeval::DynamicContext::new().with_budget(budget);
@@ -488,7 +473,7 @@ fn cancellation_under_parallelism_matches_serial_error_code() {
 fn budget_exhaustion_under_parallelism_matches_serial_error_code() {
     let c = orders_catalog(300, false);
     let q = QUERIES[2];
-    for &threads in &thread_matrix() {
+    for threads in THREADS {
         let opts = ExecOptions {
             limits: Limits::unlimited().with_max_steps(100),
             threads,
@@ -503,7 +488,7 @@ fn budget_exhaustion_under_parallelism_matches_serial_error_code() {
         );
     }
     let big = orders_catalog(10_000, false);
-    for &threads in &thread_matrix() {
+    for threads in THREADS {
         let opts = ExecOptions {
             limits: Limits::unlimited().with_timeout(std::time::Duration::from_millis(1)),
             threads,

@@ -17,17 +17,8 @@ use xqdb_obs::{Counter, Gauge, Histogram, MetricsSnapshot};
 use xqdb_xdm::{FaultInjector, FaultMode};
 use xqdb_workload::{create_paper_schema, load_orders, OrderParams};
 
-/// The thread counts the matrix runs at; `XQDB_TEST_THREADS` (set by
-/// `scripts/lint.sh` for its second test pass) adds an extra degree.
-fn thread_matrix() -> Vec<usize> {
-    let mut degrees = vec![1, 4];
-    if let Some(n) = xqdb_runtime::test_threads_from_env() {
-        if !degrees.contains(&n) {
-            degrees.push(n);
-        }
-    }
-    degrees
-}
+/// The thread counts the matrix runs at.
+const THREADS: [usize; 2] = [1, 4];
 
 /// A populated orders catalog; `index_ty` selects the paper's price index
 /// type (`None` = no index).
@@ -228,7 +219,7 @@ fn expected_counter_lines(stats: &ExecStats) -> Vec<String> {
 /// One family of the matrix: build a catalog, run its query under a shared
 /// observability handle, and check the three-way reconciliation.
 fn check_family(make_catalog: impl Fn() -> Catalog, query: &str, label: &str) {
-    for threads in thread_matrix() {
+    for threads in THREADS {
         let obs = Obs::new(ObsConfig::enabled());
         let mut catalog = make_catalog();
         catalog.obs = obs.clone();
@@ -359,7 +350,7 @@ fn missing_index_gets_a_doctor_line() {
 
 #[test]
 fn sql_explain_analyze_reconciles_with_registry() {
-    for threads in thread_matrix() {
+    for threads in THREADS {
         let obs = Obs::new(ObsConfig::enabled());
         let mut s = SqlSession::new();
         s.set_obs(obs.clone());
@@ -541,13 +532,6 @@ fn prefiltered_scan_reconciles() {
         "prefiltered scan",
     );
     // And the skip was real: the workload's orders have no promo element.
-    // (Vacuously true when the environment disables the filter — the
-    // reconciliation above still holds with every count at zero.)
-    if std::env::var("XQDB_PREFILTER")
-        .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-    {
-        return;
-    }
     let mut c = Catalog::new();
     create_paper_schema(&mut c);
     load_orders(&mut c, 60, OrderParams::default());
@@ -592,13 +576,7 @@ fn twig_joined_scan_reconciles() {
     let q = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem[@price]/remark]//custid";
     check_family(mixed, q, "twig-joined scan");
     // And the join was real: it routed, admitted the 4 remark orders as
-    // candidates, and skipped the 60 synthetic ones. (Vacuously reconciled
-    // above when the environment disables the join — all counts zero.)
-    if std::env::var("XQDB_TWIG")
-        .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-    {
-        return;
-    }
+    // candidates, and skipped the 60 synthetic ones.
     let obs = Obs::new(ObsConfig::enabled());
     let opts = ExecOptions { prefilter: false, obs, ..ExecOptions::default() };
     let out = run_xquery_with_options(&mixed(), q, &opts).expect("runs");
@@ -790,7 +768,7 @@ fn scalar_filter_reconciles_with_registry() {
     // cells before the XMLEXISTS probe: the registry, the returned stats,
     // the COUNTERS section and the `scalar filter` span agree exactly, at
     // every thread count, for SELECT and for DML matching.
-    for threads in thread_matrix() {
+    for threads in THREADS {
         let obs = Obs::new(ObsConfig::enabled());
         let mut s = SqlSession::new();
         s.set_obs(obs.clone());
