@@ -15,62 +15,34 @@ use xqdb_workload::OrderParams;
 
 const N: usize = 5_000;
 
-/// Documents in the parallel-scan trajectory workload. Overridable via
-/// `XQDB_BENCH_PARALLEL_DOCS` for quick local runs.
-const PARALLEL_DOCS: usize = 100_000;
+/// Documents in the large-collection workloads (observability overhead,
+/// structural prefilter, twig join); each report's own variable overrides
+/// it for quick local runs.
+const SCAN_DOCS: usize = 100_000;
 
-/// Run the full-scan workload at 1/2/4/8 worker threads and record the
-/// wall-clock trajectory into `BENCH_parallel.json`. The recorded
-/// `hardware_threads` field is essential context: on a single-core host the
-/// ladder can only measure runtime overhead, never speedup, and the file
-/// says so rather than pretending otherwise.
-fn parallel_report() {
-    let docs: usize = std::env::var("XQDB_BENCH_PARALLEL_DOCS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(PARALLEL_DOCS);
-    let hardware_threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let query = "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order \
-                 where $o/lineitem/@price > 900 return $o/custid";
-    let cat = orders_catalog(docs, OrderParams::default(), &[]);
-    println!("parallel_scan trajectory ({docs} docs, {hardware_threads} hardware threads):");
-    let mut serial_millis = 0.0f64;
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let opts = ExecOptions { threads, ..ExecOptions::default() };
-        // One warm-up, then best-of-three to shave scheduler noise.
-        let mut results = 0usize;
-        let mut best = f64::INFINITY;
-        for round in 0..4 {
+/// Timed rounds per configuration in the on/off reports, after one
+/// warm-up round; the reports record each configuration's median.
+const ROUNDS: usize = 5;
+
+/// Run `run(i)` for every configuration `i` in `0..K`, interleaved over
+/// one warm-up round and [`ROUNDS`] timed rounds so every configuration
+/// sees the same cache and allocator trends, and return each
+/// configuration's median wall time in milliseconds.
+fn interleaved_median_millis<const K: usize>(mut run: impl FnMut(usize)) -> [f64; K] {
+    let mut times: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(ROUNDS));
+    for round in 0..=ROUNDS {
+        for (i, t) in times.iter_mut().enumerate() {
             let start = std::time::Instant::now();
-            let out = run_xquery_with_options(&cat, query, &opts)
-                .expect("parallel trajectory query runs");
-            let millis = start.elapsed().as_secs_f64() * 1e3;
-            results = out.sequence.len();
-            if round > 0 && millis < best {
-                best = millis;
+            run(i);
+            if round > 0 {
+                t.push(start.elapsed().as_secs_f64() * 1e3);
             }
         }
-        if threads == 1 {
-            serial_millis = best;
-        }
-        let speedup = serial_millis / best;
-        println!("  {threads} threads: {best:.1} ms  ({speedup:.2}x vs serial, {results} results)");
-        runs.push(format!(
-            "    {{ \"threads\": {threads}, \"millis\": {best:.3}, \"speedup_vs_serial\": {speedup:.3} }}"
-        ));
     }
-    let json = format!(
-        "{{\n  \"workload\": \"unindexed full scan, FLWOR over orders collection\",\n  \
-         \"query\": \"{}\",\n  \"docs\": {docs},\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"note\": \"speedup requires hardware_threads > 1; on a single-core host the ladder measures sharding overhead only\",\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        query.replace('\"', "\\\""),
-        runs.join(",\n"),
-    );
-    std::fs::write("BENCH_parallel.json", json).expect("BENCH_parallel.json is writable");
-    println!("  wrote BENCH_parallel.json\n");
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    })
 }
 
 /// Measure the observability tax: the same 100k-document full-scan workload
@@ -83,7 +55,7 @@ fn obs_overhead_report() {
     let docs: usize = std::env::var("XQDB_BENCH_OBS_DOCS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(PARALLEL_DOCS);
+        .unwrap_or(SCAN_DOCS);
     let query = "for $o in db2-fn:xmlcolumn('ORDERS.ORDDOC')/order \
                  where $o/lineitem/@price > 900 return $o/custid";
     let cat = orders_catalog(docs, OrderParams::default(), &[]);
@@ -134,7 +106,6 @@ fn obs_overhead_report() {
 fn durability_report() {
     use xqdb_core::recover_catalog;
     use xqdb_obs::Trace;
-    use xqdb_runtime::RuntimeConfig;
     use xqdb_wal::{FsyncMode, WalConfig, WalRecord, WalValue, WalWriter};
 
     let records: usize = std::env::var("XQDB_BENCH_WAL_RECORDS")
@@ -213,7 +184,6 @@ fn durability_report() {
     let start = std::time::Instant::now();
     let (catalog, report) = recover_catalog(
         &dir,
-        RuntimeConfig::default(),
         &Trace::disabled(),
         &xqdb_core::Obs::disabled(),
     )
@@ -244,7 +214,6 @@ fn durability_report() {
     let start = std::time::Instant::now();
     let (catalog, _) = recover_catalog(
         &dir,
-        RuntimeConfig::default(),
         &Trace::disabled(),
         &xqdb_core::Obs::disabled(),
     )
@@ -282,7 +251,6 @@ fn durability_report() {
 fn pager_report() {
     use xqdb_core::recover_catalog;
     use xqdb_obs::Trace;
-    use xqdb_runtime::RuntimeConfig;
     use xqdb_wal::{FsyncMode, WalConfig, WalRecord, WalValue, WalWriter};
 
     // --- hit-rate ladder -------------------------------------------------
@@ -395,7 +363,6 @@ fn pager_report() {
     let t0 = std::time::Instant::now();
     let (catalog, report) = recover_catalog(
         &dir,
-        RuntimeConfig::default(),
         &Trace::disabled(),
         &xqdb_core::Obs::disabled(),
     )
@@ -426,7 +393,6 @@ fn pager_report() {
     let t0 = std::time::Instant::now();
     let (catalog, report) = recover_catalog(
         &dir,
-        RuntimeConfig::default(),
         &Trace::disabled(),
         &xqdb_core::Obs::disabled(),
     )
@@ -472,7 +438,7 @@ fn prefilter_report() {
     let docs: usize = std::env::var("XQDB_BENCH_PREFILTER_DOCS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(PARALLEL_DOCS);
+        .unwrap_or(SCAN_DOCS);
     let mut cat = orders_catalog(docs, OrderParams::default(), &[]);
     let promo = (docs / 100).max(1);
     for i in 0..promo {
@@ -513,35 +479,28 @@ fn prefilter_report() {
         hit_rate * 100.0
     );
 
-    // One warm-up, then best-of-three per configuration, interleaved.
-    let mut best = [f64::INFINITY; 2];
     let mut results = [0usize; 2];
     let mut skipped = 0usize;
-    for round in 0..4 {
-        for (i, prefilter) in [(0usize, false), (1usize, true)] {
-            let opts = ExecOptions { prefilter, ..ExecOptions::default() };
-            let start = std::time::Instant::now();
-            let out =
-                run_xquery_with_options(&cat, query, &opts).expect("prefilter bench runs");
-            let millis = start.elapsed().as_secs_f64() * 1e3;
-            results[i] = out.sequence.len();
-            if prefilter {
-                skipped = out.stats.prefilter_docs_skipped;
-            }
-            if round > 0 && millis < best[i] {
-                best[i] = millis;
-            }
+    // The twig join is off in both configurations: it would otherwise take
+    // this branching query first and leave the prefilter nothing to skip.
+    let median = interleaved_median_millis::<2>(|i| {
+        let prefilter = i == 1;
+        let opts = ExecOptions { prefilter, twig: false, ..ExecOptions::default() };
+        let out = run_xquery_with_options(&cat, query, &opts).expect("prefilter bench runs");
+        results[i] = out.sequence.len();
+        if prefilter {
+            skipped = out.stats.prefilter_docs_skipped;
         }
-    }
+    });
     assert_eq!(
         results[0], results[1],
         "the pre-filter changed the result cardinality — that is a correctness bug"
     );
-    let speedup = best[0] / best[1];
-    println!("  prefilter off: {:.1} ms  ({} results)", best[0], results[0]);
+    let speedup = median[0] / median[1];
+    println!("  prefilter off: {:.1} ms  ({} results)", median[0], results[0]);
     println!(
         "  prefilter on:  {:.1} ms  ({speedup:.2}x, {skipped} docs skipped structurally)",
-        best[1]
+        median[1]
     );
     let json = format!(
         "{{\n  \"workload\": \"selective unindexed query over a heterogeneous collection; ~1% of documents carry /order/promo/code\",\n  \
@@ -549,11 +508,11 @@ fn prefilter_report() {
          \"off_millis\": {:.3},\n  \"on_millis\": {:.3},\n  \"speedup\": {speedup:.3},\n  \
          \"prefilter_docs_skipped\": {skipped},\n  \
          \"plan_cache\": {{ \"runs\": {cache_runs}, \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.3} }},\n  \
-         \"note\": \"off = ExecOptions.prefilter=false, equivalent to --no-prefilter; results are asserted identical on and off\"\n}}\n",
+         \"note\": \"off = ExecOptions.prefilter=false, equivalent to --no-prefilter; the twig join is off in both, or it would take this branching query first; each time is the median of {ROUNDS} interleaved rounds after one warm-up; results are asserted identical on and off\"\n}}\n",
         query.replace('\"', "\\\""),
         docs + promo,
-        best[0],
-        best[1],
+        median[0],
+        median[1],
     );
     std::fs::write("BENCH_prefilter.json", json).expect("BENCH_prefilter.json is writable");
     println!("  wrote BENCH_prefilter.json\n");
@@ -574,7 +533,7 @@ fn twig_report() {
     let docs: usize = std::env::var("XQDB_BENCH_TWIG_DOCS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(PARALLEL_DOCS);
+        .unwrap_or(SCAN_DOCS);
     let mut cat = orders_catalog(docs, OrderParams::default(), &[]);
     // ~1% of the collection carries a `remark` under a lineitem — the
     // branch the query selects on. Synthetic orders never do.
@@ -601,29 +560,21 @@ fn twig_report() {
         docs + remarked
     );
 
-    // One warm-up, then best-of-three per configuration, interleaved.
-    let mut best = [f64::INFINITY; 2];
     let mut results = [0usize; 2];
     let mut skipped = 0usize;
     let mut candidates = 0usize;
     let mut joins = 0u64;
-    for round in 0..4 {
-        for (i, twig) in [(0usize, false), (1usize, true)] {
-            let opts = ExecOptions { twig, ..ExecOptions::default() };
-            let start = std::time::Instant::now();
-            let out = run_xquery_with_options(&cat, query, &opts).expect("twig bench runs");
-            let millis = start.elapsed().as_secs_f64() * 1e3;
-            results[i] = out.sequence.len();
-            if twig {
-                skipped = out.stats.twig_docs_skipped;
-                candidates = out.stats.twig_candidates;
-                joins = out.stats.twig_joins;
-            }
-            if round > 0 && millis < best[i] {
-                best[i] = millis;
-            }
+    let median = interleaved_median_millis::<2>(|i| {
+        let twig = i == 1;
+        let opts = ExecOptions { twig, ..ExecOptions::default() };
+        let out = run_xquery_with_options(&cat, query, &opts).expect("twig bench runs");
+        results[i] = out.sequence.len();
+        if twig {
+            skipped = out.stats.twig_docs_skipped;
+            candidates = out.stats.twig_candidates;
+            joins = out.stats.twig_joins;
         }
-    }
+    });
     assert_eq!(
         results[0], results[1],
         "the twig join changed the result cardinality — that is a correctness bug"
@@ -634,12 +585,12 @@ fn twig_report() {
         assert_eq!(skipped, docs, "every remark-less synthetic order is skipped structurally");
         assert_eq!(candidates, remarked, "only the remark orders survive the row-set check");
     }
-    let speedup = best[0] / best[1];
-    println!("  twig off: {:.1} ms  ({} results, full navigation)", best[0], results[0]);
+    let speedup = median[0] / median[1];
+    println!("  twig off: {:.1} ms  ({} results, full navigation)", median[0], results[0]);
     println!(
         "  twig on:  {:.1} ms  ({speedup:.2}x, {joins} join(s), {candidates} candidate(s), \
          {skipped} docs skipped structurally)",
-        best[1]
+        median[1]
     );
     let json = format!(
         "{{\n  \"workload\": \"descendant-axis branching query over a heterogeneous collection; ~1% of documents carry //order/lineitem/remark\",\n  \
@@ -647,11 +598,11 @@ fn twig_report() {
          \"off_millis\": {:.3},\n  \"on_millis\": {:.3},\n  \"speedup\": {speedup:.3},\n  \
          \"twig_joins\": {joins},\n  \"twig_candidates\": {candidates},\n  \
          \"twig_docs_skipped\": {skipped},\n  \
-         \"note\": \"off = ExecOptions.twig=false, equivalent to --no-twig; the leading // defeats the rooted-path prefilter, so off means full navigation; results are asserted identical on and off\"\n}}\n",
+         \"note\": \"off = ExecOptions.twig=false, equivalent to --no-twig; the leading // defeats the rooted-path prefilter, so off means full navigation; each time is the median of {ROUNDS} interleaved rounds after one warm-up; results are asserted identical on and off\"\n}}\n",
         query.replace('\"', "\\\""),
         docs + remarked,
-        best[0],
-        best[1],
+        median[0],
+        median[1],
     );
     std::fs::write("BENCH_twig.json", json).expect("BENCH_twig.json is writable");
     println!("  wrote BENCH_twig.json\n");
@@ -751,36 +702,29 @@ fn planner_report() {
 
     // Timing on the adversarial order: the broad index is first, so the
     // forced first-eligible twin probes the wrong index.
-    let mut best = [f64::INFINITY; 2];
     let mut results = [0usize; 2];
     let mut est = 0u64;
     let mut actual = 0u64;
-    for round in 0..4 {
-        for (i, cost) in [(0usize, false), (1usize, true)] {
-            let opts = ExecOptions { cost, ..ExecOptions::default() };
-            let start = std::time::Instant::now();
-            let out = run_xquery_with_options(&broad_first, query, &opts)
-                .expect("planner bench runs");
-            let millis = start.elapsed().as_secs_f64() * 1e3;
-            results[i] = out.sequence.len();
-            if cost {
-                est = out.stats.cost_est_rows;
-                actual = out.stats.cost_actual_rows;
-            }
-            if round > 0 && millis < best[i] {
-                best[i] = millis;
-            }
+    let median = interleaved_median_millis::<2>(|i| {
+        let cost = i == 1;
+        let opts = ExecOptions { cost, ..ExecOptions::default() };
+        let out =
+            run_xquery_with_options(&broad_first, query, &opts).expect("planner bench runs");
+        results[i] = out.sequence.len();
+        if cost {
+            est = out.stats.cost_est_rows;
+            actual = out.stats.cost_actual_rows;
         }
-    }
+    });
     assert_eq!(
         results[0], results[1],
         "the cost layer changed the result cardinality — that is a correctness bug"
     );
-    let speedup = best[0] / best[1];
-    println!("  forced wrong index: {:.1} ms  ({} results)", best[0], results[0]);
+    let speedup = median[0] / median[1];
+    println!("  forced wrong index: {:.1} ms  ({} results)", median[0], results[0]);
     println!(
         "  costed:             {:.1} ms  ({speedup:.2}x, est {est} row(s), actual {actual})",
-        best[1]
+        median[1]
     );
     let json = format!(
         "{{\n  \"workload\": \"selective @price probe where a broad //@price index carries {decoys} decoy fee prices per order; catalog lists the broad index first\",\n  \
@@ -788,10 +732,10 @@ fn planner_report() {
          \"forced_wrong_index_millis\": {:.3},\n  \"costed_millis\": {:.3},\n  \
          \"speedup\": {speedup:.3},\n  \"est_rows\": {est},\n  \"actual_rows\": {actual},\n  \
          \"order_independent\": true,\n  \
-         \"note\": \"forced = ExecOptions.cost=false, equivalent to --no-cost; the costed planner picks the narrow index under both catalog orders and results are asserted identical\"\n}}\n",
+         \"note\": \"forced = ExecOptions.cost=false, equivalent to --no-cost; the costed planner picks the narrow index under both catalog orders; each time is the median of {ROUNDS} interleaved rounds after one warm-up; results are asserted identical\"\n}}\n",
         query.replace('\"', "\\\""),
-        best[0],
-        best[1],
+        median[0],
+        median[1],
     );
     std::fs::write("BENCH_planner.json", json).expect("BENCH_planner.json is writable");
     println!("  wrote BENCH_planner.json\n");
@@ -900,7 +844,6 @@ fn dml_report() {
     let t0 = std::time::Instant::now();
     let (catalog, _) = xqdb_core::recover_catalog(
         &dir,
-        xqdb_runtime::RuntimeConfig::default(),
         &xqdb_obs::Trace::disabled(),
         &xqdb_core::Obs::disabled(),
     )
@@ -1116,10 +1059,6 @@ fn main() {
     }
     if std::env::args().any(|a| a == "--planner") {
         planner_report();
-        return;
-    }
-    parallel_report();
-    if std::env::args().any(|a| a == "--parallel-only") {
         return;
     }
     let mut rows: Vec<Row> = Vec::new();

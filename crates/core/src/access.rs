@@ -23,7 +23,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 use xqdb_obs::{Histogram, Obs, Trace};
-use xqdb_runtime::{chunk_ranges, WorkerPool};
 use xqdb_storage::{sql_compare, SqlValue, Table};
 use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{Budget, ErrorCode, XdmError};
@@ -132,8 +131,6 @@ pub(crate) struct AccessPaths<'a> {
     pub catalog: &'a Catalog,
     /// The switches.
     pub config: AccessConfig,
-    /// Twig joins shard their row sets over this pool.
-    pub pool: WorkerPool,
     pub obs: &'a Obs,
     pub trace: &'a Trace,
 }
@@ -254,11 +251,8 @@ impl AccessPaths<'_> {
     /// survivors when an earlier stage narrowed the source and taken from
     /// the rarest pattern node's postings when none did, so the cost
     /// follows the rows that reach the join, not the table. Only the
-    /// candidates' label runs are then matched. With more than one worker
-    /// the candidates are sharded in contiguous chunks and the kept lists
-    /// concatenated in chunk order, so the result is independent of the
-    /// thread count. Skips are counted over live rows: a deleted rowid is
-    /// no document.
+    /// candidates' label runs are then matched. Skips are counted over live
+    /// rows: a deleted rowid is no document.
     fn twig_join(&self, s: &SourcePaths<'_>, survivors: &mut Survivors, stats: &mut ExecStats) {
         let Ok((table, _)) = self.catalog.db.resolve_xml_column(s.source) else { return };
         let mut span = self.trace.span("twig join");
@@ -279,16 +273,11 @@ impl AccessPaths<'_> {
             rows = Some(p.candidates(rows.as_deref()));
         }
         let candidates = rows.unwrap_or_default();
-        let check = |rows: &[u64]| -> Vec<u64> {
-            rows.iter().copied().filter(|&row| prepared.iter().all(|p| p.accepts(row))).collect()
-        };
-        let kept = if self.pool.threads() > 1 && candidates.len() > 1 {
-            let ranges =
-                chunk_ranges(candidates.len(), self.pool.default_chunks(candidates.len()));
-            self.pool.run(ranges.len(), |i| check(&candidates[ranges[i].clone()])).concat()
-        } else {
-            check(&candidates)
-        };
+        let kept: BTreeSet<u64> = candidates
+            .iter()
+            .copied()
+            .filter(|&row| prepared.iter().all(|p| p.accepts(row)))
+            .collect();
         let skipped = considered.saturating_sub(kept.len());
         span.add_count(skipped as u64);
         span.tag_with("candidates", || candidates.len().to_string());
@@ -296,7 +285,7 @@ impl AccessPaths<'_> {
         stats.twig_joins += 1;
         stats.twig_candidates += candidates.len();
         stats.twig_docs_skipped += skipped;
-        survivors.insert(s.key.to_string(), kept.into_iter().collect());
+        survivors.insert(s.key.to_string(), kept);
     }
 
     /// Drop rows whose path signature some pre-filter rejects. Rows without

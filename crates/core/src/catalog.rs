@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xqdb_obs::{Counter, Obs};
-use xqdb_runtime::{chunk_ranges, RuntimeConfig, WorkerPool};
 use xqdb_xdm::{ErrorCode, FaultInjector, NodeHandle, NodeKind, XdmError};
 use xqdb_xmlindex::XmlIndex;
 use xqdb_storage::{Database, RowId, SqlValue, Table};
@@ -22,10 +21,6 @@ pub struct Catalog {
     pub db: Database,
     /// Indexes by name.
     indexes: HashMap<String, XmlIndex>,
-    /// Parallel-execution configuration: governs index back-fills here and
-    /// the scan/WHERE phases in the engine and SQL layers. Defaults to
-    /// serial.
-    pub runtime: RuntimeConfig,
     /// Observability handle for index-maintenance counters (entries built on
     /// back-fill and insert). Defaults to the free disabled handle.
     pub obs: Obs,
@@ -205,35 +200,10 @@ impl Catalog {
                 &index.ty.to_string(),
             )?;
         }
-        // Back-fill. Entry extraction (the document walk) is read-only and
-        // parallelizes across documents; the merge into the B+Tree stays
-        // serial and in row order, so the built tree is identical to a
-        // serial build whatever the thread count.
-        let mut docs: Vec<(u64, NodeHandle)> = Vec::new();
         for item in t.scan_masked(0, t.len(), t.column_mask(col)) {
             let (row, values) = item?;
             if let Some(SqlValue::Xml(doc)) = &values[col] {
-                docs.push((row as u64, doc.clone()));
-            }
-        }
-        let pool = WorkerPool::new(self.runtime.effective_threads());
-        if pool.threads() > 1 && docs.len() > 1 {
-            let ranges = chunk_ranges(docs.len(), pool.default_chunks(docs.len()));
-            let extractor = &index;
-            let extracted = pool.run(ranges.len(), |i| {
-                docs[ranges[i].clone()]
-                    .iter()
-                    .map(|(row, doc)| extractor.extract_entries(*row, doc))
-                    .collect::<Vec<_>>()
-            });
-            for chunk in extracted {
-                for entries in chunk {
-                    index.insert_entries(entries);
-                }
-            }
-        } else {
-            for (row, doc) in &docs {
-                index.insert_document(*row, doc);
+                index.insert_document(row as u64, doc);
             }
         }
         self.obs.add(Counter::IndexEntriesBuilt, index.len() as u64);
@@ -474,40 +444,6 @@ mod tests {
         c.create_index("li_price", "orders", "orddoc", "//lineitem/@price", "double")
             .unwrap();
         assert_eq!(c.index("li_price").unwrap().len(), 1);
-    }
-
-    #[test]
-    fn parallel_backfill_builds_identical_index() {
-        let mut docs = Vec::new();
-        for i in 0..50 {
-            docs.push(format!(
-                r#"<order><lineitem price="{}"/><lineitem price="bad"/></order>"#,
-                i * 7 % 100
-            ));
-        }
-        let build = |threads: usize| {
-            let mut c = orders_catalog();
-            c.runtime = xqdb_runtime::RuntimeConfig::with_threads(threads);
-            for (i, d) in docs.iter().enumerate() {
-                insert_order(&mut c, i as i64, d);
-            }
-            c.create_index("li_price", "orders", "orddoc", "//lineitem/@price", "double")
-                .unwrap();
-            c
-        };
-        let serial = build(1);
-        for threads in [2, 4, 8] {
-            let parallel = build(threads);
-            let (s, p) = (serial.index("li_price").unwrap(), parallel.index("li_price").unwrap());
-            assert_eq!(s.len(), p.len(), "entry count diverged at {threads} threads");
-            assert_eq!(s.skipped_nodes, p.skipped_nodes);
-            // The probes must agree too, not just the counts.
-            let range = xqdb_xmlindex::ProbeRange {
-                lo: std::ops::Bound::Excluded(xqdb_xdm::AtomicValue::Double(30.0)),
-                hi: std::ops::Bound::Unbounded,
-            };
-            assert_eq!(s.probe(&range).0, p.probe(&range).0);
-        }
     }
 
     #[test]

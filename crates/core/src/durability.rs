@@ -14,7 +14,7 @@
 //! catalog must answer every query byte-identically to an in-memory
 //! catalog that executed the same durable prefix of statements. The
 //! chaos-recovery matrix in `tests/chaos_recovery.rs` asserts exactly
-//! that, across crash points, fsync modes and thread counts.
+//! that, across crash points, fsync modes and injected faults.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -22,7 +22,6 @@ use std::time::Instant;
 
 use xqdb_obs::{Counter, Obs, Trace};
 use xqdb_pager::{buffer_pages_from_env, discover_heap_pages, frozen_heap_pages, Pager};
-use xqdb_runtime::RuntimeConfig;
 use xqdb_storage::{
     Column, Database, PathSynopsis, PersistenceHook, SqlType, SqlValue, Table,
 };
@@ -521,13 +520,10 @@ pub fn checkpoint_pages(
     Ok(Some(CheckpointPages { frozen_below: manifest.frozen_below, free_pages, tables }))
 }
 
-/// Rebuild a catalog from a data directory. `runtime` governs the index
-/// back-fills replay triggers (recovery parallelizes exactly as far as a
-/// live build would). The span tree lands under a `recovery` span on
-/// `trace`; counters on `obs`.
+/// Rebuild a catalog from a data directory. The span tree lands under a
+/// `recovery` span on `trace`; counters on `obs`.
 pub fn recover_catalog(
     dir: &Path,
-    runtime: RuntimeConfig,
     trace: &Trace,
     obs: &Obs,
 ) -> Result<(Catalog, RecoveryReport), XdmError> {
@@ -569,7 +565,6 @@ pub fn recover_catalog(
     };
 
     let mut catalog = Catalog::new();
-    catalog.runtime = runtime;
     catalog.obs = obs.clone();
     catalog.db = Database::with_pager(Arc::clone(&pager));
 
@@ -681,11 +676,10 @@ pub fn recover_catalog(
 pub fn open_durable_catalog(
     dir: &Path,
     config: WalConfig,
-    runtime: RuntimeConfig,
     trace: &Trace,
     obs: &Obs,
 ) -> Result<(Catalog, Arc<Durability>, RecoveryReport), XdmError> {
-    let (mut catalog, report) = recover_catalog(dir, runtime, trace, obs)?;
+    let (mut catalog, report) = recover_catalog(dir, trace, obs)?;
     let durability = Arc::new(Durability::open(dir, config, report.last_seq)?);
     durability.set_obs(obs.clone());
     catalog.db.set_persistence(Some(durability.clone()));
@@ -697,24 +691,55 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn temp_dir(label: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir =
-            PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
+    /// A fresh data directory path under `target/test-tmp`, removed when
+    /// the guard drops — unless the thread is panicking, so a failing test
+    /// keeps its files for inspection.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(label: &str) -> TempDir {
+            static N: AtomicU64 = AtomicU64::new(0);
+            let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
                 .join(format!(
-                    "dur_{label}_{}_{}",
+                    "{label}_{}_{}",
                     std::process::id(),
                     N.fetch_add(1, Ordering::Relaxed)
                 ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+
+    fn temp_dir(label: &str) -> TempDir {
+        TempDir::new(&format!("dur_{label}"))
     }
 
     fn open(dir: &Path) -> (Catalog, Arc<Durability>, RecoveryReport) {
         open_durable_catalog(
             dir,
             WalConfig::default(),
-            RuntimeConfig::default(),
             &Trace::disabled(),
             &Obs::disabled(),
         )

@@ -62,9 +62,14 @@ pub enum Pitfall {
     NoIndex,
     /// An indexable predicate in some other non-filtering position.
     NonFilteringContext,
-    /// The cost model's cardinality estimate was >4× off the actual row
-    /// count — the synopsis statistics no longer describe the data.
+    /// A cached plan's cardinality estimate was >4× off the actual row
+    /// count: the synopsis statistics it was costed against may no longer
+    /// describe the data.
     Misestimate,
+    /// A plan costed in this statement was >4× off. Its statistics are
+    /// current (maintained on every insert and delete), so the gap is the
+    /// estimator's resolution, not staleness.
+    CoarseEstimate,
 }
 
 impl Pitfall {
@@ -83,7 +88,8 @@ impl Pitfall {
             | Pitfall::NotEqualsPredicate
             | Pitfall::NoIndex
             | Pitfall::NonFilteringContext
-            | Pitfall::Misestimate => None,
+            | Pitfall::Misestimate
+            | Pitfall::CoarseEstimate => None,
         }
     }
 
@@ -103,6 +109,7 @@ impl Pitfall {
             Pitfall::NoIndex => "no-index",
             Pitfall::NonFilteringContext => "non-filtering-context",
             Pitfall::Misestimate => "cost-misestimate",
+            Pitfall::CoarseEstimate => "cost-resolution",
         }
     }
 
@@ -145,6 +152,9 @@ impl Pitfall {
             }
             Pitfall::Misestimate => {
                 "the cardinality estimate is >4x off; statistics may be stale — heavy churn re-costs cached plans automatically"
+            }
+            Pitfall::CoarseEstimate => {
+                "the cardinality estimate is >4x off on current statistics: the log-scale histogram (4 buckets per power of two) and the distinct sketch cannot resolve this range more finely"
             }
         }
     }
@@ -197,8 +207,10 @@ impl Diagnosis {
     /// Render the one-line diagnosis.
     pub fn render(&self) -> String {
         let head = match (&self.index, self.pitfall) {
-            (_, Pitfall::Misestimate) if self.index_used => "index used, misestimated".to_string(),
-            (_, Pitfall::Misestimate) => "index not used".to_string(),
+            (_, Pitfall::Misestimate | Pitfall::CoarseEstimate) if self.index_used => {
+                "index used, misestimated".to_string()
+            }
+            (_, Pitfall::Misestimate | Pitfall::CoarseEstimate) => "index not used".to_string(),
             (Some(idx), _) => format!("index `{idx}` not used"),
             (None, _) => "no index used".to_string(),
         };
@@ -316,15 +328,24 @@ fn wildcard_namespaces(steps: &[PatternStep]) -> Vec<PatternStep> {
 /// count in either direction. Tiny absolute gaps (both sides < 8 rows) are
 /// noise from histogram granularity, not staleness, and stay silent.
 /// `index_used` says whether the run probed an index (its `index_probes`
-/// counter), which picks the headline.
-pub fn diagnose_misestimate(est: u64, actual: u64, index_used: bool) -> Option<Diagnosis> {
+/// counter), which picks the headline. `fresh` says the plan was costed in
+/// this statement rather than taken from a plan cache: its statistics are
+/// then current, so the gap is blamed on estimator resolution
+/// ([`Pitfall::CoarseEstimate`]); only a cached plan can be stale
+/// ([`Pitfall::Misestimate`]).
+pub fn diagnose_misestimate(
+    est: u64,
+    actual: u64,
+    index_used: bool,
+    fresh: bool,
+) -> Option<Diagnosis> {
     let hi = est.max(actual);
     let lo = est.min(actual);
     if hi < 8 || hi <= lo.saturating_mul(4) {
         return None;
     }
     Some(Diagnosis {
-        pitfall: Pitfall::Misestimate,
+        pitfall: if fresh { Pitfall::CoarseEstimate } else { Pitfall::Misestimate },
         index: None,
         subject: format!("cost estimate {est} row(s) vs actual {actual}"),
         index_used,
@@ -421,19 +442,28 @@ mod tests {
 
     #[test]
     fn misestimate_headline_says_whether_an_index_ran() {
-        let used = diagnose_misestimate(106, 10, true).expect("10x off");
+        let used = diagnose_misestimate(106, 10, true, false).expect("10x off");
         assert!(
             used.render().starts_with("index used, misestimated: rule cost-misestimate"),
             "{}",
             used.render()
         );
-        let scan = diagnose_misestimate(106, 10, false).expect("10x off");
+        let scan = diagnose_misestimate(106, 10, false, false).expect("10x off");
         assert!(
             scan.render().starts_with("index not used: rule cost-misestimate"),
             "{}",
             scan.render()
         );
-        assert!(diagnose_misestimate(10, 12, true).is_none());
+        assert!(diagnose_misestimate(10, 12, true, false).is_none());
+    }
+
+    #[test]
+    fn only_a_cached_plan_is_called_stale() {
+        let cached = diagnose_misestimate(307, 27, true, false).expect("11x off").render();
+        assert!(cached.contains("rule cost-misestimate") && cached.contains("stale"), "{cached}");
+        let fresh = diagnose_misestimate(307, 27, true, true).expect("11x off").render();
+        assert!(fresh.contains("rule cost-resolution") && !fresh.contains("stale"), "{fresh}");
+        assert!(fresh.starts_with("index used, misestimated"), "{fresh}");
     }
 
     #[test]

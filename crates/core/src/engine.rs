@@ -4,32 +4,19 @@
 //! collection (Definition 1's `I(P, D)`), and the full query then runs over
 //! the surviving documents, so residual predicates, ordering, construction
 //! and node identity all behave exactly as in the unoptimized evaluation.
-//!
-//! # Parallel execution
-//!
-//! [`ParallelExecutor`] shards the surviving document list of *one*
-//! collection across the `xqdb-runtime` worker pool when static analysis
-//! proves that per-shard evaluation concatenated in shard order is
-//! byte-identical to serial evaluation (see [`partition_plan`] for the
-//! exact conditions). Queries outside that fragment — and any run with one
-//! thread — take the serial path, which is unchanged from the pre-parallel
-//! engine. Definition 1 is the correctness oracle either way: the sharded
-//! scan evaluates exactly the documents the serial scan would, in the same
-//! document order.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use xqdb_obs::{Counter, Gauge, Histogram, Obs, SpanId, Trace};
-use xqdb_runtime::{chunk_ranges, WorkerPool};
+use xqdb_obs::{Counter, Histogram, Obs, Trace};
 use xqdb_xdm::{Budget, ErrorCode, ExpandedName, Item, Limits, Sequence, XdmError};
 use xqdb_xqeval::{CollectionProvider, DynamicContext};
 use xqdb_xquery::ast::{ConstructorContent, Expr, FlworClause, Step};
 use xqdb_xquery::Query;
 use xqdb_storage::SqlValue;
 
-use crate::access::{self, AccessConfig, AccessPaths, SourcePaths, Survivors};
+use crate::access::{AccessConfig, AccessPaths, SourcePaths, Survivors};
 use crate::catalog::Catalog;
 use crate::eligibility::{
     compile, diagnose, diagnose_misestimate, restrict_to_source, AnalysisEnv,
@@ -115,11 +102,6 @@ pub struct ExecStats {
     pub index_faults: usize,
     /// Evaluator steps charged against the budget.
     pub steps_used: u64,
-    /// Worker threads used for evaluation (1 = serial; 0 only from
-    /// `ExecStats::default()` on paths that never reach the executor).
-    pub parallel_workers: usize,
-    /// Shards the surviving document list was split into (1 = serial).
-    pub parallel_shards: usize,
     /// Live rows the scalar filter dropped: a SQL `column op literal`
     /// conjunct over an INTEGER column was not TRUE for their in-memory
     /// cell, so they were never fetched.
@@ -176,15 +158,9 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Stats for a run entering the executor: serial (one worker, one
-    /// shard) until the sharded path proves otherwise, all counters zero.
-    pub fn new() -> ExecStats {
-        ExecStats { parallel_workers: 1, parallel_shards: 1, ..ExecStats::default() }
-    }
-
-    /// [`ExecStats::new`] carrying what the cost model did for the plan.
+    /// Zeroed stats carrying what the cost model did for the plan.
     pub(crate) fn for_plan(cost: &PlanCost) -> ExecStats {
-        let mut stats = ExecStats::new();
+        let mut stats = ExecStats::default();
         if cost.costed {
             stats.plans_costed = 1;
             stats.index_candidates_costed = cost.candidates;
@@ -298,15 +274,15 @@ pub fn run_xquery_with_limits(
     run_xquery_with_options(catalog, text, &ExecOptions { limits, ..ExecOptions::default() })
 }
 
-/// Execution options: resource limits, the parallelism degree, the
-/// observability handle and the caller's [`AccessConfig`] switches, kept
-/// as three flat fields so the shell, benches and tests can compare the
-/// access paths in-process.
+/// Execution options: resource limits, the observability handle and the
+/// caller's [`AccessConfig`] switches, kept as three flat fields so the
+/// shell, benches and tests can compare the access paths in-process.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Resource limits for the run.
     pub limits: Limits,
-    /// Worker threads. `0` and `1` both select the serial legacy path.
+    /// Read by nothing: execution is serial. Kept only so that callers
+    /// that still set it (the benchmark harness sets `threads: 1`) build.
     pub threads: usize,
     /// Observability: metrics registry + tracing configuration. The default
     /// is the free disabled handle.
@@ -393,8 +369,7 @@ fn run_traced(
         };
         let budget = Arc::new(Budget::new(opts.limits.clone()));
         let ctx = DynamicContext::new().with_budget(budget);
-        let mut outcome = ParallelExecutor::with_access(opts.threads, access)
-            .execute_observed(catalog, &plan, &ctx, obs, trace)?;
+        let mut outcome = execute_observed(catalog, &plan, &ctx, access, obs, trace)?;
         outcome.stats.plan_cache_hits = u64::from(cache_hit);
         outcome.stats.plan_cache_misses = u64::from(!cache_hit);
         Ok((plan, outcome))
@@ -424,7 +399,7 @@ pub fn explain_analyze_xquery(
 ) -> Result<(String, ExecOutcome), XdmError> {
     let trace = Trace::recording();
     let (plan, outcome) = run_traced(catalog, text, opts, &trace)?;
-    let report = explain_analyze_report(&plan, &outcome, opts.threads);
+    let report = explain_analyze_report(&plan, &outcome);
     Ok((report, outcome))
 }
 
@@ -446,159 +421,65 @@ pub fn execute_plan(
     plan: &QueryPlan,
     ctx: &DynamicContext,
 ) -> Result<ExecOutcome, XdmError> {
-    ParallelExecutor::new(1).execute(catalog, plan, ctx)
+    execute_observed(
+        catalog,
+        plan,
+        ctx,
+        AccessConfig::default(),
+        &Obs::disabled(),
+        &Trace::disabled(),
+    )
 }
 
-/// Executes plans over the worker pool, sharding the partitionable
-/// fragment of the language (see [`partition_plan`]) and falling back to
-/// the serial path for everything else.
-///
-/// Output is byte-identical to serial execution by construction; budget
-/// counters, the cancellation token and the deadline are shared atomics in
-/// [`Budget`], so a single limit governs all workers globally.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelExecutor {
-    pool: WorkerPool,
+/// [`execute_plan`] under `access`, with observability: probe and scan
+/// phases record spans into `trace`, and the finished run's stats are
+/// recorded into `obs`'s metrics registry in one place
+/// ([`record_exec_metrics`]) so a metrics delta reconciles exactly with the
+/// returned [`ExecStats`].
+fn execute_observed(
+    catalog: &Catalog,
+    plan: &QueryPlan,
+    ctx: &DynamicContext,
     access: AccessConfig,
-}
-
-impl ParallelExecutor {
-    /// Executor with the given parallelism degree (0 and 1 mean serial)
-    /// and every access switch on.
-    pub fn new(threads: usize) -> Self {
-        ParallelExecutor::with_access(threads, AccessConfig::default())
+    obs: &Obs,
+    trace: &Trace,
+) -> Result<ExecOutcome, XdmError> {
+    let mut stats = ExecStats::for_plan(&plan.cost);
+    let baseline = Physical::now(catalog);
+    let sources: Vec<SourcePaths<'_>> = plan
+        .accesses
+        .iter()
+        .map(|a| SourcePaths {
+            source: &a.source,
+            key: &a.source,
+            index: a.access.as_ref(),
+            twigs: plan.twig.get(&a.source).map(std::slice::from_ref).unwrap_or_default(),
+            prefilters: plan
+                .prefilter
+                .get(&a.source)
+                .map(std::slice::from_ref)
+                .unwrap_or_default(),
+            scalars: &[],
+        })
+        .collect();
+    let paths = AccessPaths { catalog, config: access, obs, trace };
+    let filters = paths.survivors(&sources, &ctx.budget, &mut stats)?;
+    for a in &plan.accesses {
+        let total = catalog.db.resolve_xml_column(&a.source).map_or(0, |(t, _)| t.live_len());
+        let evaluated = filters.get(&a.source).map_or(total, BTreeSet::len);
+        stats.docs_total.insert(a.source.clone(), total);
+        stats.docs_evaluated.insert(a.source.clone(), evaluated);
     }
-
-    /// Executor running the access pipeline under `access`.
-    pub(crate) fn with_access(threads: usize, access: AccessConfig) -> Self {
-        ParallelExecutor { pool: WorkerPool::new(threads), access }
-    }
-
-    /// The effective degree.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Execute a planned query; see [`execute_plan`] for the semantics.
-    pub fn execute(
-        &self,
-        catalog: &Catalog,
-        plan: &QueryPlan,
-        ctx: &DynamicContext,
-    ) -> Result<ExecOutcome, XdmError> {
-        self.execute_observed(catalog, plan, ctx, &Obs::disabled(), &Trace::disabled())
-    }
-
-    /// [`ParallelExecutor::execute`] with observability: probe and scan
-    /// phases record spans into `trace`, and the finished run's stats are
-    /// recorded into `obs`'s metrics registry in one place
-    /// ([`record_exec_metrics`]) so a metrics delta reconciles exactly with
-    /// the returned [`ExecStats`].
-    pub fn execute_observed(
-        &self,
-        catalog: &Catalog,
-        plan: &QueryPlan,
-        ctx: &DynamicContext,
-        obs: &Obs,
-        trace: &Trace,
-    ) -> Result<ExecOutcome, XdmError> {
-        let mut stats = ExecStats::for_plan(&plan.cost);
-        let baseline = Physical::now(catalog);
-        // Serial, before any parallel evaluation: probe-side fault
-        // injection fires at the same points whatever the thread count.
-        let sources: Vec<SourcePaths<'_>> = plan
-            .accesses
-            .iter()
-            .map(|a| SourcePaths {
-                source: &a.source,
-                key: &a.source,
-                index: a.access.as_ref(),
-                twigs: plan.twig.get(&a.source).map(std::slice::from_ref).unwrap_or_default(),
-                prefilters: plan
-                    .prefilter
-                    .get(&a.source)
-                    .map(std::slice::from_ref)
-                    .unwrap_or_default(),
-                scalars: &[],
-            })
-            .collect();
-        let paths =
-            AccessPaths { catalog, config: self.access, pool: self.pool, obs, trace };
-        let filters = paths.survivors(&sources, &ctx.budget, &mut stats)?;
-        for a in &plan.accesses {
-            let total =
-                catalog.db.resolve_xml_column(&a.source).map_or(0, |(t, _)| t.live_len());
-            let evaluated = filters.get(&a.source).map_or(total, BTreeSet::len);
-            stats.docs_total.insert(a.source.clone(), total);
-            stats.docs_evaluated.insert(a.source.clone(), evaluated);
-        }
-        if self.pool.threads() > 1 {
-            if let Some(part) = partition_plan(&plan.query) {
-                if let Some(rows) =
-                    monotone_surviving_rows(catalog, &part.source, filters.get(&part.source))
-                {
-                    if rows.len() > 1 {
-                        let scan =
-                            ShardedScan { filters: &filters, rows: &rows, part: &part };
-                        let mut outcome =
-                            self.execute_sharded(catalog, plan, ctx, stats, &scan, trace)?;
-                        apply_physical_delta(&mut outcome.stats, catalog, &baseline);
-                        record_exec_metrics(obs, &outcome.stats);
-                        return Ok(outcome);
-                    }
-                }
-            }
-        }
-        let mut span = trace.span("scan");
-        span.tag_str("mode", "serial");
-        let provider = FilteredProvider { catalog, filters: &filters, shard: None };
-        let sequence = xqdb_xqeval::eval_query(&plan.query, &provider, ctx)?;
-        ctx.budget.check_result_items(sequence.len())?;
-        span.add_count(sequence.len() as u64);
-        drop(span);
-        stats.steps_used = ctx.budget.steps_used();
-        apply_physical_delta(&mut stats, catalog, &baseline);
-        record_exec_metrics(obs, &stats);
-        Ok(ExecOutcome { sequence, stats, trace: trace.clone() })
-    }
-
-    /// Sharded evaluation: split the surviving rows of the partition source
-    /// into contiguous chunks, evaluate the whole query per chunk on the
-    /// pool (each worker sees only its shard of the partition source, and
-    /// the full filtered view of every other source), and concatenate the
-    /// per-chunk sequences in chunk order.
-    fn execute_sharded(
-        &self,
-        catalog: &Catalog,
-        plan: &QueryPlan,
-        ctx: &DynamicContext,
-        mut stats: ExecStats,
-        scan: &ShardedScan<'_>,
-        trace: &Trace,
-    ) -> Result<ExecOutcome, XdmError> {
-        let ShardedScan { filters, rows, part } = *scan;
-        let ranges = chunk_ranges(rows.len(), self.pool.default_chunks(rows.len()));
-        let mut span = trace.span("scan");
-        span.tag_str("mode", "sharded");
-        span.tag_with("source", || part.source.clone());
-        let task = |i: usize| {
-            let shard = Shard { source: &part.source, rows: &rows[ranges[i].clone()] };
-            let provider = FilteredProvider { catalog, filters, shard: Some(shard) };
-            xqdb_xqeval::eval_query(&plan.query, &provider, ctx)
-        };
-        let chunks = try_run_traced(&self.pool, ranges.len(), task, trace, span.id())?;
-        let mut sequence: Sequence = Vec::new();
-        for chunk in chunks {
-            sequence.extend(chunk);
-        }
-        ctx.budget.check_result_items(sequence.len())?;
-        span.add_count(sequence.len() as u64);
-        drop(span);
-        stats.steps_used = ctx.budget.steps_used();
-        stats.parallel_workers = self.pool.threads();
-        stats.parallel_shards = ranges.len();
-        Ok(ExecOutcome { sequence, stats, trace: trace.clone() })
-    }
+    let mut span = trace.span("scan");
+    let provider = FilteredProvider { catalog, filters: &filters };
+    let sequence = xqdb_xqeval::eval_query(&plan.query, &provider, ctx)?;
+    ctx.budget.check_result_items(sequence.len())?;
+    span.add_count(sequence.len() as u64);
+    drop(span);
+    stats.steps_used = ctx.budget.steps_used();
+    apply_physical_delta(&mut stats, catalog, &baseline);
+    record_exec_metrics(obs, &stats);
+    Ok(ExecOutcome { sequence, stats, trace: trace.clone() })
 }
 
 /// The catalog's monotone physical-work counters — buffer-pool traffic
@@ -628,35 +509,6 @@ pub(crate) fn apply_physical_delta(stats: &mut ExecStats, catalog: &Catalog, bas
     stats.xml_docs_parsed = catalog.db.xml_docs_parsed().saturating_sub(baseline.xml_parsed);
 }
 
-/// Run fallible tasks on `pool` in task order. When `trace` records, each
-/// finished task becomes a `worker task` span under `parent`; the disabled
-/// path stays on plain `try_run`, with no observation plumbing at all.
-pub(crate) fn try_run_traced<R, F>(
-    pool: &WorkerPool,
-    tasks: usize,
-    task: F,
-    trace: &Trace,
-    parent: Option<SpanId>,
-) -> Result<Vec<R>, XdmError>
-where
-    R: Send,
-    F: Fn(usize) -> Result<R, XdmError> + Sync,
-{
-    if !trace.enabled() {
-        return pool.try_run(tasks, task);
-    }
-    pool.try_run_observed(tasks, task, |t| {
-        trace.record_finished(
-            parent,
-            "worker task",
-            t.started,
-            t.nanos,
-            0,
-            vec![("worker", t.worker.to_string()), ("task", t.task.to_string())],
-        );
-    })
-}
-
 /// Record a finished run's [`ExecStats`] into the metrics registry — the
 /// single coupling point between counters and stats, which is what makes a
 /// metrics snapshot delta reconcile *exactly* with the stats the query
@@ -684,168 +536,6 @@ pub(crate) fn record_exec_metrics(obs: &Obs, stats: &ExecStats) {
     obs.add(Counter::PlansCosted, stats.plans_costed);
     obs.add(Counter::IndexCandidatesCosted, stats.index_candidates_costed);
     obs.add(Counter::MultiIndexIntersections, stats.multi_index_intersections);
-    obs.set_gauge(Gauge::ParallelWorkers, stats.parallel_workers as u64);
-    obs.set_gauge(Gauge::ParallelShards, stats.parallel_shards as u64);
-    if stats.parallel_workers > 1 {
-        obs.incr(Counter::ParallelQueries);
-        obs.add(Counter::ParallelShardsExecuted, stats.parallel_shards as u64);
-    }
-}
-
-/// Everything a sharded scan needs: the probe filters, the surviving rows
-/// of the partition source (monotone document ids), and the partition.
-#[derive(Clone, Copy)]
-struct ShardedScan<'a> {
-    filters: &'a Survivors,
-    rows: &'a [u64],
-    part: &'a Partition,
-}
-
-/// The partitionable fragment: which source's surviving documents may be
-/// sharded across workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// The `TABLE.COLUMN` source whose scan is sharded.
-    pub source: String,
-}
-
-/// Static partitionability analysis.
-///
-/// Returns the source to shard when concatenating per-shard results in
-/// shard order is provably byte-identical to serial evaluation:
-///
-/// - The query body is a path `xmlcolumn(S)/axis-steps...`, or a FLWOR
-///   whose first clause is `for $v in xmlcolumn(S)` / `for $v in
-///   xmlcolumn(S)/axis-steps...` without a positional (`at`) variable.
-/// - Every step of that path is an **axis** step, so each intermediate
-///   result is nodes-only and document-order deduplication never has to
-///   compare nodes across shard boundaries (shards own disjoint document
-///   id ranges — enforced at runtime by [`monotone_surviving_rows`]).
-///   Filter steps are excluded: they can construct nodes or produce
-///   atomics, whose global ordering (or type error) is not shard-local.
-/// - `S` is referenced exactly once in the whole query, so no shard would
-///   see a partial view of a second scan of `S`.
-/// - No top-level `order by` (a global sort), and no `position()`/`last()`
-///   anywhere (their focus is the global sequence, not the shard's).
-///
-/// Everything else runs serially — correct by construction, just not
-/// sped up. The analysis is deliberately conservative: a false negative
-/// costs performance, a false positive would corrupt results.
-pub fn partition_plan(query: &Query) -> Option<Partition> {
-    let body = &query.body;
-    if has_positional_calls(body) {
-        return None;
-    }
-    let source = match body {
-        Expr::Path { init, steps } => {
-            if !axis_only(steps) {
-                return None;
-            }
-            xmlcolumn_literal(init)?
-        }
-        Expr::Flwor(f) => {
-            if f.clauses.iter().any(|c| matches!(c, FlworClause::OrderBy(_))) {
-                return None;
-            }
-            let FlworClause::For { position: None, expr, .. } = f.clauses.first()? else {
-                return None;
-            };
-            match expr {
-                Expr::Path { init, steps } => {
-                    if !axis_only(steps) {
-                        return None;
-                    }
-                    xmlcolumn_literal(init)?
-                }
-                other => xmlcolumn_literal(other)?,
-            }
-        }
-        _ => return None,
-    };
-    if count_source_refs(body, &source) != 1 {
-        return None;
-    }
-    Some(Partition { source })
-}
-
-fn axis_only(steps: &[Step]) -> bool {
-    steps.iter().all(|s| matches!(s, Step::Axis { .. }))
-}
-
-/// True if the expression calls `position()` or `last()` anywhere. Matched
-/// by local name regardless of namespace — conservatively serializing a
-/// user-defined `position` costs speed, never correctness.
-fn has_positional_calls(expr: &Expr) -> bool {
-    let mut found = false;
-    visit_exprs(expr, &mut |e| {
-        if let Expr::FunctionCall { name, .. } = e {
-            if matches!(&*name.local, "position" | "last") {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
-fn count_source_refs(expr: &Expr, source: &str) -> usize {
-    let mut n = 0usize;
-    visit_exprs(expr, &mut |e| {
-        if xmlcolumn_literal(e).as_deref() == Some(source) {
-            n += 1;
-        }
-    });
-    n
-}
-
-/// The surviving rows of `source` (filter ∩ rows holding an XML document),
-/// in row order — provided their document ids are strictly increasing, the
-/// property that makes shard-order concatenation equal global document
-/// order. Documents get monotone ids at INSERT, so this holds unless a
-/// document handle was shared across rows; then we fall back to serial.
-fn monotone_surviving_rows(
-    catalog: &Catalog,
-    source: &str,
-    filter: Option<&BTreeSet<u64>>,
-) -> Option<Vec<u64>> {
-    let (table, col) = catalog.db.resolve_xml_column(source).ok()?;
-    let mut rows = Vec::new();
-    let mut last_doc: Option<u64> = None;
-    let mask = table.column_mask(col);
-    for item in access::fetch(filter, table, &mask) {
-        // A page fault here means the serial path will surface the same
-        // typed error; declining the parallel plan is enough.
-        let (row, values) = item.ok()?;
-        if let Some(SqlValue::Xml(n)) = &values[col] {
-            let doc = n.doc.id.0;
-            if last_doc.is_some_and(|d| d >= doc) {
-                return None;
-            }
-            last_doc = Some(doc);
-            rows.push(row);
-        }
-    }
-    Some(rows)
-}
-
-/// Render an EXPLAIN report for a plan, including the parallelism section
-/// for the given degree.
-pub fn explain_with_threads(plan: &QueryPlan, threads: usize) -> String {
-    let mut out = explain(plan);
-    let threads = threads.max(1);
-    if threads == 1 {
-        out.push_str("  parallelism: serial (1 thread)\n");
-    } else {
-        match partition_plan(&plan.query) {
-            Some(p) => out.push_str(&format!(
-                "  parallelism: {threads} threads, sharded scan over {}\n",
-                p.source
-            )),
-            None => out.push_str(&format!(
-                "  parallelism: serial ({threads} threads requested, query is not partitionable)\n"
-            )),
-        }
-    }
-    out
 }
 
 /// Render an EXPLAIN report for a plan.
@@ -898,8 +588,8 @@ pub fn explain(plan: &QueryPlan) -> String {
 /// — verbatim from the outcome's [`ExecStats`], so the report reconciles
 /// exactly with what the query returned — and one query-doctor line per
 /// eligibility pitfall, naming the paper Tip (or rule) that fired.
-pub fn explain_analyze_report(plan: &QueryPlan, outcome: &ExecOutcome, threads: usize) -> String {
-    let mut out = explain_with_threads(plan, threads);
+pub fn explain_analyze_report(plan: &QueryPlan, outcome: &ExecOutcome) -> String {
+    let mut out = explain(plan);
     render_execution_sections(&mut out, &outcome.stats, &outcome.trace);
     render_doctor_section(&mut out, &plan.rejections, &plan.notes, &outcome.stats);
     out
@@ -993,10 +683,6 @@ pub(crate) fn render_execution_sections(out: &mut String, s: &ExecStats, trace: 
         s.index_faults,
         s.degraded_sources.len()
     ));
-    out.push_str(&format!(
-        "  workers: {}  shards: {}\n",
-        s.parallel_workers, s.parallel_shards
-    ));
     if s.rows_deleted > 0 || s.docs_replaced > 0 || s.tombstones_reclaimed > 0 {
         out.push_str(&render_dml_line(s));
     }
@@ -1016,7 +702,8 @@ pub(crate) fn render_dml_line(s: &ExecStats) -> String {
 /// both front ends: one line per diagnosis, naming the paper Tip (or rule)
 /// that disqualified the index, plus a misestimate line when the run's plan
 /// was costed and its estimate was far off — headed by whether the run
-/// actually probed an index.
+/// actually probed an index, and blaming stale statistics only when the
+/// plan came from a cache.
 pub(crate) fn render_doctor_section(
     out: &mut String,
     rejections: &[Rejection],
@@ -1029,6 +716,7 @@ pub(crate) fn render_doctor_section(
             stats.cost_est_rows,
             stats.cost_actual_rows,
             stats.index_probes > 0,
+            stats.plan_cache_hits == 0,
         ));
     }
     if diagnoses.is_empty() {
@@ -1040,25 +728,15 @@ pub(crate) fn render_doctor_section(
     }
 }
 
-/// One worker's view of the partition source: a sorted slice of surviving
-/// row ids, served via a range-bounded scan so workers never re-walk the
-/// whole table.
-struct Shard<'a> {
-    source: &'a str,
-    rows: &'a [u64],
-}
-
 /// Collection provider that serves only the rows surviving index
-/// pre-filtering — and, on a worker, only the shard's slice of the
-/// partition source.
+/// pre-filtering.
 struct FilteredProvider<'a> {
     catalog: &'a Catalog,
     filters: &'a Survivors,
-    shard: Option<Shard<'a>>,
 }
 
 impl<'a> FilteredProvider<'a> {
-    /// Fault-injection point shared by both scan shapes: same semantics as
+    /// Fault-injection point shared by both fetch loops: same semantics as
     /// `Database::xmlcolumn`, a document fetch fault has no fallback.
     fn check_fetch_fault(&self, row: usize, key: &str) -> Result<(), XdmError> {
         if let Some(inj) = self.catalog.db.fault_injector() {
@@ -1076,19 +754,6 @@ impl<'a> CollectionProvider for FilteredProvider<'a> {
     fn xmlcolumn(&self, name: &str) -> Result<Sequence, XdmError> {
         let key = name.to_ascii_uppercase();
         let (table, col) = self.catalog.db.resolve_xml_column(&key)?;
-        if let Some(shard) = self.shard.as_ref().filter(|s| s.source == key) {
-            // Sharded scan: decode exactly this worker's surviving rows —
-            // a point lookup per row, never the whole range (the shard may
-            // be sparse after probes/joins/pre-filters pruned it).
-            let mut out = Vec::with_capacity(shard.rows.len());
-            for &row in shard.rows {
-                self.check_fetch_fault(row as usize, &key)?;
-                if let Some(SqlValue::Xml(n)) = table.cell(row as usize, col)? {
-                    out.push(Item::Node(n));
-                }
-            }
-            return Ok(out);
-        }
         if let Some(f) = self.filters.get(&key) {
             // A filter survived the probe/twig/pre-filter phases: decode
             // only the surviving rows. Skipped documents must cost nothing
@@ -1130,10 +795,9 @@ pub(crate) fn xmlcolumn_literal(expr: &Expr) -> Option<String> {
 }
 
 /// Pre-order visit of every sub-expression, including step predicates,
-/// filter-step expressions and constructor content. The single walker
-/// behind the partitionability checks, so new
-/// `Expr` variants fail compilation here instead of silently escaping one
-/// of several hand-rolled traversals.
+/// filter-step expressions and constructor content. The single generic
+/// walker, so new `Expr` variants fail compilation here instead of
+/// silently escaping one of several hand-rolled traversals.
 pub(crate) fn visit_exprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     f(expr);
     match expr {
@@ -1257,61 +921,4 @@ pub fn bound_context(
         map.insert(name, value);
     }
     DynamicContext::with_variables(map)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn part(q: &str) -> Option<Partition> {
-        partition_plan(&xqdb_xquery::parse_query(q).unwrap())
-    }
-
-    #[test]
-    fn partition_analysis_accepts_the_shardable_fragment() {
-        // Top-level axis-only path over one collection.
-        let p = part("db2-fn:xmlcolumn('T.C')//order[lineitem/@price > 100]").unwrap();
-        assert_eq!(p.source, "T.C");
-        // For-headed FLWOR over the bare collection or an axis-only path.
-        assert!(part("for $o in db2-fn:xmlcolumn('T.C') return $o/a").is_some());
-        let p = part(
-            "for $o in db2-fn:xmlcolumn('T.C')/order where $o/a > 1 return $o/b",
-        )
-        .unwrap();
-        assert_eq!(p.source, "T.C");
-    }
-
-    #[test]
-    fn partition_analysis_serializes_everything_else() {
-        // A let-binding sees the whole collection at once.
-        assert!(part("let $a := db2-fn:xmlcolumn('T.C') return $a").is_none());
-        // Two references to the source (self-join): one shard would need
-        // the other shards' documents.
-        assert!(part(
-            "for $o in db2-fn:xmlcolumn('T.C')/order \
-             for $p in db2-fn:xmlcolumn('T.C')/order \
-             where $o/id = $p/ref return $o"
-        )
-        .is_none());
-        // position()/last() observe the global sequence.
-        assert!(part("db2-fn:xmlcolumn('T.C')/order[position() = 1]").is_none());
-        assert!(
-            part("for $o in db2-fn:xmlcolumn('T.C') return $o[last()]").is_none()
-        );
-        // A positional `at` variable is global too.
-        assert!(
-            part("for $o at $i in db2-fn:xmlcolumn('T.C') return $i").is_none()
-        );
-        // A filter step (function-call step) can produce atomics whose
-        // ordering rules are not shard-local.
-        assert!(part("db2-fn:xmlcolumn('T.C')/order/xs:double(.)").is_none());
-        // Joins against a second collection are fine as long as the
-        // *partitioned* source is referenced once.
-        let p = part(
-            "for $o in db2-fn:xmlcolumn('T.C')/order \
-             for $c in db2-fn:xmlcolumn('U.D')/customer \
-             where $o/custid = $c/id return $o"
-        );
-        assert_eq!(p.unwrap().source, "T.C");
-    }
 }

@@ -48,10 +48,9 @@ pub use eligibility::{
     Cond, CostModel, Diagnosis, Est, IndexCond, Note, Pitfall, RejectReason,
 };
 pub use engine::{
-    execute_plan, explain, explain_analyze_report, explain_analyze_xquery,
-    explain_with_threads, partition_plan, plan_query, plan_query_costed, plan_query_traced,
-    run_xquery, run_xquery_with_limits, run_xquery_with_options, ExecOptions, ExecOutcome,
-    ExecStats, ParallelExecutor, Partition, PlanCost, QueryPlan,
+    execute_plan, explain, explain_analyze_report, explain_analyze_xquery, plan_query,
+    plan_query_costed, plan_query_traced, run_xquery, run_xquery_with_limits,
+    run_xquery_with_options, ExecOptions, ExecOutcome, ExecStats, PlanCost, QueryPlan,
 };
 pub use plancache::CacheEpoch;
 pub use prefilter::{PathComponent, RequiredGroup, RequiredPath, SourcePrefilter};

@@ -18,7 +18,6 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use xqdb_obs::{Counter, Obs, Trace};
-use xqdb_runtime::{chunk_ranges, WorkerPool};
 use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{cast, AtomicType, AtomicValue, ErrorCode, ExpandedName, Item, Sequence, XdmError};
 use xqdb_xqeval::{eval_query, DynamicContext};
@@ -33,7 +32,7 @@ use crate::eligibility::{
 };
 use crate::engine::{
     apply_physical_delta, record_exec_metrics, render_doctor_section, render_execution_sections,
-    render_structure_sections, try_run_traced, ExecStats, Physical, PlanCost,
+    render_structure_sections, ExecStats, Physical, PlanCost,
 };
 use crate::plancache::PlanCache;
 use crate::prefilter::SourcePrefilter;
@@ -237,7 +236,6 @@ impl SqlSession {
         let (catalog, durability, report) = open_durable_catalog(
             dir,
             config,
-            session.catalog.runtime,
             &session.obs.trace(),
             &session.obs,
         )?;
@@ -449,8 +447,7 @@ impl SqlSession {
         };
         let plan = self.plan_select_traced(&sel, trace)?;
         let mut stats = ExecStats::for_plan(&plan.cost);
-        let pool = WorkerPool::new(self.catalog.runtime.effective_threads());
-        let filters = self.survivors(&plan, pool, trace, budget, &mut stats)?;
+        let filters = self.survivors(&plan, trace, budget, &mut stats)?;
         let mut span = trace.span("scan");
         stats.docs_total.insert(t.name.clone(), t.live_len());
         let parsed_before = self.catalog.db.xml_docs_parsed();
@@ -927,7 +924,6 @@ impl SqlSession {
     fn survivors(
         &self,
         plan: &SqlPlan,
-        pool: WorkerPool,
         trace: &Trace,
         budget: &xqdb_xdm::Budget,
         stats: &mut ExecStats,
@@ -950,13 +946,7 @@ impl SqlSession {
                 scalars: plan.scalars.get(source).map_or(&[], Vec::as_slice),
             })
             .collect();
-        let paths = AccessPaths {
-            catalog: &self.catalog,
-            config: self.access,
-            pool,
-            obs: &self.obs,
-            trace,
-        };
+        let paths = AccessPaths { catalog: &self.catalog, config: self.access, obs: &self.obs, trace };
         paths.survivors(&sources, budget, stats)
     }
 
@@ -975,8 +965,7 @@ impl SqlSession {
         stats.plan_cache_hits = u64::from(cache_hit);
         stats.plan_cache_misses = u64::from(!cache_hit);
         let baseline = Physical::now(&self.catalog);
-        let pool = WorkerPool::new(self.catalog.runtime.effective_threads());
-        let filters = self.survivors(plan, pool, trace, budget, &mut stats)?;
+        let filters = self.survivors(plan, trace, budget, &mut stats)?;
 
         let mut scan_span = trace.span("scan");
         // Build the row stream via nested loops.
@@ -1020,41 +1009,17 @@ impl SqlSession {
             rows = next;
         }
 
-        // WHERE. Row conditions are independent of one another, so with a
-        // pool configured the predicate phase (each row runs its XMLEXISTS
-        // residuals) evaluates in row chunks across workers; the kept set
-        // is rebuilt in row order, identical to the serial loop.
-        let kept = match &sel.where_cond {
-            Some(cond) if pool.threads() > 1 && rows.len() > 1 => {
-                let ranges = chunk_ranges(rows.len(), pool.default_chunks(rows.len()));
-                let rows_ref = &rows;
-                let task = |i: usize| {
-                    let mut out = Vec::with_capacity(ranges[i].len());
-                    for ctx in &rows_ref[ranges[i].clone()] {
-                        out.push(self.eval_cond(cond, ctx, budget)? == Some(true));
-                    }
-                    Ok(out)
-                };
-                let flags = try_run_traced(&pool, ranges.len(), task, trace, scan_span.id())?;
-                stats.parallel_workers = pool.threads();
-                stats.parallel_shards = ranges.len();
-                let mut pass = flags.into_iter().flatten();
-                rows.into_iter().filter(|_| pass.next() == Some(true)).collect()
+        // WHERE.
+        let mut kept = Vec::new();
+        for ctx in rows {
+            let pass = match &sel.where_cond {
+                None => true,
+                Some(c) => self.eval_cond(c, &ctx, budget)? == Some(true),
+            };
+            if pass {
+                kept.push(ctx);
             }
-            _ => {
-                let mut kept = Vec::new();
-                for ctx in rows {
-                    let pass = match &sel.where_cond {
-                        None => true,
-                        Some(c) => self.eval_cond(c, &ctx, budget)? == Some(true),
-                    };
-                    if pass {
-                        kept.push(ctx);
-                    }
-                }
-                kept
-            }
-        };
+        }
         scan_span.add_count(kept.len() as u64);
         drop(scan_span);
 

@@ -191,7 +191,7 @@ mod tests {
         let obs = Obs::disabled();
         assert!(!obs.enabled());
         obs.incr(Counter::QueriesExecuted);
-        obs.set_gauge(Gauge::ParallelWorkers, 9);
+        obs.set_gauge(Gauge::BufferPoolPages, 9);
         obs.observe_ns(Histogram::QueryNanos, 1_000_000);
         assert!(obs.metrics_snapshot().is_none());
         let trace = obs.trace();
@@ -219,12 +219,12 @@ mod tests {
         let obs = Obs::new(ObsConfig::enabled());
         obs.incr(Counter::QueriesExecuted);
         obs.add(Counter::IndexEntriesScanned, 41);
-        obs.set_gauge(Gauge::ParallelShards, 8);
+        obs.set_gauge(Gauge::BufferPoolPages, 8);
         obs.observe_ns(Histogram::QueryNanos, 5_000);
         let snap = obs.metrics_snapshot().expect("metrics are on");
         assert_eq!(snap.counter(Counter::QueriesExecuted), 1);
         assert_eq!(snap.counter(Counter::IndexEntriesScanned), 41);
-        assert_eq!(snap.gauge(Gauge::ParallelShards), 8);
+        assert_eq!(snap.gauge(Gauge::BufferPoolPages), 8);
         let trace = obs.trace();
         {
             let mut span = trace.span("query");

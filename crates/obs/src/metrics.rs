@@ -38,10 +38,6 @@ pub enum Counter {
     EvalSteps,
     /// B+Tree nodes touched by index range scans (descent + leaf chain).
     BtreeNodeTouches,
-    /// Queries that ran any phase on more than one worker.
-    ParallelQueries,
-    /// Shard tasks executed by parallel scans.
-    ParallelShardsExecuted,
     /// Query-doctor diagnoses issued (index-ineligible predicates explained).
     DoctorDiagnoses,
     /// Index entries inserted by CREATE INDEX back-fills and row inserts.
@@ -100,7 +96,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 38] = [
         Counter::QueriesExecuted,
         Counter::SqlStatements,
         Counter::IndexProbes,
@@ -113,8 +109,6 @@ impl Counter {
         Counter::XmlDocsParsed,
         Counter::EvalSteps,
         Counter::BtreeNodeTouches,
-        Counter::ParallelQueries,
-        Counter::ParallelShardsExecuted,
         Counter::DoctorDiagnoses,
         Counter::IndexEntriesBuilt,
         Counter::WalRecordsAppended,
@@ -158,8 +152,6 @@ impl Counter {
             Counter::XmlDocsParsed => "xqdb_xml_docs_parsed_total",
             Counter::EvalSteps => "xqdb_eval_steps_total",
             Counter::BtreeNodeTouches => "xqdb_btree_node_touches_total",
-            Counter::ParallelQueries => "xqdb_parallel_queries_total",
-            Counter::ParallelShardsExecuted => "xqdb_parallel_shards_executed_total",
             Counter::DoctorDiagnoses => "xqdb_doctor_diagnoses_total",
             Counter::IndexEntriesBuilt => "xqdb_index_entries_built_total",
             Counter::WalRecordsAppended => "xqdb_wal_records_appended_total",
@@ -204,8 +196,6 @@ impl Counter {
             Counter::XmlDocsParsed => "stored XML documents parsed by row decodes",
             Counter::EvalSteps => "evaluation steps charged to budgets",
             Counter::BtreeNodeTouches => "B+Tree nodes touched by index range scans",
-            Counter::ParallelQueries => "queries that used more than one worker",
-            Counter::ParallelShardsExecuted => "shard tasks executed by parallel scans",
             Counter::DoctorDiagnoses => "query-doctor diagnoses issued",
             Counter::IndexEntriesBuilt => "index entries inserted by back-fills and inserts",
             Counter::WalRecordsAppended => "records appended to the write-ahead log",
@@ -246,15 +236,11 @@ impl Counter {
     }
 }
 
-/// Gauges. `ParallelWorkers`/`ParallelShards` are last-write-wins (set);
+/// Gauges. `BufferPoolPages` is last-write-wins (set);
 /// `ActiveConnections` is a live up/down count maintained with
 /// [`MetricsRegistry::inc_gauge`]/[`MetricsRegistry::dec_gauge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauge {
-    /// Workers used by the most recent parallel phase.
-    ParallelWorkers,
-    /// Shards executed by the most recent parallel phase.
-    ParallelShards,
     /// Server connections currently open (accepted and not yet closed).
     ActiveConnections,
     /// Configured buffer-pool capacity of the shared page file, in pages.
@@ -263,9 +249,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in export order.
-    pub const ALL: [Gauge; 4] = [
-        Gauge::ParallelWorkers,
-        Gauge::ParallelShards,
+    pub const ALL: [Gauge; 2] = [
         Gauge::ActiveConnections,
         Gauge::BufferPoolPages,
     ];
@@ -273,8 +257,6 @@ impl Gauge {
     /// Prometheus series name.
     pub fn name(self) -> &'static str {
         match self {
-            Gauge::ParallelWorkers => "xqdb_parallel_workers",
-            Gauge::ParallelShards => "xqdb_parallel_shards",
             Gauge::ActiveConnections => "xqdb_active_connections",
             Gauge::BufferPoolPages => "xqdb_buffer_pool_pages",
         }
@@ -283,8 +265,6 @@ impl Gauge {
     /// Prometheus HELP text.
     pub fn help(self) -> &'static str {
         match self {
-            Gauge::ParallelWorkers => "workers used by the most recent parallel phase",
-            Gauge::ParallelShards => "shards executed by the most recent parallel phase",
             Gauge::ActiveConnections => "server connections currently open",
             Gauge::BufferPoolPages => "configured buffer-pool capacity in pages",
         }
@@ -556,12 +536,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add(Counter::IndexProbes, 2);
         reg.add(Counter::IndexProbes, 3);
-        reg.set_gauge(Gauge::ParallelWorkers, 4);
-        reg.set_gauge(Gauge::ParallelWorkers, 2);
+        reg.set_gauge(Gauge::BufferPoolPages, 4);
+        reg.set_gauge(Gauge::BufferPoolPages, 2);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::IndexProbes), 5);
         assert_eq!(snap.counter(Counter::QueriesExecuted), 0);
-        assert_eq!(snap.gauge(Gauge::ParallelWorkers), 2, "gauges are last-write-wins");
+        assert_eq!(snap.gauge(Gauge::BufferPoolPages), 2, "gauges are last-write-wins");
     }
 
     #[test]

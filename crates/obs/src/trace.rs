@@ -1,15 +1,14 @@
 //! Per-query span traces.
 //!
 //! A [`Trace`] is created per statement and records a tree of [`SpanRecord`]s
-//! — parse, plan, probe, scan, serialize, plus per-worker child spans from
-//! parallel phases. Spans are RAII guards: created via [`Trace::span`] or
+//! — parse, plan, probe, scan, serialize. Spans are RAII guards: created via [`Trace::span`] or
 //! [`Span::child`], they buffer their tags locally and write one record into
 //! the trace when dropped, so the shared mutex is taken twice per span (once
 //! to reserve the id, once to finish) and never while the span's work runs.
 //!
-//! The trace is `Sync`: worker threads record child spans through the same
-//! handle, keyed by an explicit parent [`SpanId`] (`Copy`, so it crosses the
-//! closure boundary without borrowing the parent guard).
+//! The trace is `Sync`: another thread can record child spans through the
+//! same handle, keyed by an explicit parent [`SpanId`] (`Copy`, so it
+//! crosses the closure boundary without borrowing the parent guard).
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -99,25 +98,6 @@ impl Trace {
             live: Some(LiveSpan { trace: Arc::clone(inner), id, start }),
             count: 0,
             tags: Vec::new(),
-        }
-    }
-
-    /// Record a span that was measured externally (e.g. a worker task timed
-    /// by the pool after the fact). `started` anchors the span on this
-    /// trace's clock; `dur_ns` is the already-measured wall time.
-    pub fn record_finished(
-        &self,
-        parent: Option<SpanId>,
-        name: &'static str,
-        started: Instant,
-        dur_ns: u64,
-        count: u64,
-        tags: Vec<(&'static str, String)>,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        let start_ns = duration_ns(inner.start, started);
-        if let Ok(mut spans) = inner.spans.lock() {
-            spans.push(SpanRecord { name, parent, start_ns, dur_ns, count, tags });
         }
     }
 

@@ -21,8 +21,6 @@
 //! - `--timeout-ms N`    abort any query running longer than N milliseconds
 //! - `--max-steps N`     abort any query after N evaluation steps
 //! - `--max-doc-bytes N` reject XMLPARSE input larger than N bytes
-//! - `--threads N`       evaluate partitionable scans on N worker threads
-//!   (`--threads 1`, the default, is the exact legacy serial path)
 //!
 //! Observability flags:
 //!
@@ -60,7 +58,7 @@
 //!
 //! - `xqdb serve [--addr HOST:PORT] [--max-sessions N] [--session-budget N]
 //!   [--queue-depth N] [--queue-timeout-ms N] [--request-timeout-ms N]
-//!   [--threads N] [--data-dir PATH] [--fsync MODE] [--metrics-json PATH]`
+//!   [--data-dir PATH] [--fsync MODE] [--metrics-json PATH]`
 //!   runs the concurrent TCP front end (see `xqdb-server`); `SIGTERM`
 //!   triggers a graceful drain (stop accepting, finish in-flight requests,
 //!   checkpoint, exit 0).
@@ -78,7 +76,6 @@ struct CliLimits {
     timeout_ms: Option<u64>,
     max_steps: Option<u64>,
     max_doc_bytes: Option<usize>,
-    threads: Option<usize>,
     trace: bool,
     metrics_json: Option<String>,
     data_dir: Option<String>,
@@ -106,7 +103,6 @@ impl CliLimits {
                 "--max-doc-bytes" => {
                     out.max_doc_bytes = Some(value("--max-doc-bytes")? as usize)
                 }
-                "--threads" => out.threads = Some(value("--threads")? as usize),
                 "--buffer-pages" => {
                     out.buffer_pages = Some(value("--buffer-pages")? as usize)
                 }
@@ -137,7 +133,7 @@ impl CliLimits {
                     })?)
                 }
                 "--help" | "-h" => {
-                    return Err("usage: xqdb [recover PATH] [pages PATH] [verify PATH] [labels PATH TABLE] [stats PATH TABLE] [--timeout-ms N] [--max-steps N] [--max-doc-bytes N] [--threads N] [--buffer-pages N] [--no-prefilter] [--no-twig] [--no-cost] [--trace] [--metrics-json PATH] [--data-dir PATH] [--fsync always|batch|off]"
+                    return Err("usage: xqdb [recover PATH] [pages PATH] [verify PATH] [labels PATH TABLE] [stats PATH TABLE] [--timeout-ms N] [--max-steps N] [--max-doc-bytes N] [--buffer-pages N] [--no-prefilter] [--no-twig] [--no-cost] [--trace] [--metrics-json PATH] [--data-dir PATH] [--fsync always|batch|off]"
                         .to_string())
                 }
                 other => return Err(format!("unknown flag {other}; try --help")),
@@ -248,10 +244,6 @@ fn main() {
     if let Some(bytes) = limits.max_doc_bytes {
         session.parse_limits = session.parse_limits.with_max_doc_bytes(bytes);
     }
-    // One knob configures every parallel phase: XQuery scans, the SQL WHERE
-    // phase, and index back-fills all read the catalog's runtime config.
-    session.catalog.runtime =
-        xqdb_runtime::RuntimeConfig::with_threads(limits.threads.unwrap_or(1));
     // Metrics live for the whole session; traces are per-statement.
     let obs = Obs::new(ObsConfig {
         metrics: limits.metrics_json.is_some(),
@@ -311,7 +303,6 @@ fn run_recover(dir: &str) -> i32 {
     let trace = xqdb_obs::Trace::recording();
     match xqdb_core::recover_catalog(
         std::path::Path::new(dir),
-        xqdb_runtime::RuntimeConfig::default(),
         &trace,
         &Obs::disabled(),
     ) {
@@ -512,7 +503,6 @@ fn run_verify(dir: &str) -> i32 {
     }
     let catalog = match xqdb_core::recover_catalog(
         p,
-        xqdb_runtime::RuntimeConfig::default(),
         &xqdb_obs::Trace::disabled(),
         &Obs::disabled(),
     ) {
@@ -557,7 +547,6 @@ fn run_verify(dir: &str) -> i32 {
 fn run_labels(dir: &str, table: &str) -> i32 {
     let catalog = match xqdb_core::recover_catalog(
         std::path::Path::new(dir),
-        xqdb_runtime::RuntimeConfig::default(),
         &xqdb_obs::Trace::disabled(),
         &Obs::disabled(),
     ) {
@@ -617,7 +606,6 @@ fn run_labels(dir: &str, table: &str) -> i32 {
 fn run_stats(dir: &str, table: &str) -> i32 {
     let catalog = match xqdb_core::recover_catalog(
         std::path::Path::new(dir),
-        xqdb_runtime::RuntimeConfig::default(),
         &xqdb_obs::Trace::disabled(),
         &Obs::disabled(),
     ) {
@@ -711,7 +699,6 @@ mod sig {
 struct ServeOpts {
     addr: String,
     cfg: xqdb_server::ServerConfig,
-    threads: Option<usize>,
     data_dir: Option<String>,
     fsync: Option<xqdb_core::FsyncMode>,
     metrics_json: Option<String>,
@@ -723,7 +710,6 @@ impl ServeOpts {
         let mut out = ServeOpts {
             addr: "127.0.0.1:0".to_string(),
             cfg: xqdb_server::ServerConfig::default(),
-            threads: None,
             data_dir: None,
             fsync: None,
             metrics_json: None,
@@ -757,7 +743,6 @@ impl ServeOpts {
                         parse_num(&text("--request-timeout-ms")?, "--request-timeout-ms")?,
                     ))
                 }
-                "--threads" => out.threads = Some(parse_num(&text("--threads")?, "--threads")?),
                 "--buffer-pages" => {
                     out.buffer_pages =
                         Some(parse_num(&text("--buffer-pages")?, "--buffer-pages")?)
@@ -771,7 +756,7 @@ impl ServeOpts {
                 }
                 "--metrics-json" => out.metrics_json = Some(text("--metrics-json")?),
                 "--help" | "-h" => {
-                    return Err("usage: xqdb serve [--addr HOST:PORT] [--max-sessions N] [--session-budget N] [--queue-depth N] [--queue-timeout-ms N] [--request-timeout-ms N] [--threads N] [--buffer-pages N] [--data-dir PATH] [--fsync always|batch|off] [--metrics-json PATH]"
+                    return Err("usage: xqdb serve [--addr HOST:PORT] [--max-sessions N] [--session-budget N] [--queue-depth N] [--queue-timeout-ms N] [--request-timeout-ms N] [--buffer-pages N] [--data-dir PATH] [--fsync always|batch|off] [--metrics-json PATH]"
                         .to_string())
                 }
                 other => return Err(format!("unknown serve flag {other}; try --help")),
@@ -822,8 +807,6 @@ fn run_serve(args: &[String]) -> i32 {
             }
         }
     };
-    session.catalog.runtime =
-        xqdb_runtime::RuntimeConfig::with_threads(opts.threads.unwrap_or(1));
     let obs = Obs::new(ObsConfig { metrics: true, tracing: false });
     session.set_obs(obs.clone());
     obs.set_gauge(
@@ -941,13 +924,7 @@ fn run_statement(session: &mut SqlSession, stmt: &str, limits: &CliLimits) {
         match xqdb_xquery::parse_query(rest) {
             Ok(q) => {
                 let plan = xqdb_core::plan_query(&session.catalog, q, &AnalysisEnv::new());
-                print!(
-                    "{}",
-                    xqdb_core::explain_with_threads(
-                        &plan,
-                        session.catalog.runtime.effective_threads()
-                    )
-                );
+                print!("{}", xqdb_core::explain(&plan));
             }
             Err(e) => println!("error: {e}"),
         }
@@ -967,17 +944,9 @@ fn run_statement(session: &mut SqlSession, stmt: &str, limits: &CliLimits) {
                 let evaluated: usize = out.stats.docs_evaluated.values().sum();
                 let total: usize = out.stats.docs_total.values().sum();
                 println!(
-                    "-- {} item(s); {evaluated}/{total} documents evaluated, {} index entries{}",
+                    "-- {} item(s); {evaluated}/{total} documents evaluated, {} index entries",
                     out.sequence.len(),
                     out.stats.index_entries_scanned,
-                    if out.stats.parallel_workers > 1 {
-                        format!(
-                            "; {} workers x {} shards",
-                            out.stats.parallel_workers, out.stats.parallel_shards
-                        )
-                    } else {
-                        String::new()
-                    }
                 );
                 report_degradation(&out.stats);
                 report_trace(&out.trace);
@@ -1009,7 +978,7 @@ fn dot_command(session: &mut SqlSession, cmd: &str) -> bool {
                  SQL:          CREATE TABLE/INDEX, INSERT, SELECT (XMLQUERY/XMLEXISTS/XMLTABLE/XMLCAST), EXPLAIN [ANALYZE] SELECT, VALUES\n\
                  XQuery:       xquery <expr>;        explain xquery <expr>;        explain analyze xquery <expr>;\n\
                  shell:        .tables  .indexes  .checkpoint  .help  .quit\n\
-                 flags:        --timeout-ms N  --max-steps N  --max-doc-bytes N  --threads N  --buffer-pages N  --no-prefilter  --no-twig  --no-cost  --trace  --metrics-json PATH\n\
+                 flags:        --timeout-ms N  --max-steps N  --max-doc-bytes N  --buffer-pages N  --no-prefilter  --no-twig  --no-cost  --trace  --metrics-json PATH\n\
                  prefilter:    structural pre-filter is on by default; disable with --no-prefilter\n\
                  twig:         holistic twig join is on by default; disable with --no-twig; xqdb labels PATH TABLE dumps per-path label counts\n\
                  cost:         cost-based index choice is on by default; disable with --no-cost; xqdb stats PATH TABLE dumps synopsis statistics\n\

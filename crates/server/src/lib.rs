@@ -412,16 +412,16 @@ pub fn is_read_statement(text: &str) -> bool {
     lower.starts_with("xquery") || !SqlSession::is_write_statement(text)
 }
 
-/// Options for an XQuery statement run on `session`'s catalog: its thread
-/// degree, its observability handle and its access switches.
+/// Options for an XQuery statement run on `session`'s catalog: its
+/// observability handle and its access switches.
 pub fn exec_options(session: &SqlSession, limits: &Limits) -> ExecOptions {
     ExecOptions {
         limits: limits.clone(),
-        threads: session.catalog.runtime.effective_threads(),
         obs: session.obs.clone(),
         prefilter: session.access.prefilter,
         twig: session.access.twig,
         cost: session.access.cost,
+        ..ExecOptions::default()
     }
 }
 
@@ -447,10 +447,7 @@ pub fn run_read_statement(
         let q = xqdb_xquery::parse_query(rest)
             .map_err(|e| XdmError::new(ErrorCode::XPST0003, e.to_string()))?;
         let plan = xqdb_core::plan_query(&session.catalog, q, &xqdb_core::AnalysisEnv::new());
-        return Ok(xqdb_core::explain_with_threads(
-            &plan,
-            session.catalog.runtime.effective_threads(),
-        ));
+        return Ok(xqdb_core::explain(&plan));
     }
     if lower.starts_with("xquery") {
         let rest = stmt["xquery".len()..].trim();

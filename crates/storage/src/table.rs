@@ -700,11 +700,9 @@ impl Table {
         self.scan_range(0, self.directory.len())
     }
 
-    /// Iterate `(RowId, row)` pairs for live rows in `[start, end)` — the
-    /// sharded scan used by parallel execution, so each worker touches only
-    /// its own row range instead of re-scanning the whole table. Deleted
-    /// rows are skipped (their ids simply don't appear); out-of-range
-    /// bounds are clamped.
+    /// Iterate `(RowId, row)` pairs for live rows in `[start, end)`.
+    /// Deleted rows are skipped (their ids simply don't appear);
+    /// out-of-range bounds are clamped.
     pub fn scan_range(
         &self,
         start: RowId,

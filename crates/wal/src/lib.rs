@@ -5,7 +5,7 @@
 //! bound replay cost. The engine logs every mutation **before** applying
 //! it; recovery replays the newest snapshot and the surviving log suffix
 //! through the ordinary catalog code paths — indexes are rebuilt by the
-//! same (parallelizable) back-fill a live `CREATE INDEX` uses, so the
+//! same back-fill a live `CREATE INDEX` uses, so the
 //! paper's Definition 1 doubles as the recovery-correctness oracle: a
 //! recovered database answers every query byte-identically to one that
 //! never crashed (up to the acknowledged-durable prefix the fsync mode
@@ -34,23 +34,62 @@ pub use manifest::{
 pub use record::{crc32, parse_frame, FrameOutcome, WalRecord, WalValue, FRAME_HEADER};
 
 #[cfg(test)]
+pub(crate) mod test_dir {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh data directory path under `target/test-tmp`, removed when
+    /// the guard drops — unless the thread is panicking, so a failing test
+    /// keeps its files for inspection.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(label: &str) -> TempDir {
+            static N: AtomicU64 = AtomicU64::new(0);
+            let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
+                .join(format!(
+                    "{label}_{}_{}",
+                    std::process::id(),
+                    N.fetch_add(1, Ordering::Relaxed)
+                ));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::test_dir::TempDir;
     use super::*;
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use xqdb_xdm::{DurabilityFault, ErrorCode, FaultInjector, FaultMode};
 
-    fn temp_dir(label: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
-            .join(format!(
-            "wal_{label}_{}_{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn temp_dir(label: &str) -> TempDir {
+        TempDir::new(&format!("wal_{label}"))
     }
 
     fn insert(i: i64) -> WalRecord {

@@ -421,18 +421,10 @@ pub fn load_manifest(dir: &Path) -> Result<Option<Manifest>, XdmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::test_dir::TempDir;
 
-    fn temp_dir(label: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
-            .join(format!(
-                "manifest_{label}_{}_{}",
-                std::process::id(),
-                N.fetch_add(1, Ordering::Relaxed)
-            ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn temp_dir(label: &str) -> TempDir {
+        TempDir::new(&format!("manifest_{label}"))
     }
 
     fn sample() -> Manifest {

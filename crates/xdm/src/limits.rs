@@ -87,14 +87,13 @@ const CHECK_INTERVAL: u64 = 64;
 
 /// Live accounting for one evaluation, shared via `Arc` across layers.
 ///
-/// All counters are atomic so the budget can be charged from the evaluator,
-/// the engine's probe loop, and the `xqdb-runtime` worker pool without
-/// locking: one budget governs all workers of a parallel run globally —
-/// step/entry caps, the deadline and the cancellation token trip for the
-/// whole pool no matter which worker charges the final unit. (The serial
-/// cost of this is one uncontended `fetch_add` per step, negligible next
-/// to evaluation itself; see `shared_budget_is_enforced_globally_across_workers`
-/// in `crates/runtime` for the cross-thread enforcement test.)
+/// All counters are atomic so the budget can be charged from the evaluator
+/// and the engine's probe loop, and cancelled from another thread, without
+/// locking: step/entry caps, the deadline and the cancellation token trip
+/// no matter which thread charges the final unit. (The cost of this is one
+/// uncontended `fetch_add` per step, negligible next to evaluation itself;
+/// see `shared_budget_is_enforced_globally_across_workers` in
+/// `crates/runtime` for the cross-thread enforcement test.)
 #[derive(Debug)]
 pub struct Budget {
     limits: Limits,

@@ -106,7 +106,7 @@ pub struct ProbeStats {
 
 /// Encoded index keys extracted from one document, plus the count of
 /// pattern-matching nodes skipped by tolerant indexing. Produced by
-/// [`XmlIndex::extract_entries`], consumed by [`XmlIndex::insert_entries`].
+/// [`XmlIndex::extract_entries`].
 #[derive(Debug, Clone, Default)]
 pub struct ExtractedEntries {
     /// Encoded keys (value prefix + row/node suffix), in document order.
@@ -213,14 +213,16 @@ impl XmlIndex {
     /// evolution and of broad `//@*` indexes).
     pub fn insert_document(&mut self, row: u64, root: &NodeHandle) {
         let extracted = self.extract_entries(row, root);
-        self.insert_entries(extracted);
+        for k in extracted.keys {
+            self.tree.insert(k, ());
+        }
+        self.skipped_nodes += extracted.skipped;
     }
 
     /// The read-only half of [`XmlIndex::insert_document`]: walk the
     /// document and build its encoded index keys without touching the tree.
-    /// Workers extract in parallel during an index back-fill; the merge into
-    /// the B+Tree happens serially via [`XmlIndex::insert_entries`] so the
-    /// resulting tree is identical to a serial build.
+    /// The rebuild oracle (`verify_derived_state`) compares these keys with
+    /// the maintained tree.
     pub fn extract_entries(&self, row: u64, root: &NodeHandle) -> ExtractedEntries {
         let mut entries: Vec<Vec<u8>> = Vec::new();
         let mut skipped = 0usize;
@@ -266,15 +268,6 @@ impl XmlIndex {
         self.tree = tree;
         self.skipped_nodes = skipped_nodes;
         Ok(())
-    }
-
-    /// The write half of [`XmlIndex::insert_document`]: merge extracted
-    /// entries into the tree, in the order they were extracted.
-    pub fn insert_entries(&mut self, extracted: ExtractedEntries) {
-        for k in extracted.keys {
-            self.tree.insert(k, ());
-        }
-        self.skipped_nodes += extracted.skipped;
     }
 
     /// Remove every entry a stored document contributed (row DELETE /

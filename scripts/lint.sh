@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lint gate: deny warnings plus unwrap/expect in non-test code, keep thread
-# spawning (and the other confined concerns below) in their crates, and run
-# the test suite once more with durable sessions and a starved buffer pool.
+# spawning, the worker pool and the other confined concerns below in their
+# crates, and run the test suite once more with durable sessions and a
+# starved buffer pool.
 #
 # unwrap_used/expect_used are allowed inside #[cfg(test)] (see clippy.toml);
 # production code must return typed errors instead. The only blanket opt-out
@@ -16,15 +17,38 @@ cargo clippy --workspace --all-targets -- \
   -D clippy::expect_used \
   "$@"
 
-# All thread management goes through the xqdb-runtime pool: no ad-hoc
-# spawns elsewhere. (thread::sleep and available_parallelism are fine;
-# the pattern targets spawn/scope only.) crates/obs sits below the runtime
-# in the layering; its tests need raw scoped threads to contend on the
+# Thread creation lives in crates/runtime: production threads come only
+# from `spawn_service` (the server's accept loop and connection handlers),
+# and tests and the bench harness drive concurrent clients through its
+# `WorkerPool`. (thread::sleep and available_parallelism are fine; the
+# pattern targets spawn/scope only.) crates/obs sits below the runtime in
+# the layering; its tests need raw scoped threads to contend on the
 # lock-cheap registry and the span mutex.
 if grep -rn --include='*.rs' -E 'thread::(spawn|scope)' crates tests \
     | grep -v '^crates/runtime/' \
     | grep -v '^crates/obs/'; then
-  echo "error: thread spawning outside crates/runtime (use the WorkerPool)" >&2
+  echo "error: thread spawning outside crates/runtime (use spawn_service for a service thread, WorkerPool for concurrent test clients)" >&2
+  exit 1
+fi
+
+# Query execution is serial: the worker pool exists for concurrent clients
+# in tests and the bench harness, not for sharding a statement. Intra-query
+# parallelism was removed because it measured slower than serial at every
+# width; bringing it back needs a measured gain, not a stray pool. Exempt:
+# crates/runtime, which owns the pool; crates/bench; and test code (tests/
+# trees, and a source file's trailing #[cfg(test)] module).
+pool_uses=$(
+  grep -rlE --include='*.rs' '\bWorkerPool\b' crates \
+    | grep -v '^crates/runtime/' \
+    | grep -v '^crates/bench/' \
+    | grep -v '/tests/' \
+    | while read -r f; do
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bWorkerPool\b' | sed "s|^|$f:|"
+      done
+) || true
+if [ -n "$pool_uses" ]; then
+  echo "$pool_uses"
+  echo "error: WorkerPool in non-test code outside crates/runtime and crates/bench (execution is serial; see DESIGN.md §8)" >&2
   exit 1
 fi
 
@@ -190,8 +214,8 @@ cargo test -p xqdb-server --test paper_over_wire -q
 # eviction and re-fetch through every pager-backed structure, and
 # XQDB_TEST_DML_OPS lengthens the workload crate's mixed-DML scenario so
 # tombstoned, replaced and reclaimed pages cycle through that eviction.
-# Switch combinations, thread counts and reopened storage are covered
-# in-process by tests/access_oracle.rs.
+# Switch combinations and reopened storage are covered in-process by
+# tests/access_oracle.rs.
 DURABLE_TMP="target/lint-durable-$$"
 rm -rf "$DURABLE_TMP"
 mkdir -p "$DURABLE_TMP"

@@ -12,10 +12,7 @@ mod common;
 
 use std::sync::Arc;
 
-use xqdb_core::{
-    run_xquery, run_xquery_with_limits, run_xquery_with_options, Catalog, ExecOptions,
-    ParallelExecutor,
-};
+use xqdb_core::{run_xquery, run_xquery_with_limits, run_xquery_with_options, Catalog, ExecOptions};
 use xqdb_xdm::{Budget, ErrorCode, FaultInjector, FaultMode, Limits};
 use xqdb_workload::{create_paper_schema, load_orders, OrderParams};
 
@@ -176,51 +173,37 @@ fn cancellation_token_stops_evaluation() {
     assert_eq!(err.code, ErrorCode::Cancelled);
 }
 
-// ------------------------------------------------- parallel execution matrix
+// ------------------------------------------------------ degradation matrix
 
-/// The thread counts every matrix test runs at.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn run_with_threads(c: &Catalog, q: &str, threads: usize) -> String {
-    let opts = ExecOptions { threads, ..ExecOptions::default() };
-    let out = run_xquery_with_options(c, q, &opts).expect("parallel execution succeeds");
-    render(&out.sequence)
+fn run_default(c: &Catalog, q: &str) -> String {
+    render(&run_xquery(c, q).expect("execution succeeds").sequence)
 }
 
-/// Every runnable paper query, at every thread count, with and without
-/// index-probe fault injection: the output must be byte-identical to the
-/// serial unindexed baseline. This is the subsystem's central invariant —
-/// parallelism (like the index, Definition 1) is a pure execution detail
-/// that may never change a result.
+/// Every runnable paper query, with and without index-probe fault
+/// injection: the output must be byte-identical to the unindexed baseline.
+/// This is the subsystem's central invariant — the index (Definition 1)
+/// is a pure execution detail that may never change a result.
 #[test]
 fn paper_queries_byte_identical_across_thread_counts_and_fault_seeds() {
     let baseline = common::paper_session(false);
     let healthy = common::paper_session(true);
     for (label, q) in common::PAPER_QUERIES {
         let want = render(&run_xquery(&baseline.catalog, q).expect("baseline runs").sequence);
-        for threads in THREADS {
-            let got = run_with_threads(&healthy.catalog, q, threads);
-            assert_eq!(got, want, "{label} diverged at {threads} threads (healthy index)");
-        }
+        let got = run_default(&healthy.catalog, q);
+        assert_eq!(got, want, "{label} diverged (healthy index)");
         for seed in 0..3u64 {
             let mut faulty = common::paper_session(true);
             faulty.catalog.set_index_fault_injector(Some(Arc::new(FaultInjector::new(
                 FaultMode::Probability { permille: 500, seed },
             ))));
-            for threads in THREADS {
-                let got = run_with_threads(&faulty.catalog, q, threads);
-                assert_eq!(
-                    got, want,
-                    "{label} diverged at {threads} threads under fault seed {seed}"
-                );
-            }
+            let got = run_default(&faulty.catalog, q);
+            assert_eq!(got, want, "{label} diverged under fault seed {seed}");
         }
     }
 }
 
-/// The same invariant over the synthetic workload collection (120 orders —
-/// enough rows that every degree actually shards), including the
-/// every-probe-fails injector.
+/// The same invariant over the synthetic workload collection (120
+/// orders), including the every-probe-fails injector.
 #[test]
 fn workload_queries_byte_identical_across_thread_counts_and_fault_seeds() {
     let baseline = orders_catalog(120, false);
@@ -233,21 +216,18 @@ fn workload_queries_byte_identical_across_thread_counts_and_fault_seeds() {
         seeded.set_index_fault_injector(Some(Arc::new(FaultInjector::new(
             FaultMode::Probability { permille: 500, seed: 7 },
         ))));
-        for threads in THREADS {
-            for (kind, c) in
-                [("healthy", &healthy), ("always-faulty", &always), ("seeded-faulty", &seeded)]
-            {
-                let got = run_with_threads(c, q, threads);
-                assert_eq!(got, want, "{q} diverged at {threads} threads ({kind} index)");
-            }
+        for (kind, c) in
+            [("healthy", &healthy), ("always-faulty", &always), ("seeded-faulty", &seeded)]
+        {
+            let got = run_default(c, q);
+            assert_eq!(got, want, "{q} diverged ({kind} index)");
         }
     }
 }
 
-/// The structural pre-filter is, like the index and parallelism, a pure
-/// execution detail: {prefilter on, off} × {healthy, every-probe-fails}
-/// × {1, 4} threads must all be byte-identical to the serial, unfiltered,
-/// unindexed baseline.
+/// The structural pre-filter is, like the index, a pure execution detail:
+/// {prefilter on, off} × {healthy, every-probe-fails} must all be
+/// byte-identical to the unfiltered, unindexed baseline.
 #[test]
 fn prefiltered_scans_byte_identical_across_threads_and_faults() {
     // A mixed collection: synthetic orders (no promo element) plus a few
@@ -280,36 +260,21 @@ fn prefiltered_scans_byte_identical_across_threads_and_faults() {
     ];
     let baseline = mixed(false);
     for q in prefilter_queries {
-        let base_opts =
-            ExecOptions { threads: 1, prefilter: false, ..ExecOptions::default() };
+        let base_opts = ExecOptions { prefilter: false, ..ExecOptions::default() };
         let want = render(
             &run_xquery_with_options(&baseline, q, &base_opts)
                 .expect("baseline runs")
                 .sequence,
         );
         for prefilter in [false, true] {
-            for threads in [1usize, 4] {
-                let opts = ExecOptions { threads, prefilter, ..ExecOptions::default() };
-                let healthy = mixed(true);
-                let got = run_xquery_with_options(&healthy, q, &opts)
-                    .expect("healthy run succeeds");
-                assert_eq!(
-                    render(&got.sequence),
-                    want,
-                    "{q} diverged at {threads} threads (prefilter={prefilter}, healthy)"
-                );
-                let mut faulty = mixed(true);
-                faulty.set_index_fault_injector(Some(Arc::new(FaultInjector::new(
-                    FaultMode::Always,
-                ))));
-                let got = run_xquery_with_options(&faulty, q, &opts)
-                    .expect("degraded run succeeds");
-                assert_eq!(
-                    render(&got.sequence),
-                    want,
-                    "{q} diverged at {threads} threads (prefilter={prefilter}, faulty)"
-                );
-            }
+            let opts = ExecOptions { prefilter, ..ExecOptions::default() };
+            let healthy = mixed(true);
+            let got = run_xquery_with_options(&healthy, q, &opts).expect("healthy run succeeds");
+            assert_eq!(render(&got.sequence), want, "{q} diverged (prefilter={prefilter}, healthy)");
+            let mut faulty = mixed(true);
+            faulty.set_index_fault_injector(Some(Arc::new(FaultInjector::new(FaultMode::Always))));
+            let got = run_xquery_with_options(&faulty, q, &opts).expect("degraded run succeeds");
+            assert_eq!(render(&got.sequence), want, "{q} diverged (prefilter={prefilter}, faulty)");
         }
     }
     // The on-filter runs above were not vacuous: the selective query really
@@ -327,9 +292,8 @@ fn prefiltered_scans_byte_identical_across_threads_and_faults() {
 }
 
 /// The holistic twig join is, like the pre-filter, a pure execution
-/// detail: {twig on, off} × {1, 4} threads × {healthy, every-probe-fails}
-/// must all be byte-identical to the serial, twig-less, unindexed
-/// baseline. The join reads only in-memory label streams (never the
+/// detail: {twig on, off} × {healthy, every-probe-fails} must all be
+/// byte-identical to the twig-less, unindexed baseline. The join reads only in-memory label streams (never the
 /// pager or an index), so fault injection must not interact with it: the
 /// degradation matrix is the same whether the join ran or not.
 #[test]
@@ -366,36 +330,21 @@ fn twig_joins_byte_identical_across_threads_and_faults() {
     ];
     let baseline = mixed(false);
     for q in twig_queries {
-        let base_opts =
-            ExecOptions { threads: 1, twig: false, prefilter: false, ..ExecOptions::default() };
+        let base_opts = ExecOptions { twig: false, prefilter: false, ..ExecOptions::default() };
         let want = render(
             &run_xquery_with_options(&baseline, q, &base_opts)
                 .expect("baseline runs")
                 .sequence,
         );
         for twig in [false, true] {
-            for threads in [1usize, 4] {
-                let opts = ExecOptions { threads, twig, ..ExecOptions::default() };
-                let healthy = mixed(true);
-                let got = run_xquery_with_options(&healthy, q, &opts)
-                    .expect("healthy run succeeds");
-                assert_eq!(
-                    render(&got.sequence),
-                    want,
-                    "{q} diverged at {threads} threads (twig={twig}, healthy)"
-                );
-                let mut faulty = mixed(true);
-                faulty.set_index_fault_injector(Some(Arc::new(FaultInjector::new(
-                    FaultMode::Always,
-                ))));
-                let got = run_xquery_with_options(&faulty, q, &opts)
-                    .expect("degraded run succeeds");
-                assert_eq!(
-                    render(&got.sequence),
-                    want,
-                    "{q} diverged at {threads} threads (twig={twig}, faulty)"
-                );
-            }
+            let opts = ExecOptions { twig, ..ExecOptions::default() };
+            let healthy = mixed(true);
+            let got = run_xquery_with_options(&healthy, q, &opts).expect("healthy run succeeds");
+            assert_eq!(render(&got.sequence), want, "{q} diverged (twig={twig}, healthy)");
+            let mut faulty = mixed(true);
+            faulty.set_index_fault_injector(Some(Arc::new(FaultInjector::new(FaultMode::Always))));
+            let got = run_xquery_with_options(&faulty, q, &opts).expect("degraded run succeeds");
+            assert_eq!(render(&got.sequence), want, "{q} diverged (twig={twig}, faulty)");
         }
     }
     // The twig-on runs above were not vacuous: the selective query really
@@ -410,10 +359,10 @@ fn twig_joins_byte_identical_across_threads_and_faults() {
     assert_eq!(out.sequence.len(), 5, "every remark order survives");
 }
 
-/// Buffer-pool pressure is, like the index, the pre-filter and parallelism,
-/// a pure execution detail: {4-page, default} pool × {1, 4} threads ×
-/// {healthy, every-probe-fails} must all be byte-identical to the serial
-/// unindexed baseline run at the default pool size. A 4-frame pool cannot
+/// Buffer-pool pressure is, like the index and the pre-filter, a pure
+/// execution detail: {4-page, default} pool × {healthy, every-probe-fails}
+/// must all be byte-identical to the unindexed baseline run at the
+/// default pool size. A 4-frame pool cannot
 /// hold even one table's working set, so every scan faults pages in and
 /// evicts continuously — and may never change a result.
 #[test]
@@ -435,93 +384,11 @@ fn pool_pressure_byte_identical_across_threads_and_faults() {
                         idx.set_pool_pages(pages);
                     }
                 }
-                for threads in [1usize, 4] {
-                    let got = run_with_threads(&c, q, threads);
-                    assert_eq!(
-                        got, want,
-                        "{q} diverged at {threads} threads (pool={pool:?}, faulty={faulty})"
-                    );
-                }
+                let got = run_default(&c, q);
+                assert_eq!(got, want, "{q} diverged (pool={pool:?}, faulty={faulty})");
             }
         }
     }
-}
-
-/// A cancelled budget stops a parallel run with the same typed error code
-/// as a serial one — the cancellation token is a shared atomic observed by
-/// every worker.
-#[test]
-fn cancellation_under_parallelism_matches_serial_error_code() {
-    let c = orders_catalog(300, false);
-    // A partitionable query, so degrees > 1 actually exercise the pool.
-    let query = xqdb_xquery::parse_query(QUERIES[2]).expect("query parses");
-    let plan = xqdb_core::plan_query(&c, query, &xqdb_core::AnalysisEnv::new());
-    for threads in THREADS {
-        let budget = Arc::new(Budget::new(Limits::unlimited()));
-        budget.cancel();
-        let ctx = xqdb_xqeval::DynamicContext::new().with_budget(budget);
-        let err = ParallelExecutor::new(threads)
-            .execute(&c, &plan, &ctx)
-            .expect_err("a cancelled budget must stop evaluation at every degree");
-        assert_eq!(err.code, ErrorCode::Cancelled, "error code diverged at {threads} threads");
-    }
-}
-
-/// Step and deadline budgets exhaust parallel runs with the same typed
-/// error code as serial runs — one `Budget` governs all workers globally.
-#[test]
-fn budget_exhaustion_under_parallelism_matches_serial_error_code() {
-    let c = orders_catalog(300, false);
-    let q = QUERIES[2];
-    for threads in THREADS {
-        let opts = ExecOptions {
-            limits: Limits::unlimited().with_max_steps(100),
-            threads,
-            ..ExecOptions::default()
-        };
-        let err = run_xquery_with_options(&c, q, &opts)
-            .expect_err("100 steps cannot evaluate 300 documents at any degree");
-        assert_eq!(
-            err.code,
-            ErrorCode::ResourceExhausted,
-            "step-budget error code diverged at {threads} threads"
-        );
-    }
-    let big = orders_catalog(10_000, false);
-    for threads in THREADS {
-        let opts = ExecOptions {
-            limits: Limits::unlimited().with_timeout(std::time::Duration::from_millis(1)),
-            threads,
-            ..ExecOptions::default()
-        };
-        let err = run_xquery_with_options(&big, q, &opts)
-            .expect_err("a 1ms deadline cannot cover a 10k-document scan at any degree");
-        assert_eq!(
-            err.code,
-            ErrorCode::ResourceExhausted,
-            "deadline error code diverged at {threads} threads"
-        );
-    }
-}
-
-/// `ExecStats` records the degree and shard count when a run parallelizes,
-/// and reports the serial values on the fallback path.
-#[test]
-fn exec_stats_record_parallel_degree() {
-    let c = orders_catalog(64, false);
-    let serial = run_xquery(&c, QUERIES[2]).expect("serial run succeeds");
-    assert_eq!(serial.stats.parallel_workers, 1);
-    assert_eq!(serial.stats.parallel_shards, 1);
-    let opts = ExecOptions { threads: 4, ..ExecOptions::default() };
-    let parallel = run_xquery_with_options(&c, QUERIES[2], &opts).expect("parallel run succeeds");
-    assert_eq!(parallel.stats.parallel_workers, 4);
-    assert!(parallel.stats.parallel_shards > 1, "64 docs at 4 workers must shard");
-    // A let-headed FLWOR binds the whole collection at once: not
-    // partitionable, so the executor falls back to the serial path.
-    let q = "let $all := db2-fn:xmlcolumn('ORDERS.ORDDOC')/order return $all";
-    let fallback = run_xquery_with_options(&c, q, &opts).expect("fallback run succeeds");
-    assert_eq!(fallback.stats.parallel_workers, 1);
-    assert_eq!(fallback.stats.parallel_shards, 1);
 }
 
 // ------------------------------------------------------- adversarial parsing

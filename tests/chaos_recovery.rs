@@ -5,8 +5,8 @@
 //! the same contract: a catalog rebuilt from the write-ahead log must
 //! answer every paper query **byte-identically** to an in-memory catalog
 //! that executed the same durable prefix of statements. The matrix below
-//! drives that oracle across crash points × fsync modes × thread counts,
-//! plus the corruption cases (torn tails self-heal, bit flips surface as
+//! drives that oracle across crash points × fsync modes × faults, plus
+//! the corruption cases (torn tails self-heal, bit flips surface as
 //! typed `WalCorrupt` errors naming the quarantined segment — never a
 //! panic, never a silently wrong answer).
 
@@ -16,41 +16,29 @@
 mod common;
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xqdb_core::{
-    recover_catalog, run_xquery_with_options, Catalog, CrashInjector, ExecOptions, FsyncMode,
-    Obs, SqlSession, WalConfig,
+    recover_catalog, run_xquery, Catalog, CrashInjector, FsyncMode, Obs, SqlSession, WalConfig,
 };
 use xqdb_obs::Trace;
-use xqdb_runtime::RuntimeConfig;
 use xqdb_xdm::{DurabilityFault, ErrorCode, FaultInjector, FaultMode};
 
 /// Default `batch_records` of [`WalConfig`] — the flush cadence the
 /// batch-mode loss-window expectations below are computed from.
 const BATCH: usize = 8;
 
-fn temp_dir(label: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
-        .join(format!(
-            "chaos_recovery_{label}_{}_{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(label: &str) -> common::TempDir {
+    common::TempDir::new(&format!("chaos_recovery_{label}"))
 }
 
 /// Run every paper query against a catalog, rendering each outcome —
 /// results serialized, errors by code (a query over a not-yet-recovered
 /// table must fail *identically* on both sides of the oracle).
-fn query_fingerprint(catalog: &Catalog, threads: usize) -> Vec<String> {
-    let opts = ExecOptions { threads, ..ExecOptions::default() };
+fn query_fingerprint(catalog: &Catalog) -> Vec<String> {
     common::PAPER_QUERIES
         .iter()
-        .map(|(label, q)| match run_xquery_with_options(catalog, q, &opts) {
+        .map(|(label, q)| match run_xquery(catalog, q) {
             Ok(out) => format!("{label}: {}", xqdb_xmlparse::serialize_sequence(&out.sequence)),
             Err(e) => format!("{label}: error {}", e.code),
         })
@@ -64,7 +52,7 @@ fn baseline_fingerprint_of(stmts: &[String], k: usize) -> Vec<String> {
     for stmt in stmts.iter().take(k) {
         s.execute(stmt).unwrap();
     }
-    query_fingerprint(&s.catalog, 1)
+    query_fingerprint(&s.catalog)
 }
 
 /// [`baseline_fingerprint_of`] over the insert-only paper setup.
@@ -132,9 +120,10 @@ fn durable_prefix(fault: DurabilityFault, fsync: FsyncMode, crash_at: usize) -> 
     }
 }
 
-/// The central matrix: crash point × fsync mode × fault × thread count.
-/// Every recovered catalog answers every paper query byte-identically to
-/// the in-memory baseline that executed the same durable prefix.
+/// The central matrix: crash point × fsync mode × fault. Every recovered
+/// catalog answers every paper query byte-identically to the in-memory
+/// baseline that executed the same durable prefix, on a first recovery
+/// and on a second one over the healed log.
 #[test]
 fn recovery_matches_in_memory_baseline_across_crash_matrix() {
     for fault in [DurabilityFault::TornTail, DurabilityFault::CrashBeforeFlush] {
@@ -144,10 +133,9 @@ fn recovery_matches_in_memory_baseline_across_crash_matrix() {
                 run_until_crash(&dir, fsync, fault, crash_at, &common::paper_setup_stmts(true));
                 let k = durable_prefix(fault, fsync, crash_at);
                 let want = baseline_fingerprint(k);
-                for threads in [1, 4] {
+                for pass in 1..=2 {
                     let (catalog, report) = recover_catalog(
                         &dir,
-                        RuntimeConfig::with_threads(threads),
                         &Trace::disabled(),
                         &Obs::disabled(),
                     )
@@ -158,14 +146,14 @@ fn recovery_matches_in_memory_baseline_across_crash_matrix() {
                     );
                     if fault == DurabilityFault::TornTail {
                         // The first recovery heals the tail in place; the
-                        // second (threads=4) pass reads a clean log.
+                        // second pass reads a clean log.
                         assert!(report.torn_tail_truncations <= 1);
                     }
                     assert_eq!(
-                        query_fingerprint(&catalog, threads),
+                        query_fingerprint(&catalog),
                         want,
                         "recovered results diverged from the in-memory baseline \
-                         ({fault:?}, {fsync:?}, crash at {crash_at}, {threads} threads)"
+                         ({fault:?}, {fsync:?}, crash at {crash_at}, recovery pass {pass})"
                     );
                 }
             }
@@ -181,7 +169,7 @@ fn recovery_matches_in_memory_baseline_across_crash_matrix() {
 /// structure passes the rebuild oracle — a crash must never leave an
 /// index entry, synopsis count, signature or label stream behind for a
 /// row whose delete/replace was durable (or vice versa). Recovery runs
-/// twice per cell ({1, 4} threads), so it is also checked idempotent.
+/// twice per cell, so it is also checked idempotent.
 #[test]
 fn dml_recovery_matches_baseline_and_rebuild_oracle_across_crash_matrix() {
     let stmts = common::paper_dml_stmts(true);
@@ -194,10 +182,9 @@ fn dml_recovery_matches_baseline_and_rebuild_oracle_across_crash_matrix() {
                 run_until_crash(&dir, fsync, fault, crash_at, &stmts);
                 let k = durable_prefix(fault, fsync, crash_at);
                 let want = baseline_fingerprint_of(&stmts, k);
-                for threads in [1, 4] {
+                for pass in 1..=2 {
                     let (catalog, report) = recover_catalog(
                         &dir,
-                        RuntimeConfig::with_threads(threads),
                         &Trace::disabled(),
                         &Obs::disabled(),
                     )
@@ -207,16 +194,16 @@ fn dml_recovery_matches_baseline_and_rebuild_oracle_across_crash_matrix() {
                         "durable prefix diverged ({fault:?}, {fsync:?}, crash at {crash_at})"
                     );
                     assert_eq!(
-                        query_fingerprint(&catalog, threads),
+                        query_fingerprint(&catalog),
                         want,
                         "recovered results diverged from the in-memory baseline \
-                         ({fault:?}, {fsync:?}, crash at {crash_at}, {threads} threads)"
+                         ({fault:?}, {fsync:?}, crash at {crash_at}, recovery pass {pass})"
                     );
                     let oracle = xqdb_core::verify_derived_state(&catalog).unwrap();
                     assert!(
                         oracle.is_clean(),
                         "derived state diverged from rebuild ({fault:?}, {fsync:?}, \
-                         crash at {crash_at}, {threads} threads):\n{}",
+                         crash at {crash_at}, recovery pass {pass}):\n{}",
                         oracle.render()
                     );
                 }
@@ -261,10 +248,9 @@ fn crash_mid_checkpoint_recovers_idempotently_with_clean_oracle() {
                     .expect_err("the checkpoint crashes on its marker append");
                 assert_eq!(err.code, ErrorCode::StorageFault, "({fault:?}, {fsync:?})");
             }
-            for threads in [1, 4] {
+            for pass in 1..=2 {
                 let (catalog, report) = recover_catalog(
                     &dir,
-                    RuntimeConfig::with_threads(threads),
                     &Trace::disabled(),
                     &Obs::disabled(),
                 )
@@ -274,15 +260,15 @@ fn crash_mid_checkpoint_recovers_idempotently_with_clean_oracle() {
                     "the manifest covers the full history ({fault:?}, {fsync:?})"
                 );
                 assert_eq!(
-                    query_fingerprint(&catalog, threads),
+                    query_fingerprint(&catalog),
                     want,
-                    "mid-checkpoint crash changed results ({fault:?}, {fsync:?}, {threads} threads)"
+                    "mid-checkpoint crash changed results ({fault:?}, {fsync:?}, recovery pass {pass})"
                 );
                 let oracle = xqdb_core::verify_derived_state(&catalog).unwrap();
                 assert!(
                     oracle.is_clean(),
                     "derived state diverged after mid-checkpoint crash \
-                     ({fault:?}, {fsync:?}, {threads} threads):\n{}",
+                     ({fault:?}, {fsync:?}, recovery pass {pass}):\n{}",
                     oracle.render()
                 );
             }
@@ -325,7 +311,6 @@ fn crash_after_checkpoint_recovers_pages_plus_suffix() {
     }
     let (catalog, report) = recover_catalog(
         &dir,
-        RuntimeConfig::default(),
         &Trace::disabled(),
         &Obs::disabled(),
     )
@@ -338,7 +323,7 @@ fn crash_after_checkpoint_recovers_pages_plus_suffix() {
     assert_eq!(report.wal_records_replayed, 1, "suffix-only: one post-checkpoint insert");
     assert_eq!(report.torn_tail_truncations, 1);
     assert!(dir.join(xqdb_core::PAGES_FILE).exists());
-    assert_eq!(query_fingerprint(&catalog, 1), baseline_fingerprint(7));
+    assert_eq!(query_fingerprint(&catalog), baseline_fingerprint(7));
 }
 
 /// Replay must be idempotent against a page file that already holds
@@ -370,7 +355,7 @@ fn replay_is_idempotent_against_partially_flushed_pages() {
     // below row_count would surface here as a PageCorrupt error.
     let (session, report) = SqlSession::open_durable(&dir, WalConfig::default()).unwrap();
     assert_eq!(report.wal_records_replayed, 0, "manifest covers everything");
-    assert_eq!(query_fingerprint(&session.catalog, 1), baseline_fingerprint(usize::MAX));
+    assert_eq!(query_fingerprint(&session.catalog), baseline_fingerprint(usize::MAX));
 }
 
 /// A clean shutdown loses nothing in any mode, and the recovered session
@@ -392,7 +377,7 @@ fn clean_shutdown_recovers_everything_and_stays_writable() {
         let (mut session, report) =
             SqlSession::open_durable(&dir, WalConfig { fsync, ..Default::default() }).unwrap();
         assert_eq!(report.wal_records_replayed, 12, "mode {fsync:?}");
-        assert_eq!(query_fingerprint(&session.catalog, 1), want, "mode {fsync:?}");
+        assert_eq!(query_fingerprint(&session.catalog), want, "mode {fsync:?}");
         session
             .execute("INSERT INTO orders VALUES (9, '<order><lineitem price=\"500.00\"/></order>')")
             .unwrap();
@@ -430,7 +415,6 @@ fn bit_flip_quarantines_segment_with_typed_error_naming_it() {
     }
     let err = recover_catalog(
         &dir,
-        RuntimeConfig::default(),
         &Trace::disabled(),
         &Obs::disabled(),
     )
@@ -487,13 +471,11 @@ fn durable_sessions_match_in_memory_results_exactly() {
         durable.execute(&stmt).unwrap();
         memory.execute(&stmt).unwrap();
     }
-    for threads in [1, 4] {
-        assert_eq!(
-            query_fingerprint(&durable.catalog, threads),
-            query_fingerprint(&memory.catalog, threads),
-            "durable and in-memory sessions diverged at {threads} threads"
-        );
-    }
+    assert_eq!(
+        query_fingerprint(&durable.catalog),
+        query_fingerprint(&memory.catalog),
+        "durable and in-memory sessions diverged"
+    );
 }
 
 // ---------------------------------------------- relocation and snapshots
@@ -534,13 +516,8 @@ fn relocation_phases() -> (Vec<String>, Vec<String>) {
 
 /// Paper queries plus every stored order document, in row order.
 fn relocation_fingerprint(catalog: &Catalog) -> Vec<String> {
-    let mut out = query_fingerprint(catalog, 1);
-    let all = run_xquery_with_options(
-        catalog,
-        "db2-fn:xmlcolumn('ORDERS.ORDDOC')",
-        &ExecOptions::default(),
-    )
-    .unwrap();
+    let mut out = query_fingerprint(catalog);
+    let all = run_xquery(catalog, "db2-fn:xmlcolumn('ORDERS.ORDDOC')").unwrap();
     out.push(xqdb_xmlparse::serialize_sequence(&all.sequence));
     out
 }
@@ -571,7 +548,7 @@ fn before_relocation(dir: &std::path::Path) -> SqlSession {
 
 fn recover_and_check(dir: &std::path::Path, want: &[String], label: &str) -> u64 {
     let (catalog, report) =
-        recover_catalog(dir, RuntimeConfig::default(), &Trace::disabled(), &Obs::disabled())
+        recover_catalog(dir, &Trace::disabled(), &Obs::disabled())
             .unwrap();
     assert_eq!(relocation_fingerprint(&catalog), want, "{label}: results diverged");
     let oracle = xqdb_core::verify_derived_state(&catalog).unwrap();
@@ -814,12 +791,12 @@ fn version_one_manifest_fixture_still_recovers() {
     assert_eq!(&bytes[..8], b"XQMANIF1");
     let want = baseline_fingerprint_of(&common::paper_dml_stmts(true), usize::MAX);
     let (catalog, report) =
-        recover_catalog(&dir, RuntimeConfig::default(), &Trace::disabled(), &Obs::disabled())
+        recover_catalog(&dir, &Trace::disabled(), &Obs::disabled())
             .unwrap();
     assert_eq!(report.manifest_covers, 15);
     assert_eq!(report.wal_records_replayed, 3);
     assert!(report.xml_docs_parsed > 0, "no snapshot: the index is back-filled");
-    assert_eq!(query_fingerprint(&catalog, 1), want);
+    assert_eq!(query_fingerprint(&catalog), want);
     assert!(xqdb_core::verify_derived_state(&catalog).unwrap().is_clean());
     drop(catalog);
     let (mut session, _) = SqlSession::open_durable(&dir, WalConfig::default()).unwrap();
@@ -828,9 +805,9 @@ fn version_one_manifest_fixture_still_recovers() {
     let bytes = std::fs::read(dir.join(xqdb_wal::MANIFEST_FILE)).unwrap();
     assert_eq!(&bytes[..8], b"XQMANIF2");
     let (catalog, report) =
-        recover_catalog(&dir, RuntimeConfig::default(), &Trace::disabled(), &Obs::disabled())
+        recover_catalog(&dir, &Trace::disabled(), &Obs::disabled())
             .unwrap();
     assert_eq!(report.xml_docs_parsed, 0, "the index now loads from its snapshot");
-    assert_eq!(query_fingerprint(&catalog, 1), want);
+    assert_eq!(query_fingerprint(&catalog), want);
     assert!(xqdb_core::verify_derived_state(&catalog).unwrap().is_clean());
 }

@@ -1,5 +1,5 @@
 //! Chaos matrix for the concurrent server: under every connection-level
-//! fault × load level × thread count, admitted statements return results
+//! fault × load level, admitted statements return results
 //! byte-identical to the single-session baseline, shed requests get typed
 //! `Busy` responses within their deadline, malformed traffic gets typed
 //! protocol errors, and the server never panics or leaks sessions (the
@@ -25,9 +25,8 @@ use xqdb_server::{Server, ServerConfig, ServerHandle};
 use xqdb_xdm::{ConnectionFault, ErrorCode, FaultInjector, FaultMode, Limits};
 
 /// Start a server over the paper fixture with a metrics-enabled registry.
-fn paper_server(cfg: ServerConfig, indexed: bool, threads: usize) -> (ServerHandle, Obs) {
+fn paper_server(cfg: ServerConfig, indexed: bool) -> (ServerHandle, Obs) {
     let mut session = common::paper_session(indexed);
-    session.catalog.runtime = xqdb_runtime::RuntimeConfig::with_threads(threads);
     let obs = Obs::new(ObsConfig::metrics_only());
     session.set_obs(obs.clone());
     let handle = Server::start("127.0.0.1:0", cfg, session).expect("server binds loopback");
@@ -79,74 +78,72 @@ fn chaos_matrix_byte_identity_no_panics_no_leaks() {
     ];
     let expected = baseline(true);
     for fault in faults {
-        for threads in [1usize, 4] {
-            for clients in [1usize, 4] {
-                let cfg = ServerConfig {
-                    // Generous admission so this test isolates fault
-                    // handling; shedding has its own test below.
-                    max_sessions: 8,
-                    queue_depth: 32,
-                    queue_timeout: Duration::from_secs(2),
-                    // Short frame deadline so SlowLoris resolves quickly.
-                    frame_read_timeout: Duration::from_millis(250),
-                    ..ServerConfig::default()
-                };
-                let (handle, obs) = paper_server(cfg, true, threads);
-                let addr = handle.local_addr().to_string();
-                let tag = format!("{fault:?} at {threads} thread(s), {clients} client(s)");
-                let injector = Arc::new(FaultInjector::new(FaultMode::EveryNth(3)));
-                let expected_ref = &expected;
-                let addr_ref = &addr;
-                let injector_ref = &injector;
-                let tag_ref = &tag;
-                let per_client = WorkerPool::new(clients).run(clients, |ci| {
-                    let mut cc =
-                        ChaosClient::new(addr_ref, fault, Arc::clone(injector_ref));
-                    let mut oks = 0usize;
-                    let mut injected = 0usize;
-                    for (stmt, want) in expected_ref {
-                        match cc.statement(stmt) {
-                            Ok(ChaosOutcome::Response(Response::Ok { body })) => {
-                                assert_eq!(
-                                    &body, want,
-                                    "{tag_ref}: client {ci} got a divergent body for {stmt:?}"
-                                );
-                                oks += 1;
-                            }
-                            Ok(ChaosOutcome::Response(Response::Busy { .. })) => {}
-                            Ok(ChaosOutcome::Response(other)) => {
-                                panic!("{tag_ref}: unexpected response {other:?} for {stmt:?}")
-                            }
-                            Ok(ChaosOutcome::FaultInjected(f, reply)) => {
-                                injected += 1;
-                                check_fault_reply(f, reply, tag_ref);
-                            }
-                            // The connection died from an earlier injected
-                            // fault; the client reconnects next round.
-                            Err(_) => {}
+        for clients in [1usize, 4] {
+            let cfg = ServerConfig {
+                // Generous admission so this test isolates fault
+                // handling; shedding has its own test below.
+                max_sessions: 8,
+                queue_depth: 32,
+                queue_timeout: Duration::from_secs(2),
+                // Short frame deadline so SlowLoris resolves quickly.
+                frame_read_timeout: Duration::from_millis(250),
+                ..ServerConfig::default()
+            };
+            let (handle, obs) = paper_server(cfg, true);
+            let addr = handle.local_addr().to_string();
+            let tag = format!("{fault:?}, {clients} client(s)");
+            let injector = Arc::new(FaultInjector::new(FaultMode::EveryNth(3)));
+            let expected_ref = &expected;
+            let addr_ref = &addr;
+            let injector_ref = &injector;
+            let tag_ref = &tag;
+            let per_client = WorkerPool::new(clients).run(clients, |ci| {
+                let mut cc =
+                    ChaosClient::new(addr_ref, fault, Arc::clone(injector_ref));
+                let mut oks = 0usize;
+                let mut injected = 0usize;
+                for (stmt, want) in expected_ref {
+                    match cc.statement(stmt) {
+                        Ok(ChaosOutcome::Response(Response::Ok { body })) => {
+                            assert_eq!(
+                                &body, want,
+                                "{tag_ref}: client {ci} got a divergent body for {stmt:?}"
+                            );
+                            oks += 1;
                         }
+                        Ok(ChaosOutcome::Response(Response::Busy { .. })) => {}
+                        Ok(ChaosOutcome::Response(other)) => {
+                            panic!("{tag_ref}: unexpected response {other:?} for {stmt:?}")
+                        }
+                        Ok(ChaosOutcome::FaultInjected(f, reply)) => {
+                            injected += 1;
+                            check_fault_reply(f, reply, tag_ref);
+                        }
+                        // The connection died from an earlier injected
+                        // fault; the client reconnects next round.
+                        Err(_) => {}
                     }
-                    (oks, injected)
-                });
-                let oks: usize = per_client.iter().map(|(o, _)| o).sum();
-                let injected: usize = per_client.iter().map(|(_, i)| i).sum();
-                assert!(oks > 0, "{tag}: some statements must be admitted and answered");
-                assert!(injected > 0, "{tag}: the injector must have fired (EveryNth(3))");
-                await_zero_connections(&handle);
-                let snap = obs.metrics_snapshot().expect("metrics on");
-                assert_eq!(
-                    snap.gauge(Gauge::ActiveConnections),
-                    0,
-                    "{tag}: the connection gauge must return to zero"
-                );
-                let report = handle.shutdown();
-                assert!(!report.accept_panicked, "{tag}: accept loop must not panic");
-                assert_eq!(
-                    report.connection_panics, 0,
-                    "{tag}: no handler may panic under chaos"
-                );
-                assert!(report.connections_served > 0, "{tag}: connections were served");
-            }
+                }
+                (oks, injected)
+            });
+            let oks: usize = per_client.iter().map(|(o, _)| o).sum();
+            let injected: usize = per_client.iter().map(|(_, i)| i).sum();
+            assert!(oks > 0, "{tag}: some statements must be admitted and answered");
+            assert!(injected > 0, "{tag}: the injector must have fired (EveryNth(3))");
+            await_zero_connections(&handle);
+            let snap = obs.metrics_snapshot().expect("metrics on");
+            assert_eq!(
+                snap.gauge(Gauge::ActiveConnections),
+                0,
+                "{tag}: the connection gauge must return to zero"
+            );
+            let report = handle.shutdown();
+            assert!(!report.accept_panicked, "{tag}: accept loop must not panic");
+            assert_eq!(
+                report.connection_panics, 0,
+                "{tag}: no handler may panic under chaos"
+            );
+            assert!(report.connections_served > 0, "{tag}: connections were served");
         }
     }
 }
@@ -194,7 +191,7 @@ fn overload_sheds_typed_busy_within_deadline_and_reconciles_counters() {
         retry_after_ms: 37,
         ..ServerConfig::default()
     };
-    let (handle, obs) = paper_server(cfg, true, 1);
+    let (handle, obs) = paper_server(cfg, true);
     let addr = handle.local_addr().to_string();
 
     // Sanity on an idle server: the heavy statement is admitted, then the
@@ -279,7 +276,7 @@ fn overload_sheds_typed_busy_within_deadline_and_reconciles_counters() {
 
 #[test]
 fn cross_connection_plan_cache_invalidation_on_ddl() {
-    let (handle, obs) = paper_server(ServerConfig::default(), false, 1);
+    let (handle, obs) = paper_server(ServerConfig::default(), false);
     let addr = handle.local_addr().to_string();
     let query = "SELECT ordid FROM orders WHERE XMLExists('$o//lineitem[@price > 100]' \
                  passing orddoc as \"o\")";
@@ -348,7 +345,7 @@ fn writes_serialize_against_concurrent_reads() {
     // Four writers insert disjoint rows while four readers run the paper
     // query; afterwards the table holds every row exactly once and a fresh
     // read agrees with a baseline session replaying the same writes.
-    let (handle, _obs) = paper_server(ServerConfig::default(), true, 1);
+    let (handle, _obs) = paper_server(ServerConfig::default(), true);
     let addr = handle.local_addr().to_string();
     let addr_ref = &addr;
     WorkerPool::new(8).run(8, |i| {
@@ -431,7 +428,7 @@ fn readers_never_observe_half_removed_documents() {
     // would have seen a half-removed document, and the row being flipped
     // by concurrent REPLACEs must always show exactly three (never zero,
     // six, or a partial mix of old and new).
-    let (handle, _obs) = paper_server(ServerConfig::default(), true, 1);
+    let (handle, _obs) = paper_server(ServerConfig::default(), true);
     let addr = handle.local_addr().to_string();
     let doc = |price: u32| {
         format!(

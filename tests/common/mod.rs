@@ -1,16 +1,62 @@
 //! Shared integration-test fixtures: the paper's schema and example
 //! documents (mirroring `paper_queries.rs`), plus the list of paper queries
 //! that run to a value (as opposed to asserting a typed error). The chaos
-//! matrix in `chaos_degradation.rs` iterates this list across thread counts
-//! and fault seeds, asserting byte-identity with the serial unindexed
-//! baseline.
+//! matrix in `chaos_degradation.rs` iterates this list across fault seeds,
+//! asserting byte-identity with the unindexed baseline. [`TempDir`] gives
+//! durable tests a data directory that goes away when they pass.
 
 // Shared between test binaries that each use a subset of it.
 #![allow(dead_code)]
 // Test fixture: unwrap/expect are the assertion idiom here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use xqdb_core::sqlxml::SqlSession;
+
+/// A fresh data directory under `target/test-tmp`, removed when the guard
+/// drops — unless the thread is panicking, so a failing test keeps its
+/// files for inspection.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// A new, empty directory path named after `label`, unique per
+    /// process and call. Nothing is created until a test writes there.
+    pub fn new(label: &str) -> TempDir {
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
+            .join(format!(
+                "{label}_{}_{}",
+                std::process::id(),
+                N.fetch_add(1, Ordering::Relaxed)
+            ));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
 
 /// The setup statements behind [`paper_session`], as a list: the paper's
 /// schema plus its Section 2.2 example documents, extended with the

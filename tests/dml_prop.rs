@@ -1,6 +1,5 @@
 //! Seeded property suite for the DML paths: random insert / delete /
-//! replace / query interleavings against a **shadow model**, at 1 and 4
-//! worker threads.
+//! replace / query interleavings against a **shadow model**.
 //!
 //! The shadow model is a sorted map `ordid → document text` updated by
 //! plain Rust code. At every query step the suite rebuilds a fresh
@@ -10,7 +9,7 @@
 //! the comparison then isolates exactly what this suite is about — an
 //! incrementally-maintained index/synopsis/label state answering like a
 //! from-scratch build over the surviving rows. (Indexed-vs-unindexed
-//! equivalence, the paper's Definition 1, is `definition1_prop`'s job;
+//! equivalence, the paper's Definition 1, is `access_oracle`'s job;
 //! on polluted prices a tolerant double index legitimately diverges from
 //! the erroring scan, which is the paper's Section 2.1 trade-off.)
 //! Every interleaving ends with a [`xqdb_core::verify_derived_state`]
@@ -44,8 +43,7 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use xqdb_core::{run_xquery_with_options, ExecOptions, FsyncMode, SqlSession, WalConfig};
-use xqdb_runtime::RuntimeConfig;
+use xqdb_core::{run_xquery, FsyncMode, SqlSession, WalConfig};
 
 /// Steps between checkpoints of the churned session. Not a divisor of
 /// [`REOPEN_EVERY`], so queries run on the live session between a
@@ -55,11 +53,9 @@ const CHECKPOINT_EVERY: usize = 15;
 const REOPEN_EVERY: usize = 40;
 
 /// Open (or recover) the churned session's data directory.
-fn open_churned(dir: &std::path::Path, threads: usize) -> SqlSession {
+fn open_churned(dir: &std::path::Path) -> SqlSession {
     let config = WalConfig { fsync: FsyncMode::Off, ..Default::default() };
-    let (mut session, _) = SqlSession::open_durable(dir, config).unwrap();
-    session.catalog.runtime = RuntimeConfig::with_threads(threads);
-    session
+    SqlSession::open_durable(dir, config).unwrap().0
 }
 
 /// Queries compared at every query step: a SQL XMLEXISTS probe, an
@@ -114,9 +110,8 @@ fn shadow_matches(shadow: &BTreeMap<i64, String>, t: u32) -> Vec<i64> {
 
 /// Fresh session — same schema and index as the churned one — holding
 /// exactly the shadow's rows, bulk-inserted in ordid order.
-fn shadow_session(shadow: &BTreeMap<i64, String>, threads: usize) -> SqlSession {
+fn shadow_session(shadow: &BTreeMap<i64, String>) -> SqlSession {
     let mut s = SqlSession::default();
-    s.catalog.runtime = RuntimeConfig::with_threads(threads);
     s.execute("CREATE TABLE orders (ordid INTEGER, orddoc XML)").unwrap();
     s.execute(
         "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
@@ -136,10 +131,9 @@ fn shadow_session(shadow: &BTreeMap<i64, String>, threads: usize) -> SqlSession 
 fn assert_probes_match(
     churned: &mut SqlSession,
     shadow: &BTreeMap<i64, String>,
-    threads: usize,
     context: &str,
 ) {
-    let mut baseline = shadow_session(shadow, threads);
+    let mut baseline = shadow_session(shadow);
     let want = match baseline.execute(SQL_PROBE) {
         Ok(r) => r.render(),
         Err(e) => format!("error {}", e.code),
@@ -174,11 +168,8 @@ fn assert_probes_match(
             );
         }
     }
-    let opts = ExecOptions { threads, ..ExecOptions::default() };
     for q in XQ_PROBES {
-        let render = |catalog: &xqdb_core::Catalog| match run_xquery_with_options(
-            catalog, q, &opts,
-        ) {
+        let render = |catalog: &xqdb_core::Catalog| match run_xquery(catalog, q) {
             Ok(out) => xqdb_xmlparse::serialize_sequence(&out.sequence),
             Err(e) => format!("error {}", e.code),
         };
@@ -198,7 +189,6 @@ fn assert_probes_match(
 fn xmlexists_dml(
     churned: &mut SqlSession,
     shadow: &BTreeMap<i64, String>,
-    threads: usize,
     t: u32,
     set: Option<&str>,
     context: &str,
@@ -209,7 +199,7 @@ fn xmlexists_dml(
         None => format!("DELETE FROM orders WHERE {pred}"),
         Some(doc) => format!("UPDATE orders SET orddoc = '{doc}' WHERE {pred}"),
     };
-    let reference = shadow_session(shadow, threads).execute(&select);
+    let reference = shadow_session(shadow).execute(&select);
     let outcome = churned.execute(&dml);
     let ids: Vec<i64> = match reference {
         Err(e) => {
@@ -240,12 +230,12 @@ struct Touched {
 /// end. Ops deliberately include zero-match DELETEs and UPDATEs (a
 /// retired or never-issued ordid) — they must report 0 rows and change
 /// nothing.
-fn run_interleaving(seed: u64, threads: usize) -> Touched {
+fn run_interleaving(seed: u64) -> Touched {
     let mut rng = StdRng::seed_from_u64(seed);
     let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/test-tmp"))
-        .join(format!("dml_prop_{}_{seed}_{threads}", std::process::id()));
+        .join(format!("dml_prop_{}_{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut session = open_churned(&dir, threads);
+    let mut session = open_churned(&dir);
     let mut touched = Touched::default();
     session.execute("CREATE TABLE orders (ordid INTEGER, orddoc XML)").unwrap();
     session
@@ -255,7 +245,7 @@ fn run_interleaving(seed: u64, threads: usize) -> Touched {
         .unwrap();
     let mut shadow: BTreeMap<i64, String> = BTreeMap::new();
     let mut next_id = 0i64;
-    let context = |step: usize| format!("seed {seed}, {threads} threads, step {step}");
+    let context = |step: usize| format!("seed {seed}, step {step}");
 
     for step in 0..120 {
         if step % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1 {
@@ -268,7 +258,7 @@ fn run_interleaving(seed: u64, threads: usize) -> Touched {
         }
         if step % REOPEN_EVERY == REOPEN_EVERY - 1 {
             drop(session);
-            session = open_churned(&dir, threads);
+            session = open_churned(&dir);
         }
         let draw = rng.random_range(0..100u32);
         if draw < 40 || shadow.is_empty() {
@@ -316,7 +306,7 @@ fn run_interleaving(seed: u64, threads: usize) -> Touched {
             }
         } else if draw < 80 {
             let t = rng.random_range(900..1000u32);
-            for id in xmlexists_dml(&mut session, &shadow, threads, t, None, &context(step)) {
+            for id in xmlexists_dml(&mut session, &shadow, t, None, &context(step)) {
                 shadow.remove(&id);
                 touched.xmlexists_rows += 1;
             }
@@ -324,27 +314,27 @@ fn run_interleaving(seed: u64, threads: usize) -> Touched {
             let t = rng.random_range(900..1000u32);
             let doc = random_doc(&mut rng);
             let ids =
-                xmlexists_dml(&mut session, &shadow, threads, t, Some(&doc), &context(step));
+                xmlexists_dml(&mut session, &shadow, t, Some(&doc), &context(step));
             for id in ids {
                 shadow.insert(id, doc.clone());
                 touched.xmlexists_rows += 1;
             }
         } else {
-            assert_probes_match(&mut session, &shadow, threads, &context(step));
+            assert_probes_match(&mut session, &shadow, &context(step));
         }
     }
 
-    assert_probes_match(&mut session, &shadow, threads, &format!("seed {seed}, final"));
+    assert_probes_match(&mut session, &shadow, &format!("seed {seed}, final"));
     let t = session.catalog.db.table("orders").unwrap();
     assert_eq!(
         t.live_len(),
         shadow.len(),
-        "live rows diverged from the shadow model (seed {seed}, {threads} threads)"
+        "live rows diverged from the shadow model (seed {seed})"
     );
     let oracle = xqdb_core::verify_derived_state(&session.catalog).unwrap();
     assert!(
         oracle.is_clean(),
-        "derived state diverged from rebuild (seed {seed}, {threads} threads):\n{}",
+        "derived state diverged from rebuild (seed {seed}):\n{}",
         oracle.render()
     );
     drop(session);
@@ -352,22 +342,13 @@ fn run_interleaving(seed: u64, threads: usize) -> Touched {
     touched
 }
 
-/// Every seed at `threads`; neither the `XMLEXISTS` DML nor relocation
-/// may pass vacuously.
-fn run_seeds(threads: usize) {
-    let runs: Vec<Touched> = (0..6).map(|seed| run_interleaving(seed, threads)).collect();
-    let rows: usize = runs.iter().map(|t| t.xmlexists_rows).sum();
-    assert!(rows > 0, "no XMLEXISTS DELETE/UPDATE matched a row at {threads} thread(s)");
-    let relocated: usize = runs.iter().map(|t| t.pages_relocated).sum();
-    assert!(relocated > 0, "no checkpoint relocated a page at {threads} thread(s)");
-}
-
+/// Every seed; neither the `XMLEXISTS` DML nor relocation may pass
+/// vacuously.
 #[test]
 fn random_dml_interleavings_match_shadow_model_serial() {
-    run_seeds(1);
-}
-
-#[test]
-fn random_dml_interleavings_match_shadow_model_threaded() {
-    run_seeds(4);
+    let runs: Vec<Touched> = (0..6).map(run_interleaving).collect();
+    let rows: usize = runs.iter().map(|t| t.xmlexists_rows).sum();
+    assert!(rows > 0, "no XMLEXISTS DELETE/UPDATE matched a row");
+    let relocated: usize = runs.iter().map(|t| t.pages_relocated).sum();
+    assert!(relocated > 0, "no checkpoint relocated a page");
 }

@@ -1,8 +1,8 @@
 //! Observability consistency: the metrics registry, `EXPLAIN ANALYZE`
 //! reports and the returned [`ExecStats`] are three views of one execution
-//! and must reconcile **exactly** — at every thread count, for every paper
-//! query family (indexed hit, Tip-disqualified full scan, fault-degraded
-//! probe, parallel sharded scan), on both the XQuery and SQL/XML front ends.
+//! and must reconcile **exactly** — for every paper query family (indexed
+//! hit, Tip-disqualified full scan, fault-degraded probe), on both the
+//! XQuery and SQL/XML front ends.
 
 // Test target: unwrap/expect are the assertion idiom here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -16,9 +16,6 @@ use xqdb_core::{
 use xqdb_obs::{Counter, Gauge, Histogram, MetricsSnapshot};
 use xqdb_xdm::{FaultInjector, FaultMode};
 use xqdb_workload::{create_paper_schema, load_orders, OrderParams};
-
-/// The thread counts the matrix runs at.
-const THREADS: [usize; 2] = [1, 4];
 
 /// A populated orders catalog; `index_ty` selects the paper's price index
 /// type (`None` = no index).
@@ -38,8 +35,8 @@ fn snap(obs: &Obs) -> MetricsSnapshot {
 }
 
 /// The reconciliation assertion: every execution counter's delta equals the
-/// corresponding [`ExecStats`] field, the gauges hold the run's parallelism,
-/// and the query histogram counted the run.
+/// corresponding [`ExecStats`] field, and the query histogram counted the
+/// run.
 fn assert_registry_matches_stats(
     before: &MetricsSnapshot,
     after: &MetricsSnapshot,
@@ -138,23 +135,6 @@ fn assert_registry_matches_stats(
         "{label}: twig docs skipped"
     );
     assert_eq!(
-        after.gauge(Gauge::ParallelWorkers),
-        stats.parallel_workers as u64,
-        "{label}: workers gauge"
-    );
-    assert_eq!(
-        after.gauge(Gauge::ParallelShards),
-        stats.parallel_shards as u64,
-        "{label}: shards gauge"
-    );
-    let parallel = u64::from(stats.parallel_workers > 1);
-    assert_eq!(delta(Counter::ParallelQueries), parallel, "{label}: parallel queries");
-    assert_eq!(
-        delta(Counter::ParallelShardsExecuted),
-        parallel * stats.parallel_shards as u64,
-        "{label}: parallel shards executed"
-    );
-    assert_eq!(
         after.histogram(Histogram::QueryNanos).count - before.histogram(Histogram::QueryNanos).count,
         1,
         "{label}: query histogram count"
@@ -201,7 +181,6 @@ fn expected_counter_lines(stats: &ExecStats) -> Vec<String> {
             stats.index_faults,
             stats.degraded_sources.len()
         ),
-        format!("  workers: {}  shards: {}\n", stats.parallel_workers, stats.parallel_shards),
     ];
     // The cost line only appears when the planner actually costed the plan.
     if stats.plans_costed > 0 {
@@ -218,45 +197,37 @@ fn expected_counter_lines(stats: &ExecStats) -> Vec<String> {
 
 /// One family of the matrix: build a catalog, run its query under a shared
 /// observability handle, and check the three-way reconciliation.
-fn check_family(make_catalog: impl Fn() -> Catalog, query: &str, label: &str) {
-    for threads in THREADS {
-        let obs = Obs::new(ObsConfig::enabled());
-        let mut catalog = make_catalog();
-        catalog.obs = obs.clone();
-        let opts =
-            ExecOptions { threads, obs: obs.clone(), ..ExecOptions::default() };
-        let tag = format!("{label} at {threads} thread(s)");
+fn check_family(make_catalog: impl Fn() -> Catalog, query: &str, tag: &str) {
+    let obs = Obs::new(ObsConfig::enabled());
+    let mut catalog = make_catalog();
+    catalog.obs = obs.clone();
+    let opts = ExecOptions { obs: obs.clone(), ..ExecOptions::default() };
 
-        // Registry vs returned stats.
-        let before = snap(&obs);
-        let out = run_xquery_with_options(&catalog, query, &opts).expect("query runs");
-        let after = snap(&obs);
-        assert_registry_matches_stats(&before, &after, &out.stats, &tag);
-        assert!(out.trace.enabled(), "{tag}: tracing was requested");
+    // Registry vs returned stats.
+    let before = snap(&obs);
+    let out = run_xquery_with_options(&catalog, query, &opts).expect("query runs");
+    let after = snap(&obs);
+    assert_registry_matches_stats(&before, &after, &out.stats, tag);
+    assert!(out.trace.enabled(), "{tag}: tracing was requested");
+    assert!(
+        out.trace.finished_spans().iter().any(|s| s.name == "scan"),
+        "{tag}: the scan span is recorded"
+    );
+
+    // EXPLAIN ANALYZE report vs its own returned stats, and vs a second
+    // registry delta (EXPLAIN ANALYZE executes for real).
+    let before = snap(&obs);
+    let (report, out2) =
+        explain_analyze_xquery(&catalog, query, &opts).expect("explain analyze runs");
+    let after = snap(&obs);
+    assert_registry_matches_stats(&before, &after, &out2.stats, tag);
+    for line in expected_counter_lines(&out2.stats) {
         assert!(
-            out.trace.finished_spans().iter().any(|s| s.name == "scan"),
-            "{tag}: the scan span is recorded"
+            report.contains(&line),
+            "{tag}: EXPLAIN ANALYZE must carry the exact stats line {line:?} — report:\n{report}"
         );
-
-        // EXPLAIN ANALYZE report vs its own returned stats, and vs a second
-        // registry delta (EXPLAIN ANALYZE executes for real).
-        let before = snap(&obs);
-        let (report, out2) =
-            explain_analyze_xquery(&catalog, query, &opts).expect("explain analyze runs");
-        let after = snap(&obs);
-        assert_registry_matches_stats(&before, &after, &out2.stats, &tag);
-        for line in expected_counter_lines(&out2.stats) {
-            assert!(
-                report.contains(&line),
-                "{tag}: EXPLAIN ANALYZE must carry the exact stats line {line:?} — report:\n{report}"
-            );
-        }
-        assert!(report.contains("EXECUTION\n"), "{tag}: report has the trace section");
-
-        // Determinism of the reconciled counters across thread counts is
-        // covered by the per-field equalities above; results byte-identity
-        // across threads is chaos_degradation's job.
     }
+    assert!(report.contains("EXECUTION\n"), "{tag}: report has the trace section");
 }
 
 #[test]
@@ -298,39 +269,32 @@ fn fault_degraded_probe_reconciles() {
     );
 }
 
+/// Synopsis statistics are maintained on every insert and delete, so a
+/// plan costed in the same statement cannot be stale: a far-off estimate
+/// is then blamed on the estimator's resolution. Only a plan served from
+/// the plan cache keeps the staleness hint. The Section 2.1 `@price > 100`
+/// queries estimate well enough to draw no diagnosis at all.
 #[test]
-fn parallel_sharded_scan_reconciles() {
-    // Partitionable path query over enough documents to shard at 4 workers.
-    check_family(
-        || orders_catalog(120, None),
-        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 995]",
-        "parallel scan",
-    );
-    // The family above asserts reconciliation wherever it lands; this pins
-    // that 4 workers actually shard (so the parallel counters were real).
-    let obs = Obs::new(ObsConfig::enabled());
-    let catalog = orders_catalog(120, None);
-    let opts = ExecOptions { threads: 4, obs: obs.clone(), ..ExecOptions::default() };
-    let out = run_xquery_with_options(
-        &catalog,
-        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 995]",
-        &opts,
-    )
-    .expect("parallel run succeeds");
-    assert_eq!(out.stats.parallel_workers, 4);
-    assert!(out.stats.parallel_shards > 1, "120 docs at 4 workers must shard");
-    let s = snap(&obs);
-    assert_eq!(s.counter(Counter::ParallelQueries), 1);
-    assert_eq!(s.counter(Counter::ParallelShardsExecuted), out.stats.parallel_shards as u64);
-    assert!(
-        out.trace
-            .finished_spans()
-            .iter()
-            .filter(|sp| sp.name == "worker task")
-            .count()
-            == out.stats.parallel_shards,
-        "every shard's worker task is a child span"
-    );
+fn misestimate_advice_blames_staleness_only_on_cached_plans() {
+    let catalog = orders_catalog(5_000, Some("double"));
+    let opts = ExecOptions::default();
+    let q = "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 998]";
+    let (fresh, out) = explain_analyze_xquery(&catalog, q, &opts).expect("runs");
+    assert_eq!(out.stats.plan_cache_misses, 1);
+    assert!(fresh.contains("rule cost-resolution"), "report:\n{fresh}");
+    assert!(!fresh.contains("stale"), "a plan costed just now is not stale:\n{fresh}");
+    let (cached, out) = explain_analyze_xquery(&catalog, q, &opts).expect("runs");
+    assert_eq!(out.stats.plan_cache_hits, 1);
+    assert!(cached.contains("rule cost-misestimate"), "report:\n{cached}");
+    assert!(cached.contains("statistics may be stale"), "report:\n{cached}");
+    for q in [
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > 100]",
+        "db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[@price > 100]",
+    ] {
+        let (report, out) = explain_analyze_xquery(&catalog, q, &opts).expect("runs");
+        assert!(out.stats.plans_costed > 0 && out.stats.index_probes > 0, "{q}");
+        assert!(!report.contains("QUERY DOCTOR"), "{q} needs no diagnosis:\n{report}");
+    }
 }
 
 #[test]
@@ -350,69 +314,66 @@ fn missing_index_gets_a_doctor_line() {
 
 #[test]
 fn sql_explain_analyze_reconciles_with_registry() {
-    for threads in THREADS {
-        let obs = Obs::new(ObsConfig::enabled());
-        let mut s = SqlSession::new();
-        s.set_obs(obs.clone());
-        s.catalog.runtime = xqdb_runtime::RuntimeConfig::with_threads(threads);
-        s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
-        s.execute(
-            "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
-        )
+    let obs = Obs::new(ObsConfig::enabled());
+    let mut s = SqlSession::new();
+    s.set_obs(obs.clone());
+    s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    for i in 0..40 {
+        s.execute(&format!(
+            r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
+            i * 25
+        ))
         .unwrap();
-        for i in 0..40 {
-            s.execute(&format!(
-                r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
-                i * 25
-            ))
-            .unwrap();
-        }
-        let tag = format!("sql explain analyze at {threads} thread(s)");
-        let before = snap(&obs);
-        let result = s
-            .execute(
-                "EXPLAIN ANALYZE SELECT ordid FROM orders \
-                 WHERE XMLEXISTS('$o//lineitem[@price > 500]' passing orddoc as \"o\")",
-            )
-            .expect("explain analyze select runs");
-        let after = snap(&obs);
-        let report = result.message.expect("explain analyze returns a report");
-        // The statement counter moved; the execution counters reconcile.
-        assert_eq!(
-            after.counter(Counter::SqlStatements) - before.counter(Counter::SqlStatements),
-            1,
-            "{tag}: one SQL statement"
-        );
-        for line in expected_counter_lines(&result.stats) {
-            assert!(
-                report.contains(&line),
-                "{tag}: report must carry {line:?} — report:\n{report}"
-            );
-        }
-        let delta = |c: Counter| after.counter(c) - before.counter(c);
-        assert_eq!(
-            delta(Counter::IndexEntriesScanned),
-            result.stats.index_entries_scanned as u64,
-            "{tag}: entries scanned"
-        );
-        assert_eq!(
-            delta(Counter::IndexProbes),
-            result.stats.index_probes as u64,
-            "{tag}: probes"
-        );
-        assert_eq!(
-            delta(Counter::DocsEvaluated),
-            result.stats.docs_evaluated_total() as u64,
-            "{tag}: documents evaluated"
-        );
-        assert_eq!(
-            delta(Counter::XmlDocsParsed),
-            result.stats.xml_docs_parsed,
-            "{tag}: xml documents parsed"
-        );
-        assert!(result.stats.index_probes > 0, "{tag}: the probe actually ran");
-        assert!(report.contains("-- executed:"), "{tag}: report ends with the row count");
     }
+    let tag = "sql explain analyze";
+    let before = snap(&obs);
+    let result = s
+        .execute(
+            "EXPLAIN ANALYZE SELECT ordid FROM orders \
+             WHERE XMLEXISTS('$o//lineitem[@price > 500]' passing orddoc as \"o\")",
+        )
+        .expect("explain analyze select runs");
+    let after = snap(&obs);
+    let report = result.message.expect("explain analyze returns a report");
+    // The statement counter moved; the execution counters reconcile.
+    assert_eq!(
+        after.counter(Counter::SqlStatements) - before.counter(Counter::SqlStatements),
+        1,
+        "{tag}: one SQL statement"
+    );
+    for line in expected_counter_lines(&result.stats) {
+        assert!(
+            report.contains(&line),
+            "{tag}: report must carry {line:?} — report:\n{report}"
+        );
+    }
+    let delta = |c: Counter| after.counter(c) - before.counter(c);
+    assert_eq!(
+        delta(Counter::IndexEntriesScanned),
+        result.stats.index_entries_scanned as u64,
+        "{tag}: entries scanned"
+    );
+    assert_eq!(
+        delta(Counter::IndexProbes),
+        result.stats.index_probes as u64,
+        "{tag}: probes"
+    );
+    assert_eq!(
+        delta(Counter::DocsEvaluated),
+        result.stats.docs_evaluated_total() as u64,
+        "{tag}: documents evaluated"
+    );
+    assert_eq!(
+        delta(Counter::XmlDocsParsed),
+        result.stats.xml_docs_parsed,
+        "{tag}: xml documents parsed"
+    );
+    assert!(result.stats.index_probes > 0, "{tag}: the probe actually ran");
+    assert!(report.contains("-- executed:"), "{tag}: report ends with the row count");
 }
 
 #[test]
@@ -766,71 +727,68 @@ fn xml_docs_parsed_counts_only_the_documents_a_statement_reads() {
 fn scalar_filter_reconciles_with_registry() {
     // A scalar conjunct narrows the table from its in-memory INTEGER
     // cells before the XMLEXISTS probe: the registry, the returned stats,
-    // the COUNTERS section and the `scalar filter` span agree exactly, at
-    // every thread count, for SELECT and for DML matching.
-    for threads in THREADS {
-        let obs = Obs::new(ObsConfig::enabled());
-        let mut s = SqlSession::new();
-        s.set_obs(obs.clone());
-        s.catalog.runtime = xqdb_runtime::RuntimeConfig::with_threads(threads);
-        s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
-        s.execute(
-            "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
-        )
+    // the COUNTERS section and the `scalar filter` span agree exactly, for
+    // SELECT and for DML matching.
+    let obs = Obs::new(ObsConfig::enabled());
+    let mut s = SqlSession::new();
+    s.set_obs(obs.clone());
+    s.execute("create table orders (ordid integer, orddoc XML)").unwrap();
+    s.execute(
+        "CREATE INDEX li_price ON orders(orddoc) USING XMLPATTERN '//lineitem/@price' AS double",
+    )
+    .unwrap();
+    for i in 0..40 {
+        s.execute(&format!(
+            r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
+            i * 25
+        ))
         .unwrap();
-        for i in 0..40 {
-            s.execute(&format!(
-                r#"INSERT INTO orders VALUES ({i}, '<order><lineitem price="{}"/></order>')"#,
-                i * 25
-            ))
-            .unwrap();
-        }
-        let tag = format!("scalar filter at {threads} thread(s)");
-        let plan = s
-            .execute("EXPLAIN SELECT ordid FROM orders WHERE 30 <= ordid")
-            .unwrap()
-            .message
-            .unwrap();
-        assert!(
-            plan.contains("  table ORDERS (alias ORDERS): SCALAR FILTER ORDERS.ORDID >= 30\n"),
-            "{tag}: the mirrored conjunct is planned — plan:\n{plan}"
-        );
-        let before = snap(&obs);
-        let result = s
-            .execute(
-                "EXPLAIN ANALYZE SELECT ordid FROM orders WHERE 30 <= ordid \
-                 AND XMLEXISTS('$o//lineitem[@price > 500]' passing orddoc as \"o\")",
-            )
-            .expect("explain analyze select runs");
-        let after = snap(&obs);
-        let report = result.message.expect("explain analyze returns a report");
-        let delta = |c: Counter| after.counter(c) - before.counter(c);
-        assert_eq!(result.stats.scalar_rows_skipped, 30, "{tag}: rows 0..30 are skipped");
-        assert_eq!(delta(Counter::ScalarRowsSkipped), 30, "{tag}: registry");
-        assert_eq!(result.stats.docs_evaluated_total(), 10, "{tag}: 10 rows fetched");
-        assert_eq!(delta(Counter::DocsEvaluated), 10, "{tag}: registry documents");
-        assert_eq!(result.stats.xml_docs_parsed, 10, "{tag}: documents parsed");
-        assert!(report.contains("-- executed: 10 row(s) produced"), "{tag}: {report}");
-        for line in expected_counter_lines(&result.stats) {
-            assert!(report.contains(&line), "{tag}: report must carry {line:?}:\n{report}");
-        }
-        assert!(
-            report.lines().any(|l| l.contains("scalar filter") && l.contains("survivors=10")),
-            "{tag}: the span names the stage and its survivors — report:\n{report}"
-        );
-
-        let before = snap(&obs);
-        let del = s.execute("DELETE FROM orders WHERE ordid < 5").unwrap();
-        let after = snap(&obs);
-        assert_eq!(del.message.as_deref(), Some("5 row(s) deleted"));
-        assert_eq!(del.stats.scalar_rows_skipped, 35, "{tag}: DELETE matching");
-        assert_eq!(del.stats.docs_evaluated_total(), 5, "{tag}: DELETE fetches its matches");
-        assert_eq!(
-            after.counter(Counter::ScalarRowsSkipped) - before.counter(Counter::ScalarRowsSkipped),
-            35,
-            "{tag}: DELETE registry"
-        );
     }
+    let tag = "scalar filter";
+    let plan = s
+        .execute("EXPLAIN SELECT ordid FROM orders WHERE 30 <= ordid")
+        .unwrap()
+        .message
+        .unwrap();
+    assert!(
+        plan.contains("  table ORDERS (alias ORDERS): SCALAR FILTER ORDERS.ORDID >= 30\n"),
+        "{tag}: the mirrored conjunct is planned — plan:\n{plan}"
+    );
+    let before = snap(&obs);
+    let result = s
+        .execute(
+            "EXPLAIN ANALYZE SELECT ordid FROM orders WHERE 30 <= ordid \
+             AND XMLEXISTS('$o//lineitem[@price > 500]' passing orddoc as \"o\")",
+        )
+        .expect("explain analyze select runs");
+    let after = snap(&obs);
+    let report = result.message.expect("explain analyze returns a report");
+    let delta = |c: Counter| after.counter(c) - before.counter(c);
+    assert_eq!(result.stats.scalar_rows_skipped, 30, "{tag}: rows 0..30 are skipped");
+    assert_eq!(delta(Counter::ScalarRowsSkipped), 30, "{tag}: registry");
+    assert_eq!(result.stats.docs_evaluated_total(), 10, "{tag}: 10 rows fetched");
+    assert_eq!(delta(Counter::DocsEvaluated), 10, "{tag}: registry documents");
+    assert_eq!(result.stats.xml_docs_parsed, 10, "{tag}: documents parsed");
+    assert!(report.contains("-- executed: 10 row(s) produced"), "{tag}: {report}");
+    for line in expected_counter_lines(&result.stats) {
+        assert!(report.contains(&line), "{tag}: report must carry {line:?}:\n{report}");
+    }
+    assert!(
+        report.lines().any(|l| l.contains("scalar filter") && l.contains("survivors=10")),
+        "{tag}: the span names the stage and its survivors — report:\n{report}"
+    );
+
+    let before = snap(&obs);
+    let del = s.execute("DELETE FROM orders WHERE ordid < 5").unwrap();
+    let after = snap(&obs);
+    assert_eq!(del.message.as_deref(), Some("5 row(s) deleted"));
+    assert_eq!(del.stats.scalar_rows_skipped, 35, "{tag}: DELETE matching");
+    assert_eq!(del.stats.docs_evaluated_total(), 5, "{tag}: DELETE fetches its matches");
+    assert_eq!(
+        after.counter(Counter::ScalarRowsSkipped) - before.counter(Counter::ScalarRowsSkipped),
+        35,
+        "{tag}: DELETE registry"
+    );
 }
 
 #[test]
