@@ -676,9 +676,10 @@ fn planner_report() {
             &xqdb_obs::Trace::disabled(),
             use_cost,
         );
-        plan.accesses
+        plan.access
+            .sources
             .iter()
-            .filter_map(|a| a.access.as_ref())
+            .filter_map(|a| a.index.as_ref())
             .map(xqdb_core::IndexCond::render)
             .collect::<Vec<_>>()
             .join(" ")

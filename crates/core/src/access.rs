@@ -1,16 +1,21 @@
 //! The access-path pipeline: scalar filter → index probe → twig join →
 //! signature pre-filter, the one place where a statement's sources are
-//! narrowed before any document is fetched.
+//! planned, narrowed and fetched.
+//!
+//! Both front ends hand [`compile_sources`] what their walks found per
+//! source and get one [`AccessPlan`] back; at execution
+//! [`AccessPaths::survivors`] narrows its sources and [`fetch_rows`], the
+//! one statement fetch loop, reads what survives. The XQuery executor, SQL
+//! `SELECT` and `DELETE`/`UPDATE` matching (a single-table `SELECT`'s FROM
+//! and WHERE) differ only in how they evaluate the rows they fetch.
 //!
 //! Every stage is a Definition 1 pre-filter: it may let extra rows through
 //! but never drops one the query keeps, so the survivors only bound what
-//! the caller fetches and evaluates. The XQuery executor, SQL `SELECT` and
-//! `DELETE`/`UPDATE` matching all call [`AccessPaths::survivors`] and differ
-//! only in how they fetch and evaluate what it returns.
+//! the caller fetches and evaluates.
 //!
 //! Stages run phase by phase — every scalar filter, then every probe, then
-//! every twig join, then every pre-filter — each over the sources in the
-//! caller's order. The scalar filter is the one exact stage: it decides a
+//! every twig join, then every pre-filter — each over the sources in
+//! source order. The scalar filter is the one exact stage: it decides a
 //! SQL `column op literal` conjunct over an INTEGER column from the
 //! table's in-memory cells with the comparison the WHERE evaluation uses,
 //! so it drops exactly the rows that conjunct makes not TRUE. Probes are
@@ -19,20 +24,21 @@
 //! not.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 use xqdb_obs::{Histogram, Obs, Trace};
-use xqdb_storage::{sql_compare, SqlValue, Table};
+use xqdb_storage::{sql_compare, Database, SqlValue, Table};
 use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{Budget, ErrorCode, XdmError};
 use xqdb_xmlindex::ProbeStats;
 
 use crate::catalog::Catalog;
-use crate::eligibility::IndexCond;
+use crate::eligibility::{compile, restrict_to_source, Cond, IndexCond, Note, Rejection};
 use crate::engine::{elapsed_ns, ExecStats};
 use crate::prefilter::SourcePrefilter;
 use crate::twig::{PreparedTwig, SourceTwig};
+use crate::walk::Walked;
 
 /// The access-path switches: structural pre-filter, holistic twig join and
 /// cost-based index choice, all on by default. A session's or a run's
@@ -104,22 +110,187 @@ impl ScalarPred {
 }
 
 /// What the planner compiled for one source.
-pub(crate) struct SourcePaths<'p> {
-    /// The `TABLE.COLUMN` collection: selects the indexes and tags spans.
-    pub source: &'p str,
+#[derive(Debug, Clone)]
+pub struct SourcePaths {
+    /// The `TABLE.COLUMN` collection, or the table a SQL statement's
+    /// scalar conjuncts narrow: selects the indexes and tags spans.
+    pub source: String,
     /// The survivor set this source narrows. Sources sharing a key
     /// intersect into one set: XQuery keys by source (each collection is
     /// scanned on its own), SQL by table (a row passes only if every
     /// filtering conjunct over any of its columns does).
-    pub key: &'p str,
+    pub key: String,
     /// The compiled index condition, if any index is eligible.
-    pub index: Option<&'p IndexCond>,
+    pub index: Option<IndexCond>,
     /// Twig filters, one per filtering conjunct; a row must match all.
-    pub twigs: &'p [SourceTwig],
+    /// Resolved against the table's synopsis at execution, so a cached
+    /// plan stays valid as the collection grows.
+    pub twigs: Vec<SourceTwig>,
     /// Signature pre-filters, one per filtering conjunct; all must accept.
-    pub prefilters: &'p [SourcePrefilter],
-    /// Scalar conjuncts over the key's table; all must be TRUE.
-    pub scalars: &'p [ScalarPred],
+    pub prefilters: Vec<SourcePrefilter>,
+    /// Scalar conjuncts over the key's table; all must be TRUE. Only the
+    /// predicates are planned; the cells are read at execution.
+    pub scalars: Vec<ScalarPred>,
+}
+
+/// Cost-model metadata attached to a plan.
+#[derive(Debug, Clone, Default)]
+pub struct PlanCost {
+    /// True when the synopsis-backed cost model scored at least one
+    /// candidate while planning (statistics were complete and consulted).
+    pub costed: bool,
+    /// (candidate, eligible index) pairs scored.
+    pub candidates: u64,
+    /// Estimated rows fetched by index probes, summed over sources that
+    /// kept an access. `None` when nothing was estimated.
+    pub est_rows: Option<u64>,
+    /// Human-readable costing decisions (index choices, declined probes),
+    /// rendered by EXPLAIN.
+    pub notes: Vec<String>,
+}
+
+/// A statement's access plan: its sources in sorted order, each with what
+/// narrows it, and what EXPLAIN says about the choice.
+#[derive(Debug, Default)]
+pub struct AccessPlan {
+    /// Every source the statement narrows or scans, sorted by name.
+    pub sources: Vec<SourcePaths>,
+    /// What the cost model estimated and why it chose the indexes it did.
+    /// Empty/default on rule-based plans.
+    pub cost: PlanCost,
+    /// Analyzer diagnostics (non-filtering predicates etc.).
+    pub notes: Vec<Note>,
+    /// Candidates that found no index, with reasons.
+    pub rejections: Vec<Rejection>,
+}
+
+/// What a statement's walks found, before any index is chosen: per
+/// source, the filtering conditions, structural filters and scalar
+/// conjuncts (each list one entry per filtering conjunct, all of which
+/// must hold), and the notes for EXPLAIN.
+#[derive(Default)]
+pub(crate) struct Uses {
+    sources: BTreeMap<String, SourceUses>,
+    pub notes: Vec<Note>,
+}
+
+#[derive(Default)]
+struct SourceUses {
+    conds: Vec<Cond>,
+    twigs: Vec<SourceTwig>,
+    prefilters: Vec<SourcePrefilter>,
+    scalars: Vec<ScalarPred>,
+}
+
+impl Uses {
+    /// Record one walked filtering body — a standalone query, an
+    /// XMLEXISTS conjunct or an XMLTABLE row producer: its condition for
+    /// every source it names, its structural filters and its notes.
+    /// Returns how many structural filters it found.
+    pub(crate) fn record(&mut self, walked: &Walked) -> usize {
+        let (prefilters, twigs) = (walked.structure.prefilters(), walked.structure.twigs());
+        let found = prefilters.len() + twigs.len();
+        for (source, pf) in prefilters {
+            self.sources.entry(source).or_default().prefilters.push(pf);
+        }
+        for (source, tw) in twigs {
+            self.sources.entry(source).or_default().twigs.push(tw);
+        }
+        for source in &walked.sources {
+            self.sources.entry(source.clone()).or_default().conds.push(walked.cond.clone());
+        }
+        self.notes.extend(walked.notes.iter().cloned());
+        found
+    }
+
+    /// Record a scalar conjunct over `table`.
+    pub(crate) fn scalar(&mut self, table: String, pred: ScalarPred) {
+        self.sources.entry(table).or_default().scalars.push(pred);
+    }
+}
+
+/// Which survivor set a source narrows (see [`SourcePaths::key`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Narrows {
+    /// Its own: XQuery.
+    Source,
+    /// Its table's: SQL.
+    Table,
+}
+
+/// Compile each source's conditions against that source's indexes —
+/// costed against its synopsis statistics when `use_cost` — in sorted
+/// source order, so cost notes and candidate tallies are deterministic.
+pub(crate) fn compile_sources(
+    catalog: &Catalog,
+    uses: Uses,
+    use_cost: bool,
+    narrows: Narrows,
+) -> AccessPlan {
+    let mut plan = AccessPlan { notes: uses.notes, ..AccessPlan::default() };
+    for (source, u) in uses.sources {
+        let mut index = None;
+        if !u.conds.is_empty() {
+            let restricted = restrict_to_source(&Cond::And(u.conds), &source);
+            let indexes = catalog.indexes_for_source(&source);
+            let model = if use_cost { catalog.cost_model_for(&source) } else { None };
+            let compiled = compile(&restricted, &indexes, model.as_ref());
+            plan.rejections.extend(compiled.rejections);
+            if compiled.candidates_costed > 0 {
+                plan.cost.costed = true;
+                plan.cost.candidates += compiled.candidates_costed;
+            }
+            if let Some(est) = compiled.est_rows {
+                *plan.cost.est_rows.get_or_insert(0) += est;
+            }
+            plan.cost.notes.extend(compiled.cost_notes);
+            index = compiled.access;
+        }
+        let key = match narrows {
+            Narrows::Source => source.clone(),
+            Narrows::Table => source.split('.').next().unwrap_or("").to_string(),
+        };
+        let (twigs, prefilters, scalars) = (u.twigs, u.prefilters, u.scalars);
+        plan.sources.push(SourcePaths { source, key, index, twigs, prefilters, scalars });
+    }
+    plan
+}
+
+impl AccessPlan {
+    /// The EXPLAIN sections both front ends print after their access
+    /// lines: cost decisions, the structural filters (a line per source,
+    /// its filters — one per SQL filtering conjunct — joined by ` AND `),
+    /// notes and rejected candidates.
+    pub(crate) fn render_tail(&self, out: &mut String) {
+        let structural = |verb: &str, render: fn(&SourcePaths) -> Vec<String>| {
+            let lines = self.sources.iter().map(|s| (&s.source, render(s)));
+            lines
+                .filter(|(_, filters)| !filters.is_empty())
+                .map(|(source, filters)| format!("{source}: {verb} {}", filters.join(" AND ")))
+                .collect()
+        };
+        let prefilters = structural("requires", |s| {
+            s.prefilters.iter().map(SourcePrefilter::render).collect()
+        });
+        let twigs = structural("matches", |s| s.twigs.iter().map(SourceTwig::render).collect());
+        let rejection = |r: &Rejection| {
+            let reasons: String = r.reasons.iter().map(|x| format!("\n        {x}")).collect();
+            format!("{}{reasons}", r.candidate)
+        };
+        let sections: [(&str, Vec<String>); 5] = [
+            ("cost decisions", self.cost.notes.clone()),
+            ("structural prefilter", prefilters),
+            ("twig join", twigs),
+            ("notes", self.notes.iter().map(Note::to_string).collect()),
+            ("rejected candidates", self.rejections.iter().map(rejection).collect()),
+        ];
+        for (title, lines) in sections.iter().filter(|(_, lines)| !lines.is_empty()) {
+            out.push_str(&format!("  {title}:\n"));
+            for line in lines {
+                out.push_str(&format!("    - {line}\n"));
+            }
+        }
+    }
 }
 
 /// Survivor row sets by [`SourcePaths::key`]. A key with no entry was not
@@ -136,23 +307,25 @@ pub(crate) struct AccessPaths<'a> {
 }
 
 impl AccessPaths<'_> {
-    /// Run scalar filter → probe → twig → pre-filter over `sources` and
-    /// return the survivors, charging each stage's counters to `stats`. A
+    /// Run scalar filter → probe → twig → pre-filter over the plan's
+    /// sources and return the survivors, charging each stage's counters to
+    /// `stats`. A
     /// probe failing with `StorageFault` degrades its source to a scan
     /// (correct by Definition 1) and is recorded in `stats`; any other
     /// probe error — budget exhaustion, cancellation — propagates.
     pub fn survivors(
         &self,
-        sources: &[SourcePaths<'_>],
+        plan: &AccessPlan,
         budget: &Budget,
         stats: &mut ExecStats,
     ) -> Result<Survivors, XdmError> {
+        let sources = &plan.sources;
         let mut survivors = Survivors::new();
         for s in sources.iter().filter(|s| !s.scalars.is_empty()) {
             self.scalar_filter(s, &mut survivors, stats);
         }
         for s in sources {
-            if let Some(cond) = s.index {
+            if let Some(cond) = &s.index {
                 self.probe(s, cond, budget, &mut survivors, stats)?;
             }
         }
@@ -174,8 +347,8 @@ impl AccessPaths<'_> {
     /// table's whole rowid domain (or an earlier scalar source's survivors,
     /// all live); deleted rows hold NULL and drop out without a lookup in
     /// the delete set, so the rows it skips are live rows.
-    fn scalar_filter(&self, s: &SourcePaths<'_>, survivors: &mut Survivors, stats: &mut ExecStats) {
-        let Some(table) = self.catalog.db.table(s.key) else { return };
+    fn scalar_filter(&self, s: &SourcePaths, survivors: &mut Survivors, stats: &mut ExecStats) {
+        let Some(table) = self.catalog.db.table(&s.key) else { return };
         let Some(cells) =
             s.scalars.iter().map(|p| table.int_cells(p.col)).collect::<Option<Vec<_>>>()
         else {
@@ -183,8 +356,8 @@ impl AccessPaths<'_> {
         };
         let mut span = self.trace.span("scalar filter");
         span.tag_with("source", || s.source.to_string());
-        let visited = survivors.get(s.key).map_or(table.live_len(), BTreeSet::len);
-        let kept: BTreeSet<u64> = rows_of(survivors.get(s.key), table)
+        let visited = survivors.get(&s.key).map_or(table.live_len(), BTreeSet::len);
+        let kept: BTreeSet<u64> = rows_of(survivors.get(&s.key), table)
             .filter(|&row| {
                 let cell = |c: &&[Option<i64>]| c.get(row as usize).copied().flatten();
                 s.scalars.iter().zip(&cells).all(|(p, c)| p.accepts(cell(c)))
@@ -199,7 +372,7 @@ impl AccessPaths<'_> {
 
     fn probe(
         &self,
-        s: &SourcePaths<'_>,
+        s: &SourcePaths,
         cond: &IndexCond,
         budget: &Budget,
         survivors: &mut Survivors,
@@ -207,7 +380,7 @@ impl AccessPaths<'_> {
     ) -> Result<(), XdmError> {
         let mut span = self.trace.span("index probe");
         span.tag_with("source", || s.source.to_string());
-        let indexes = self.catalog.indexes_for_source(s.source);
+        let indexes = self.catalog.indexes_for_source(&s.source);
         let mut pstats = ProbeStats::default();
         let t0 = self.obs.metrics_enabled().then(Instant::now);
         let probed = cond.execute(&indexes, &mut pstats, budget);
@@ -224,7 +397,7 @@ impl AccessPaths<'_> {
                 span.tag_str("outcome", "index hit");
                 span.tag_with("survivors", || rows.len().to_string());
                 stats.cost_actual_rows += rows.len() as u64;
-                match survivors.get_mut(s.key) {
+                match survivors.get_mut(&s.key) {
                     Some(kept) => kept.retain(|r| rows.contains(r)),
                     None => {
                         survivors.insert(s.key.to_string(), rows);
@@ -253,8 +426,8 @@ impl AccessPaths<'_> {
     /// follows the rows that reach the join, not the table. Only the
     /// candidates' label runs are then matched. Skips are counted over live
     /// rows: a deleted rowid is no document.
-    fn twig_join(&self, s: &SourcePaths<'_>, survivors: &mut Survivors, stats: &mut ExecStats) {
-        let Ok((table, _)) = self.catalog.db.resolve_xml_column(s.source) else { return };
+    fn twig_join(&self, s: &SourcePaths, survivors: &mut Survivors, stats: &mut ExecStats) {
+        let Ok((table, _)) = self.catalog.db.resolve_xml_column(&s.source) else { return };
         let mut span = self.trace.span("twig join");
         span.tag_with("source", || s.source.to_string());
         span.tag_with("patterns", || {
@@ -266,7 +439,7 @@ impl AccessPaths<'_> {
             span.tag_str("outcome", "declined: labels incomplete");
             return;
         };
-        let narrowed: Option<Vec<u64>> = survivors.get(s.key).map(|k| k.iter().copied().collect());
+        let narrowed: Option<Vec<u64>> = survivors.get(&s.key).map(|k| k.iter().copied().collect());
         let considered = narrowed.as_ref().map_or(table.live_len(), Vec::len);
         let mut rows = narrowed;
         for p in &prepared {
@@ -288,22 +461,21 @@ impl AccessPaths<'_> {
         survivors.insert(s.key.to_string(), kept);
     }
 
-    /// Drop rows whose path signature some pre-filter rejects. Rows without
-    /// a signature (deleted, or no XML cell) are kept: the evaluation
-    /// decides them, never the pre-filter.
-    fn prefilter(&self, s: &SourcePaths<'_>, survivors: &mut Survivors, stats: &mut ExecStats) {
-        let Ok((table, _)) = self.catalog.db.resolve_xml_column(s.source) else { return };
+    /// Drop rows whose path signature some pre-filter rejects. Only live
+    /// rows have a signature: a deleted rowid is no document, so it is
+    /// neither kept nor counted as skipped.
+    fn prefilter(&self, s: &SourcePaths, survivors: &mut Survivors, stats: &mut ExecStats) {
+        let Ok((table, _)) = self.catalog.db.resolve_xml_column(&s.source) else { return };
         let mut span = self.trace.span("prefilter");
         span.tag_with("source", || s.source.to_string());
         span.tag_with("groups", || {
             s.prefilters.iter().map(|p| p.groups.len()).sum::<usize>().to_string()
         });
         let mut skipped = 0usize;
-        let kept: BTreeSet<u64> = rows_of(survivors.get(s.key), table)
+        let kept: BTreeSet<u64> = rows_of(survivors.get(&s.key), table)
             .filter(|&row| {
-                let keep = table
-                    .signature(row as usize)
-                    .is_none_or(|sig| s.prefilters.iter().all(|pf| pf.accepts(sig)));
+                let Some(sig) = table.signature(row as usize) else { return false };
+                let keep = s.prefilters.iter().all(|pf| pf.accepts(sig));
                 skipped += usize::from(!keep);
                 keep
             })
@@ -325,16 +497,35 @@ fn rows_of<'f>(
     filter.into_iter().flatten().copied().chain(all.into_iter().flatten())
 }
 
-/// Point lookups of the live rows among [`rows_of`], in rowid order —
-/// each survivor's page is read and the columns `mask` selects decoded
-/// (see [`Table::row_masked`]), and nothing else. Unfiltered, this visits
-/// every row at the cost of a scan.
-pub(crate) fn fetch<'f>(
-    filter: Option<&'f BTreeSet<u64>>,
-    table: &'f Table,
-    mask: &'f [bool],
-) -> impl Iterator<Item = Result<(u64, Vec<Option<SqlValue>>), XdmError>> + 'f {
-    rows_of(filter, table).filter_map(move |rid| {
-        table.row_masked(rid as usize, mask).transpose().map(|r| r.map(|v| (rid, v)))
-    })
+/// The one statement fetch loop: point lookups of the live rows among
+/// [`rows_of`], in rowid order. Each row's page is read and the columns
+/// `mask` selects decoded (see [`Table::row_masked`]), and nothing else;
+/// unnarrowed, this visits every live row at the cost of a scan. Every
+/// fetched row passes the document-fetch fault point before `each` sees
+/// it with its rowid: as in `Database::xmlcolumn`, a fetch fault has no
+/// fallback. `stats` records the table's live rows as `docs_total[key]`
+/// and the rows actually fetched as `docs_evaluated[key]`.
+pub(crate) fn fetch_rows(
+    db: &Database,
+    table: &Table,
+    key: &str,
+    filter: Option<&BTreeSet<u64>>,
+    mask: &[bool],
+    stats: &mut ExecStats,
+    mut each: impl FnMut(u64, Vec<Option<SqlValue>>) -> Result<(), XdmError>,
+) -> Result<(), XdmError> {
+    let mut fetched = 0usize;
+    for rid in rows_of(filter, table) {
+        let Some(values) = table.row_masked(rid as usize, mask)? else { continue };
+        if db.fault_injector().is_some_and(|inj| inj.should_fail()) {
+            return Err(XdmError::storage_fault(format!(
+                "injected fault fetching document at row {rid} of {key}"
+            )));
+        }
+        fetched += 1;
+        each(rid, values)?;
+    }
+    stats.docs_total.insert(key.to_string(), table.live_len());
+    stats.docs_evaluated.insert(key.to_string(), fetched);
+    Ok(())
 }

@@ -5,7 +5,8 @@
 //! the surviving documents, so residual predicates, ordering, construction
 //! and node identity all behave exactly as in the unoptimized evaluation.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -16,24 +17,13 @@ use xqdb_xquery::ast::{ConstructorContent, Expr, FlworClause, Step};
 use xqdb_xquery::Query;
 use xqdb_storage::SqlValue;
 
-use crate::access::{AccessConfig, AccessPaths, SourcePaths, Survivors};
-use crate::catalog::Catalog;
-use crate::eligibility::{
-    compile, diagnose, diagnose_misestimate, restrict_to_source, AnalysisEnv,
-    Cond, IndexCond, Note, Rejection,
+use crate::access::{
+    self, compile_sources, AccessConfig, AccessPaths, AccessPlan, Narrows, PlanCost, Survivors,
+    Uses,
 };
-use crate::prefilter::SourcePrefilter;
-use crate::twig::SourceTwig;
+use crate::catalog::Catalog;
+use crate::eligibility::{diagnose, diagnose_misestimate, AnalysisEnv, Cond, Note, Rejection};
 use crate::walk::{walk, Body};
-
-/// Per-collection access decision.
-#[derive(Debug, Clone)]
-pub struct SourceAccess {
-    /// Collection key (`TABLE.COLUMN`).
-    pub source: String,
-    /// The compiled index condition, or `None` for a collection scan.
-    pub access: Option<IndexCond>,
-}
 
 /// A planned query.
 #[derive(Debug)]
@@ -42,39 +32,9 @@ pub struct QueryPlan {
     pub query: Query,
     /// The extracted filtering condition (pre-restriction).
     pub cond: Cond,
-    /// Access path per referenced collection.
-    pub accesses: Vec<SourceAccess>,
-    /// Analyzer diagnostics (non-filtering predicates etc.).
-    pub notes: Vec<Note>,
-    /// Candidates that found no index, with reasons.
-    pub rejections: Vec<Rejection>,
-    /// Structural pre-filters per source: conservative required-path groups
-    /// checked against stored document signatures before evaluation.
-    pub prefilter: HashMap<String, SourcePrefilter>,
-    /// Twig patterns per source: branching/descendant path shapes served
-    /// by the holistic twig join over structural labels. Resolution
-    /// against the table's synopsis happens at execution time, so cached
-    /// plans stay valid as collections grow.
-    pub twig: HashMap<String, SourceTwig>,
-    /// Cost-model metadata: what the planner estimated and why it chose
-    /// the accesses it did. Empty/default on rule-based plans.
-    pub cost: PlanCost,
-}
-
-/// Cost-model metadata attached to a plan.
-#[derive(Debug, Clone, Default)]
-pub struct PlanCost {
-    /// True when the synopsis-backed cost model scored at least one
-    /// candidate while planning (statistics were complete and consulted).
-    pub costed: bool,
-    /// (candidate, eligible index) pairs scored.
-    pub candidates: u64,
-    /// Estimated rows fetched by index probes, summed over sources that
-    /// kept an access. `None` when nothing was estimated.
-    pub est_rows: Option<u64>,
-    /// Human-readable costing decisions (index choices, declined probes),
-    /// rendered by EXPLAIN.
-    pub notes: Vec<String>,
+    /// Access paths per referenced collection, keyed by source: each
+    /// collection is narrowed and scanned on its own.
+    pub access: AccessPlan,
 }
 
 /// Execution statistics, reported by benches and EXPLAIN.
@@ -88,9 +48,10 @@ pub struct ExecStats {
     /// B+Tree nodes touched by probes: root-to-leaf descents plus
     /// leaf-chain advances.
     pub btree_nodes_touched: usize,
-    /// Documents fetched and evaluated, per source.
+    /// Rows fetched and evaluated, per source the run fetched from
+    /// (counted by `access::fetch_rows`).
     pub docs_evaluated: HashMap<String, usize>,
-    /// Collection sizes, per source.
+    /// Live rows of each source the run fetched from.
     pub docs_total: HashMap<String, usize>,
     /// Stored XML documents this run parsed while decoding rows. Physical
     /// work: a row fetched only for its scalar columns parses nothing.
@@ -216,48 +177,22 @@ pub fn plan_query_costed(
     use_cost: bool,
 ) -> QueryPlan {
     let mut span = trace.span("plan");
-    let (walked, prefilter, twig) = {
+    let (walked, uses) = {
         let mut walk_span = span.child("query walk");
         let walked = walk(&query.body, env, Body::Query);
-        let (prefilter, twig) = (walked.structure.prefilters(), walked.structure.twigs());
-        walk_span.add_count((prefilter.len() + twig.len()) as u64);
-        (walked, prefilter, twig)
+        let mut uses = Uses::default();
+        walk_span.add_count(uses.record(&walked) as u64);
+        (walked, uses)
     };
-    let mut accesses = Vec::new();
-    let mut rejections = Vec::new();
-    let mut cost = PlanCost::default();
-    {
+    let access = {
         let mut elig = span.child("eligibility check");
-        for source in walked.sources {
-            let restricted = restrict_to_source(&walked.cond, &source);
-            let indexes = catalog.indexes_for_source(&source);
-            let model = if use_cost { catalog.cost_model_for(&source) } else { None };
-            let compiled = compile(&restricted, &indexes, model.as_ref());
-            rejections.extend(compiled.rejections);
-            if compiled.candidates_costed > 0 {
-                cost.costed = true;
-                cost.candidates += compiled.candidates_costed;
-            }
-            if let Some(est) = compiled.est_rows {
-                *cost.est_rows.get_or_insert(0) += est;
-            }
-            cost.notes.extend(compiled.cost_notes);
-            accesses.push(SourceAccess { source, access: compiled.access });
-        }
-        elig.add_count(accesses.len() as u64);
-        elig.tag_with("rejections", || rejections.len().to_string());
-    }
-    span.add_count(accesses.len() as u64);
-    QueryPlan {
-        query,
-        cond: walked.cond,
-        accesses,
-        notes: walked.notes,
-        rejections,
-        prefilter,
-        twig,
-        cost,
-    }
+        let access = compile_sources(catalog, uses, use_cost, Narrows::Source);
+        elig.add_count(access.sources.len() as u64);
+        elig.tag_with("rejections", || access.rejections.len().to_string());
+        access
+    };
+    span.add_count(access.sources.len() as u64);
+    QueryPlan { query, cond: walked.cond, access }
 }
 
 /// Parse, plan and execute an XQuery string.
@@ -360,7 +295,7 @@ fn run_traced(
                     access.cost,
                 ));
                 if obs.metrics_enabled() {
-                    let diagnoses = diagnose(&plan.rejections, &plan.notes);
+                    let diagnoses = diagnose(&plan.access.rejections, &plan.access.notes);
                     obs.add(Counter::DoctorDiagnoses, diagnoses.len() as u64);
                 }
                 catalog.cache_plan(&key, Arc::clone(&plan));
@@ -444,34 +379,12 @@ fn execute_observed(
     obs: &Obs,
     trace: &Trace,
 ) -> Result<ExecOutcome, XdmError> {
-    let mut stats = ExecStats::for_plan(&plan.cost);
+    let mut stats = ExecStats::for_plan(&plan.access.cost);
     let baseline = Physical::now(catalog);
-    let sources: Vec<SourcePaths<'_>> = plan
-        .accesses
-        .iter()
-        .map(|a| SourcePaths {
-            source: &a.source,
-            key: &a.source,
-            index: a.access.as_ref(),
-            twigs: plan.twig.get(&a.source).map(std::slice::from_ref).unwrap_or_default(),
-            prefilters: plan
-                .prefilter
-                .get(&a.source)
-                .map(std::slice::from_ref)
-                .unwrap_or_default(),
-            scalars: &[],
-        })
-        .collect();
     let paths = AccessPaths { catalog, config: access, obs, trace };
-    let filters = paths.survivors(&sources, &ctx.budget, &mut stats)?;
-    for a in &plan.accesses {
-        let total = catalog.db.resolve_xml_column(&a.source).map_or(0, |(t, _)| t.live_len());
-        let evaluated = filters.get(&a.source).map_or(total, BTreeSet::len);
-        stats.docs_total.insert(a.source.clone(), total);
-        stats.docs_evaluated.insert(a.source.clone(), evaluated);
-    }
+    let filters = paths.survivors(&plan.access, &ctx.budget, &mut stats)?;
     let mut span = trace.span("scan");
-    let provider = FilteredProvider { catalog, filters: &filters };
+    let provider = FilteredProvider { catalog, filters: &filters, stats: RefCell::new(&mut stats) };
     let sequence = xqdb_xqeval::eval_query(&plan.query, &provider, ctx)?;
     ctx.budget.check_result_items(sequence.len())?;
     span.add_count(sequence.len() as u64);
@@ -541,45 +454,16 @@ pub(crate) fn record_exec_metrics(obs: &Obs, stats: &ExecStats) {
 /// Render an EXPLAIN report for a plan.
 pub fn explain(plan: &QueryPlan) -> String {
     let mut out = String::from("XQUERY PLAN\n");
-    if plan.accesses.is_empty() {
+    if plan.access.sources.is_empty() {
         out.push_str("  (no stored collections referenced)\n");
     }
-    for a in &plan.accesses {
-        match &a.access {
-            Some(c) => {
-                out.push_str(&format!("  source {}: INDEX {}\n", a.source, c.render()));
-            }
-            None => {
-                out.push_str(&format!("  source {}: COLLECTION SCAN\n", a.source));
-            }
+    for s in &plan.access.sources {
+        match &s.index {
+            Some(c) => out.push_str(&format!("  source {}: INDEX {}\n", s.source, c.render())),
+            None => out.push_str(&format!("  source {}: COLLECTION SCAN\n", s.source)),
         }
     }
-    if !plan.cost.notes.is_empty() {
-        out.push_str("  cost decisions:\n");
-        for n in &plan.cost.notes {
-            out.push_str(&format!("    - {n}\n"));
-        }
-    }
-    render_structure_sections(
-        &mut out,
-        plan.prefilter.iter().map(|(s, pf)| (s, std::slice::from_ref(pf))),
-        plan.twig.iter().map(|(s, tw)| (s, std::slice::from_ref(tw))),
-    );
-    if !plan.notes.is_empty() {
-        out.push_str("  notes:\n");
-        for n in &plan.notes {
-            out.push_str(&format!("    - {n}\n"));
-        }
-    }
-    if !plan.rejections.is_empty() {
-        out.push_str("  rejected candidates:\n");
-        for r in &plan.rejections {
-            out.push_str(&format!("    - {}\n", r.candidate));
-            for reason in &r.reasons {
-                out.push_str(&format!("        {reason}\n"));
-            }
-        }
-    }
+    plan.access.render_tail(&mut out);
     out
 }
 
@@ -591,39 +475,8 @@ pub fn explain(plan: &QueryPlan) -> String {
 pub fn explain_analyze_report(plan: &QueryPlan, outcome: &ExecOutcome) -> String {
     let mut out = explain(plan);
     render_execution_sections(&mut out, &outcome.stats, &outcome.trace);
-    render_doctor_section(&mut out, &plan.rejections, &plan.notes, &outcome.stats);
+    render_doctor_section(&mut out, &plan.access.rejections, &plan.access.notes, &outcome.stats);
     out
-}
-
-/// The `structural prefilter:` and `twig join:` sections of an EXPLAIN
-/// report, shared by both front ends: one line per source, in source
-/// order, its filters (one per SQL filtering conjunct) joined by ` AND `.
-pub(crate) fn render_structure_sections<'a>(
-    out: &mut String,
-    prefilters: impl Iterator<Item = (&'a String, &'a [SourcePrefilter])>,
-    twigs: impl Iterator<Item = (&'a String, &'a [SourceTwig])>,
-) {
-    let prefilters =
-        prefilters.map(|(s, pfs)| (s, pfs.iter().map(SourcePrefilter::render).collect()));
-    render_source_lines(out, "structural prefilter", "requires", prefilters.collect());
-    let twigs = twigs.map(|(s, tws)| (s, tws.iter().map(SourceTwig::render).collect()));
-    render_source_lines(out, "twig join", "matches", twigs.collect());
-}
-
-fn render_source_lines(
-    out: &mut String,
-    title: &str,
-    verb: &str,
-    mut lines: Vec<(&String, Vec<String>)>,
-) {
-    if lines.is_empty() {
-        return;
-    }
-    lines.sort();
-    out.push_str(&format!("  {title}:\n"));
-    for (source, filters) in lines {
-        out.push_str(&format!("    - {source}: {verb} {}\n", filters.join(" AND ")));
-    }
 }
 
 /// The shared `EXECUTION` (trace) and `COUNTERS` (stats, verbatim) sections
@@ -729,54 +582,27 @@ pub(crate) fn render_doctor_section(
 }
 
 /// Collection provider that serves only the rows surviving index
-/// pre-filtering.
+/// pre-filtering, fetched through [`access::fetch_rows`], which records
+/// what each collection's fetch read into the run's stats.
 struct FilteredProvider<'a> {
     catalog: &'a Catalog,
     filters: &'a Survivors,
+    stats: RefCell<&'a mut ExecStats>,
 }
 
-impl<'a> FilteredProvider<'a> {
-    /// Fault-injection point shared by both fetch loops: same semantics as
-    /// `Database::xmlcolumn`, a document fetch fault has no fallback.
-    fn check_fetch_fault(&self, row: usize, key: &str) -> Result<(), XdmError> {
-        if let Some(inj) = self.catalog.db.fault_injector() {
-            if inj.should_fail() {
-                return Err(XdmError::storage_fault(format!(
-                    "injected fault fetching document at row {row} of {key}"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<'a> CollectionProvider for FilteredProvider<'a> {
+impl CollectionProvider for FilteredProvider<'_> {
     fn xmlcolumn(&self, name: &str) -> Result<Sequence, XdmError> {
         let key = name.to_ascii_uppercase();
         let (table, col) = self.catalog.db.resolve_xml_column(&key)?;
-        if let Some(f) = self.filters.get(&key) {
-            // A filter survived the probe/twig/pre-filter phases: decode
-            // only the surviving rows. Skipped documents must cost nothing
-            // here, or the filtering phases' savings evaporate in decode
-            // work. Fault-injection semantics are unchanged — the full
-            // scan below also only fault-checked filter-passing rows.
-            let mut out = Vec::with_capacity(f.len());
-            for &row in f {
-                self.check_fetch_fault(row as usize, &key)?;
-                if let Some(SqlValue::Xml(n)) = table.cell(row as usize, col)? {
-                    out.push(Item::Node(n));
-                }
-            }
-            return Ok(out);
-        }
+        let (filter, mask) = (self.filters.get(&key), table.column_mask(col));
+        let stats = &mut self.stats.borrow_mut();
         let mut out = Vec::new();
-        for item in table.scan_masked(0, table.len(), table.column_mask(col)) {
-            let (row, values) = item?;
-            self.check_fetch_fault(row, &key)?;
-            if let Some(SqlValue::Xml(n)) = &values[col] {
-                out.push(Item::Node(n.clone()));
+        access::fetch_rows(&self.catalog.db, table, &key, filter, &mask, stats, |_, mut row| {
+            if let Some(SqlValue::Xml(n)) = row.get_mut(col).and_then(Option::take) {
+                out.push(Item::Node(n));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 }

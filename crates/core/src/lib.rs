@@ -11,8 +11,9 @@
 //!
 //! * [`catalog`] — tables + XML indexes, with maintenance on insert;
 //! * [`access`] — the one access-path pipeline (scalar filter → index
-//!   probe → twig join → signature pre-filter) both front ends and DML
-//!   narrow their sources with, under one [`AccessConfig`];
+//!   probe → twig join → signature pre-filter): both front ends and DML
+//!   compile their sources into one [`AccessPlan`], narrow them under one
+//!   [`AccessConfig`] and fetch the survivors through one loop;
 //! * `walk` — the one pass over a query (filtering-context analysis):
 //!   index candidates, EXPLAIN notes and the structural uses that
 //!   `structure` derives into prefilter groups and twig patterns;
@@ -37,7 +38,7 @@ pub mod twig;
 pub mod verify;
 mod walk;
 
-pub use access::AccessConfig;
+pub use access::{AccessConfig, AccessPlan, PlanCost, SourcePaths};
 pub use catalog::Catalog;
 pub use durability::{
     checkpoint_pages, open_durable_catalog, recover_catalog, snapshot_records, CheckpointPages,
@@ -50,7 +51,7 @@ pub use eligibility::{
 pub use engine::{
     execute_plan, explain, explain_analyze_report, explain_analyze_xquery, plan_query,
     plan_query_costed, plan_query_traced, run_xquery, run_xquery_with_limits,
-    run_xquery_with_options, ExecOptions, ExecOutcome, ExecStats, PlanCost, QueryPlan,
+    run_xquery_with_options, ExecOptions, ExecOutcome, ExecStats, QueryPlan,
 };
 pub use plancache::CacheEpoch;
 pub use prefilter::{PathComponent, RequiredGroup, RequiredPath, SourcePrefilter};

@@ -17,27 +17,25 @@ use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use xqdb_obs::{Counter, Obs, Trace};
+use xqdb_obs::{Counter, Obs, Span, Trace};
 use xqdb_xdm::compare::CompareOp;
 use xqdb_xdm::{cast, AtomicType, AtomicValue, ErrorCode, ExpandedName, Item, Sequence, XdmError};
 use xqdb_xqeval::{eval_query, DynamicContext};
 use xqdb_xquery::Query;
 use xqdb_storage::{sql_compare, SqlType, SqlValue, Table};
 
-use crate::access::{self, AccessConfig, AccessPaths, ScalarPred, SourcePaths, Survivors};
+use crate::access::{
+    self, compile_sources, AccessConfig, AccessPaths, AccessPlan, Narrows, ScalarPred, Uses,
+};
 use crate::catalog::Catalog;
 use crate::durability::{open_durable_catalog, Durability, RecoveryReport};
-use crate::eligibility::{
-    compile, restrict_to_source, AnalysisEnv, Cond, IndexCond, Note, Rejection,
-};
+use crate::eligibility::AnalysisEnv;
 use crate::engine::{
     apply_physical_delta, record_exec_metrics, render_doctor_section, render_execution_sections,
-    render_structure_sections, ExecStats, Physical, PlanCost,
+    ExecStats, Physical,
 };
 use crate::plancache::PlanCache;
-use crate::prefilter::SourcePrefilter;
-use crate::twig::SourceTwig;
-use crate::walk::{walk, Body, Linear};
+use crate::walk::{walk, Body};
 
 use super::ast::*;
 use super::parser::parse_sql;
@@ -371,7 +369,7 @@ impl SqlSession {
     /// target table exactly as a SELECT would (three-valued logic; only
     /// rows where it is TRUE match), then apply the mutation through the
     /// catalog so every derived structure — indexes, synopsis, signatures,
-    /// label streams — is maintained incrementally and the change is
+    /// label runs — is maintained incrementally and the change is
     /// logged write-ahead (DELETE batches all matching rows into one WAL
     /// record; UPDATE logs one replace per row).
     fn run_dml(
@@ -428,10 +426,10 @@ impl SqlSession {
 
     /// The rowids of `table` whose WHERE evaluation is TRUE, in row order,
     /// plus the matching run's stats. `None` matches every live row (SQL
-    /// semantics of a missing WHERE). The WHERE is planned like a
-    /// single-table SELECT's, so only the access pipeline's survivors are
-    /// fetched, and of each only the columns the WHERE names are decoded;
-    /// the whole condition is then evaluated on each of them.
+    /// semantics of a missing WHERE). Matching is a single-table SELECT's
+    /// FROM and WHERE ([`SqlSession::where_rows`]), so only the access
+    /// pipeline's survivors are fetched, and of each only the columns the
+    /// WHERE names are decoded.
     fn dml_matching_rows(
         &self,
         table: &str,
@@ -446,35 +444,15 @@ impl SqlSession {
             where_cond: where_cond.clone(),
         };
         let plan = self.plan_select_traced(&sel, trace)?;
-        let mut stats = ExecStats::for_plan(&plan.cost);
-        let filters = self.survivors(&plan, trace, budget, &mut stats)?;
-        let mut span = trace.span("scan");
-        stats.docs_total.insert(t.name.clone(), t.live_len());
+        let mut stats = ExecStats::for_plan(&plan.access.cost);
         let parsed_before = self.catalog.db.xml_docs_parsed();
-        let mut fetched = 0usize;
-        let mut out = Vec::new();
-        for row in access::fetch(filters.get(&t.name), t, plan.mask(&t.name)) {
-            let (rid, values) = row?;
-            fetched += 1;
-            let pass = match where_cond {
-                None => true,
-                Some(cond) => {
-                    let ctx = RowCtx::default().with_row(&t.name, t, &values);
-                    self.eval_cond(cond, &ctx, budget)? == Some(true)
-                }
-            };
-            if pass {
-                out.push(rid);
-            }
-        }
-        stats.docs_evaluated.insert(t.name.clone(), fetched);
-        span.add_count(out.len() as u64);
+        let (kept, mut span) = self.where_rows(&sel, &plan, trace, budget, &mut stats)?;
         // The statement's stats count the mutation's own row reads too;
         // the span says what matching alone parsed.
         span.tag_with("xml docs parsed", || {
             (self.catalog.db.xml_docs_parsed() - parsed_before).to_string()
         });
-        Ok((out, stats))
+        Ok((kept.iter().filter_map(|ctx| ctx.rowids.first().copied()).collect(), stats))
     }
 
     /// Build the replacement row for one UPDATE target: unlisted columns
@@ -492,7 +470,7 @@ impl SqlSession {
     ) -> Result<Vec<SqlValue>, XdmError> {
         let t = self.table(table)?;
         let cells: Vec<Option<SqlValue>> = old.iter().cloned().map(Some).collect();
-        let ctx = RowCtx::default().with_row(&t.name, t, &cells);
+        let ctx = RowCtx::default().with_row(&t.name, rowid, t, &cells);
         let mut row = old.to_vec();
         for (col, expr) in set {
             let upper = col.to_ascii_uppercase();
@@ -661,7 +639,8 @@ impl SqlSession {
         let result = self.run_select_planned(sel, plan, cache_hit, trace, budget)?;
         let mut report = render_plan(plan);
         render_execution_sections(&mut report, &result.stats, trace);
-        render_doctor_section(&mut report, &plan.rejections, &plan.notes, &result.stats);
+        let (rejections, notes) = (&plan.access.rejections, &plan.access.notes);
+        render_doctor_section(&mut report, rejections, notes, &result.stats);
         report.push_str(&format!("-- executed: {} row(s) produced\n", result.rows.len()));
         Ok(SqlResult { message: Some(report), stats: result.stats, ..Default::default() })
     }
@@ -720,22 +699,27 @@ impl SqlSession {
     // ------------------------------------------------------------- planning
 
     fn plan_select(&self, sel: &SelectStmt) -> Result<SqlPlan, XdmError> {
-        let mut plan = SqlPlan::default();
         // Map alias → table, and each table to the columns its fetches
         // decode.
         let read = read_columns(sel);
+        let (mut tables, mut masks, mut from_counts) =
+            (HashMap::new(), HashMap::new(), HashMap::<String, usize>::new());
         for item in &sel.from {
             if let FromItem::Table { name, alias } = item {
                 let t = self.table(name)?;
-                plan.tables.insert(alias.clone(), t.name.clone());
+                tables.insert(alias.clone(), t.name.clone());
+                *from_counts.entry(t.name.clone()).or_default() += 1;
                 let mask = t
                     .columns
                     .iter()
                     .map(|c| read.as_ref().is_none_or(|names| names.contains(&c.name)))
                     .collect();
-                plan.masks.insert(t.name.clone(), mask);
+                masks.insert(t.name.clone(), mask);
             }
         }
+        let self_joined = from_counts.into_iter().filter(|&(_, n)| n > 1).map(|(t, _)| t).collect();
+        let mut plan = SqlPlan { tables, masks, self_joined, access: AccessPlan::default() };
+        let mut uses = Uses::default();
         // Walk XMLEXISTS conjuncts; keep the scalar ones the scalar filter
         // can decide.
         if let Some(cond) = &sel.where_cond {
@@ -745,11 +729,11 @@ impl SqlSession {
                 match c {
                     SqlCond::XmlExists { query, passing } => {
                         let env = self.passing_env(passing, &plan.tables);
-                        plan_xquery_filter(query, &env, &mut plan);
+                        uses.record(&walk(&query.body, &env, Body::Exists));
                     }
                     SqlCond::Cmp(op, a, b) => {
-                        if let Some((table, pred)) = self.scalar_pred(*op, a, b, sel) {
-                            plan.scalars.entry(table).or_default().push(pred);
+                        if let Some((table, pred)) = self.scalar_pred(*op, a, b, sel, &plan) {
+                            uses.scalar(table, pred);
                         }
                     }
                     _ => {}
@@ -761,11 +745,12 @@ impl SqlSession {
         for item in &sel.from {
             if let FromItem::XmlTable { row_query, passing, columns, .. } = item {
                 let env = self.passing_env(passing, &plan.tables);
-                let row = plan_xquery_filter(row_query, &env, &mut plan);
+                let row = walk(&row_query.body, &env, Body::Exists);
+                uses.record(&row);
                 for col in columns {
                     let place = "XMLTABLE column expression";
-                    let at = Body::Diagnostic { place, ctx: row.as_ref() };
-                    plan.notes.extend(walk(&col.path.body, &env, at).notes);
+                    let at = Body::Diagnostic { place, ctx: row.path.as_ref() };
+                    uses.notes.extend(walk(&col.path.body, &env, at).notes);
                 }
             }
         }
@@ -774,35 +759,10 @@ impl SqlSession {
             if let SelectItem::Expr { expr: SqlExpr::XmlQuery { query, passing }, .. } = item {
                 let env = self.passing_env(passing, &plan.tables);
                 let at = Body::Diagnostic { place: "XMLQUERY select list", ctx: None };
-                plan.notes.extend(walk(&query.body, &env, at).notes);
+                uses.notes.extend(walk(&query.body, &env, at).notes);
             }
         }
-        // Compile per-source access conditions, costed against the table's
-        // synopsis statistics when the session allows it.
-        // Sources are visited in sorted order so cost notes and candidate
-        // tallies are deterministic across runs.
-        let use_cost = self.access.cost;
-        let mut all_conds: Vec<_> = plan.conds.clone().into_iter().collect();
-        all_conds.sort_by(|a, b| a.0.cmp(&b.0));
-        for (source, conds) in all_conds {
-            let cond = Cond::And(conds);
-            let restricted = restrict_to_source(&cond, &source);
-            let indexes = self.catalog.indexes_for_source(&source);
-            let model = if use_cost { self.catalog.cost_model_for(&source) } else { None };
-            let compiled = compile(&restricted, &indexes, model.as_ref());
-            plan.rejections.extend(compiled.rejections);
-            if compiled.candidates_costed > 0 {
-                plan.cost.costed = true;
-                plan.cost.candidates += compiled.candidates_costed;
-            }
-            if let Some(est) = compiled.est_rows {
-                *plan.cost.est_rows.get_or_insert(0) += est;
-            }
-            plan.cost.notes.extend(compiled.cost_notes);
-            if let Some(access) = compiled.access {
-                plan.accesses.insert(source, access);
-            }
-        }
+        plan.access = compile_sources(&self.catalog, uses, self.access.cost, Narrows::Table);
         Ok(plan)
     }
 
@@ -820,6 +780,7 @@ impl SqlSession {
         a: &SqlExpr,
         b: &SqlExpr,
         sel: &SelectStmt,
+        plan: &SqlPlan,
     ) -> Option<(String, ScalarPred)> {
         let (column, literal, op) = match (a, b) {
             (SqlExpr::Column { .. }, lit) => (a, lit, op),
@@ -854,12 +815,8 @@ impl SqlSession {
             return None;
         };
         let t = self.table(table).ok()?;
-        let is_t = |item: &&FromItem| {
-            matches!(item, FromItem::Table { name, .. } if name.eq_ignore_ascii_case(&t.name))
-        };
-        let joined_once = sel.from.iter().filter(is_t).count() == 1;
         let col = t.column_index(name)?;
-        if !joined_once || !matches!(t.columns[col].ty, SqlType::Integer) {
+        if plan.self_joined.contains(&t.name) || !matches!(t.columns[col].ty, SqlType::Integer) {
             return None;
         }
         let column = format!("{}.{}", t.name, t.columns[col].name);
@@ -913,41 +870,8 @@ impl SqlSession {
     ) -> Result<Arc<SqlPlan>, XdmError> {
         let mut span = trace.span("plan");
         let plan = self.plan_select(sel)?;
-        span.add_count(plan.accesses.len() as u64);
+        span.add_count(plan.access.sources.iter().filter(|s| s.index.is_some()).count() as u64);
         Ok(Arc::new(plan))
-    }
-
-    /// Run the access pipeline over every source the plan narrows, in
-    /// source order. Survivors are keyed by table: a row passes only if
-    /// every filtering conjunct over any of its columns does. A table's
-    /// scalar conjuncts form one source of their own, named by the table.
-    fn survivors(
-        &self,
-        plan: &SqlPlan,
-        trace: &Trace,
-        budget: &xqdb_xdm::Budget,
-        stats: &mut ExecStats,
-    ) -> Result<Survivors, XdmError> {
-        let sources: BTreeSet<&String> = plan
-            .accesses
-            .keys()
-            .chain(plan.twigs.keys())
-            .chain(plan.prefilters.keys())
-            .chain(plan.scalars.keys())
-            .collect();
-        let sources: Vec<SourcePaths<'_>> = sources
-            .into_iter()
-            .map(|source| SourcePaths {
-                source,
-                key: source.split('.').next().unwrap_or(""),
-                index: plan.accesses.get(source),
-                twigs: plan.twigs.get(source).map_or(&[], Vec::as_slice),
-                prefilters: plan.prefilters.get(source).map_or(&[], Vec::as_slice),
-                scalars: plan.scalars.get(source).map_or(&[], Vec::as_slice),
-            })
-            .collect();
-        let paths = AccessPaths { catalog: &self.catalog, config: self.access, obs: &self.obs, trace };
-        paths.survivors(&sources, budget, stats)
     }
 
     /// Execute a SELECT against an already-compiled plan. `cache_hit`
@@ -961,66 +885,11 @@ impl SqlSession {
         trace: &Trace,
         budget: &Arc<xqdb_xdm::Budget>,
     ) -> Result<SqlResult, XdmError> {
-        let mut stats = ExecStats::for_plan(&plan.cost);
+        let mut stats = ExecStats::for_plan(&plan.access.cost);
         stats.plan_cache_hits = u64::from(cache_hit);
         stats.plan_cache_misses = u64::from(!cache_hit);
         let baseline = Physical::now(&self.catalog);
-        let filters = self.survivors(plan, trace, budget, &mut stats)?;
-
-        let mut scan_span = trace.span("scan");
-        // Build the row stream via nested loops.
-        let mut rows: Vec<RowCtx> = vec![RowCtx::default()];
-        for item in &sel.from {
-            let mut next = Vec::new();
-            match item {
-                FromItem::Table { name, alias } => {
-                    let t = self.table(name)?;
-                    stats.docs_total.insert(t.name.clone(), t.live_len());
-                    // Survivors narrow a table under every alias, so a table
-                    // joined with itself is fetched whole: a conjunct over
-                    // one alias says nothing about the other's rows.
-                    let joined_once = plan.tables.values().filter(|n| **n == t.name).count() == 1;
-                    let filter = filters.get(&t.name).filter(|_| joined_once);
-                    let mut fetched = 0usize;
-                    for row in access::fetch(filter, t, plan.mask(&t.name)) {
-                        let (_, values) = row?;
-                        fetched += 1;
-                        for base in &rows {
-                            next.push(base.clone().with_row(alias, t, &values));
-                        }
-                    }
-                    stats.docs_evaluated.insert(t.name.clone(), fetched);
-                }
-                FromItem::XmlTable { row_query, passing, columns, alias, column_aliases } => {
-                    for base in &rows {
-                        let produced = self.expand_xmltable(
-                            row_query,
-                            passing,
-                            columns,
-                            alias,
-                            column_aliases,
-                            base,
-                            budget,
-                        )?;
-                        next.extend(produced);
-                    }
-                }
-            }
-            rows = next;
-        }
-
-        // WHERE.
-        let mut kept = Vec::new();
-        for ctx in rows {
-            let pass = match &sel.where_cond {
-                None => true,
-                Some(c) => self.eval_cond(c, &ctx, budget)? == Some(true),
-            };
-            if pass {
-                kept.push(ctx);
-            }
-        }
-        scan_span.add_count(kept.len() as u64);
+        let (kept, scan_span) = self.where_rows(sel, plan, trace, budget, &mut stats)?;
         drop(scan_span);
 
         // Projection.
@@ -1070,6 +939,75 @@ impl SqlSession {
         apply_physical_delta(&mut stats, &self.catalog, &baseline);
         record_exec_metrics(&self.obs, &stats);
         Ok(SqlResult { columns, rows: out_rows, message: None, stats, trace: trace.clone() })
+    }
+
+    /// The joined rows a SELECT's WHERE makes TRUE. The access pipeline
+    /// narrows the plan's sources, keyed by table: a row survives only if
+    /// every filtering conjunct over any of its columns does. Then, under
+    /// a `scan` span returned still open for the caller's tags, FROM joins
+    /// its items (the grammar requires at least one) by nested loops, each
+    /// base table's survivors read through [`access::fetch_rows`]. WHERE
+    /// runs as the last item produces each joined row, so a scan holds
+    /// only the rows it keeps.
+    fn where_rows(
+        &self,
+        sel: &SelectStmt,
+        plan: &SqlPlan,
+        trace: &Trace,
+        budget: &Arc<xqdb_xdm::Budget>,
+        stats: &mut ExecStats,
+    ) -> Result<(Vec<RowCtx>, Span), XdmError> {
+        let paths =
+            AccessPaths { catalog: &self.catalog, config: self.access, obs: &self.obs, trace };
+        let filters = paths.survivors(&plan.access, budget, stats)?;
+        let mut span = trace.span("scan");
+        let mut rows: Vec<RowCtx> = vec![RowCtx::default()];
+        for (i, item) in sel.from.iter().enumerate() {
+            let last = i + 1 == sel.from.len();
+            let mut next = Vec::new();
+            let mut emit = |ctx: RowCtx| -> Result<(), XdmError> {
+                let pass = match &sel.where_cond {
+                    Some(c) if last => self.eval_cond(c, &ctx, budget)? == Some(true),
+                    _ => true,
+                };
+                if pass {
+                    next.push(ctx);
+                }
+                Ok(())
+            };
+            match item {
+                FromItem::Table { name, alias } => {
+                    let t = self.table(name)?;
+                    // Survivors narrow a table under every alias, so a table
+                    // joined with itself is fetched whole: a conjunct over
+                    // one alias says nothing about the other's rows.
+                    let whole = plan.self_joined.contains(&t.name);
+                    let filter = filters.get(&t.name).filter(|_| !whole);
+                    let (db, mask) = (&self.catalog.db, plan.mask(&t.name));
+                    access::fetch_rows(db, t, &t.name, filter, mask, stats, |rid, values| {
+                        let joined = |base: &RowCtx| base.clone().with_row(alias, rid, t, &values);
+                        rows.iter().try_for_each(|base| emit(joined(base)))
+                    })?;
+                }
+                FromItem::XmlTable { row_query, passing, columns, alias, column_aliases } => {
+                    for base in &rows {
+                        let produced = self.expand_xmltable(
+                            row_query,
+                            passing,
+                            columns,
+                            alias,
+                            column_aliases,
+                            base,
+                            budget,
+                        )?;
+                        produced.into_iter().try_for_each(&mut emit)?;
+                    }
+                }
+            }
+            rows = next;
+        }
+        span.add_count(rows.len() as u64);
+        Ok((rows, span))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1217,19 +1155,28 @@ impl SqlSession {
 struct RowCtx {
     values: HashMap<(String, String), Scalar>,
     order: Vec<(String, String)>,
+    /// The rowid of each stored row joined, in FROM order.
+    rowids: Vec<u64>,
 }
 
 impl RowCtx {
-    /// This row extended with a stored row of `table` under `alias`. Only
-    /// the decoded columns join the context: a column the statement's mask
-    /// left out is absent — a lookup of it fails loudly instead of reading
-    /// a NULL that would silently flip three-valued logic.
-    fn with_row(mut self, alias: &str, table: &Table, values: &[Option<SqlValue>]) -> RowCtx {
+    /// This row extended with stored row `rowid` of `table` under `alias`.
+    /// Only the decoded columns join the context: a column the statement's
+    /// mask left out is absent — a lookup of it fails loudly instead of
+    /// reading a NULL that would silently flip three-valued logic.
+    fn with_row(
+        mut self,
+        alias: &str,
+        rowid: u64,
+        table: &Table,
+        values: &[Option<SqlValue>],
+    ) -> RowCtx {
         for (col, v) in table.columns.iter().zip(values) {
             let Some(v) = v else { continue };
             self.values.insert((alias.to_string(), col.name.clone()), Scalar::from_stored(v));
             self.order.push((alias.to_string(), col.name.clone()));
         }
+        self.rowids.push(rowid);
         self
     }
 
@@ -1274,34 +1221,18 @@ impl RowCtx {
 pub struct SqlPlan {
     /// alias → table name.
     pub tables: HashMap<String, String>,
-    /// Source → extracted conditions (one per filtering XQuery).
-    pub conds: HashMap<String, Vec<Cond>>,
-    /// Compiled access per source.
-    pub accesses: HashMap<String, IndexCond>,
-    /// Analyzer notes.
-    pub notes: Vec<Note>,
-    /// Rejected candidates.
-    pub rejections: Vec<Rejection>,
-    /// Structural pre-filter per source, one entry per filtering conjunct
-    /// (all must hold for a row to survive).
-    pub prefilters: HashMap<String, Vec<SourcePrefilter>>,
-    /// Twig patterns per source, one entry per filtering conjunct (all
-    /// must hold for a row to survive). Resolved against the table's
-    /// synopsis at execution time, so cached plans stay valid as
-    /// collections grow.
-    pub twigs: HashMap<String, Vec<SourceTwig>>,
-    /// Cost decisions made while compiling accesses (candidates scored,
-    /// estimated rows, human-readable choice notes).
-    pub cost: PlanCost,
     /// Table name → the columns a row fetch decodes: every column the
     /// statement names anywhere (select list, WHERE, PASSING), matched by
     /// name whatever the qualifier; all of them under `SELECT *`.
     pub masks: HashMap<String, Vec<bool>>,
-    /// Table name → the top-level WHERE conjuncts the scalar filter
-    /// decides from the table's in-memory INTEGER cells (all must be
-    /// TRUE). Only the predicates are planned; the cells are read at
-    /// execution, so a cached plan stays valid as rows change.
-    pub scalars: HashMap<String, Vec<ScalarPred>>,
+    /// Tables FROM names more than once. Survivors narrow a table under
+    /// every alias, so a self-joined table takes no scalar filter and is
+    /// fetched whole.
+    pub self_joined: BTreeSet<String>,
+    /// Access paths per source, keyed by table (see
+    /// [`crate::access::SourcePaths::key`]); a table's scalar conjuncts
+    /// form a source of their own, named by the table.
+    pub access: AccessPlan,
 }
 
 impl SqlPlan {
@@ -1312,82 +1243,25 @@ impl SqlPlan {
     }
 }
 
-/// Walk one filtering XQuery body (an XMLEXISTS conjunct or an
-/// XMLTABLE row producer) into the plan, returning the body as a
-/// linear path when it is one (the XMLTABLE row context).
-fn plan_xquery_filter(query: &Query, env: &AnalysisEnv, plan: &mut SqlPlan) -> Option<Linear> {
-    let walked = walk(&query.body, env, Body::Exists);
-    plan.notes.extend(walked.notes);
-    // A row must satisfy every filtering conjunct, so per source the
-    // conjuncts' structural filters are AND'd at execution.
-    for (source, pf) in walked.structure.prefilters() {
-        plan.prefilters.entry(source).or_default().push(pf);
-    }
-    for (source, tw) in walked.structure.twigs() {
-        plan.twigs.entry(source).or_default().push(tw);
-    }
-    for s in walked.sources {
-        plan.conds.entry(s).or_default().push(walked.cond.clone());
-    }
-    walked.path
-}
-
 /// Render the EXPLAIN output.
 pub fn render_plan(plan: &SqlPlan) -> String {
     let mut out = String::from("SQL/XML PLAN\n");
     let mut aliases: Vec<_> = plan.tables.iter().collect();
     aliases.sort();
     for (alias, table) in aliases {
-        // Find accesses on this table's sources.
-        let mut printed = false;
-        let mut sources: Vec<_> = plan.accesses.iter().collect();
-        sources.sort_by_key(|(s, _)| s.as_str());
-        for (source, access) in sources {
-            if source.starts_with(&format!("{table}.")) {
-                out.push_str(&format!(
-                    "  table {table} (alias {alias}): INDEX {}\n",
-                    access.render()
-                ));
-                printed = true;
-            }
+        let sources = || plan.access.sources.iter().filter(|s| s.key == *table);
+        let indexes = sources().filter_map(|s| s.index.as_ref());
+        let mut lines: Vec<String> = indexes.map(|i| format!("INDEX {}", i.render())).collect();
+        let scalars = sources().flat_map(|s| &s.scalars);
+        lines.extend(scalars.map(|pred| format!("SCALAR FILTER {}", pred.render())));
+        if lines.is_empty() {
+            lines.push("TABLE SCAN".to_string());
         }
-        for pred in plan.scalars.get(table).into_iter().flatten() {
-            out.push_str(&format!(
-                "  table {table} (alias {alias}): SCALAR FILTER {}\n",
-                pred.render()
-            ));
-            printed = true;
-        }
-        if !printed {
-            out.push_str(&format!("  table {table} (alias {alias}): TABLE SCAN\n"));
+        for line in lines {
+            out.push_str(&format!("  table {table} (alias {alias}): {line}\n"));
         }
     }
-    if !plan.cost.notes.is_empty() {
-        out.push_str("  cost decisions:\n");
-        for n in &plan.cost.notes {
-            out.push_str(&format!("    - {n}\n"));
-        }
-    }
-    render_structure_sections(
-        &mut out,
-        plan.prefilters.iter().map(|(s, pfs)| (s, pfs.as_slice())),
-        plan.twigs.iter().map(|(s, tws)| (s, tws.as_slice())),
-    );
-    if !plan.notes.is_empty() {
-        out.push_str("  notes:\n");
-        for n in &plan.notes {
-            out.push_str(&format!("    - {n}\n"));
-        }
-    }
-    if !plan.rejections.is_empty() {
-        out.push_str("  rejected candidates:\n");
-        for r in &plan.rejections {
-            out.push_str(&format!("    - {}\n", r.candidate));
-            for reason in &r.reasons {
-                out.push_str(&format!("        {reason}\n"));
-            }
-        }
-    }
+    plan.access.render_tail(&mut out);
     out
 }
 

@@ -167,8 +167,8 @@ impl Use {
     /// path names no root.
     ///
     /// A sibling whose whole subtree equals an earlier sibling's is left
-    /// out: a match sets each child's bit independently, so the copy adds a
-    /// label stream but no constraint. Siblings that merely share a name
+    /// out: a match sets each child's bit independently, so the copy adds
+    /// matching work over the label runs but no constraint. Siblings that merely share a name
     /// stay apart — `order[lineitem/@price][lineitem/remark]` does not
     /// require one lineitem with both.
     fn pattern(&self) -> Option<Pattern> {

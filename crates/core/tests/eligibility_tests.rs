@@ -36,8 +36,8 @@ fn plan_info(c: &Catalog, query: &str) -> (Vec<String>, String) {
     let plan = plan_query(c, q, &AnalysisEnv::new());
     let explain = xqdb_core::explain(&plan);
     let mut used = Vec::new();
-    for a in &plan.accesses {
-        if let Some(ic) = &a.access {
+    for a in &plan.access.sources {
+        if let Some(ic) = &a.index {
             collect_probe_names(ic, &mut used);
         }
     }
@@ -538,9 +538,9 @@ fn explain_names_the_pitfall() {
     let parsed = xqdb_xquery::parse_query(q).unwrap();
     let plan = plan_query(&c, parsed, &AnalysisEnv::new());
     assert!(
-        plan.notes.iter().any(|n| matches!(n, Note::ConstructionBarrier { .. })),
+        plan.access.notes.iter().any(|n| matches!(n, Note::ConstructionBarrier { .. })),
         "{:?}",
-        plan.notes
+        plan.access.notes
     );
 }
 

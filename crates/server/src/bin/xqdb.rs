@@ -438,7 +438,7 @@ fn page_ranges(ids: &[u64]) -> String {
 ///    would (manifest adoption + WAL suffix replay). Failures are typed
 ///    errors, never panics, whatever garbage the directory holds.
 /// 3. **Rebuild oracle** — `verify_derived_state` compares every derived
-///    structure (index keys, synopsis, signatures, label streams) against
+///    structure (index keys, synopsis, signatures, label runs) against
 ///    a from-scratch rebuild over the live rows; one verdict per table.
 ///
 /// Exit 0 only when all three pass.

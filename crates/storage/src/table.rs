@@ -675,12 +675,6 @@ impl Table {
         self.decode(&bytes, mask).map(Some)
     }
 
-    /// Fetch a single cell, decoding only its column.
-    pub fn cell(&self, id: RowId, col: usize) -> Result<Option<SqlValue>, XdmError> {
-        let row = self.row_masked(id, &self.column_mask(col))?;
-        Ok(row.and_then(|r| r.into_iter().nth(col).flatten()))
-    }
-
     /// Stored XML documents parsed by this table's row decodes so far.
     pub fn xml_docs_parsed(&self) -> u64 {
         self.xml_parsed.load(Ordering::Relaxed)

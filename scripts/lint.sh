@@ -199,6 +199,21 @@ if [ -n "$walk_builds" ]; then
   exit 1
 fi
 
+# Statement rows are fetched in exactly one place: `access::fetch_rows`
+# in crates/core/src/access.rs, which reads a source's survivors (or every
+# live row) through a decode mask, checks the document-fetch fault point
+# and counts what it read into `docs_total`/`docs_evaluated`. The XQuery
+# engine and the SQL front end (SELECT, and DML matching through SELECT's
+# FROM/WHERE) fetch through it. A fetch loop of their own would be free to
+# skip the fault check or count rows differently (three such copies once
+# disagreed on `docs_total`), and would be one more place a skipped fetch
+# has to reach.
+if grep -rnE --include='*.rs' 'row_masked|scan_masked|\.cell\(' \
+    crates/core/src/engine.rs crates/core/src/sqlxml; then
+  echo "error: row fetch in crates/core/src/engine.rs or sqlxml/ (fetch statement rows through access::fetch_rows)" >&2
+  exit 1
+fi
+
 # The paper's query suite must survive the wire: run it through a loopback
 # server (framing, admission, session locking) and byte-compare against
 # direct in-process execution.

@@ -1004,9 +1004,10 @@ fn chosen_accesses(c: &Catalog, query: &str, use_cost: bool) -> String {
     let q = xqdb_xquery::parse_query(query).unwrap();
     let plan =
         plan_query_costed(c, q, &AnalysisEnv::new(), &xqdb_obs::Trace::disabled(), use_cost);
-    plan.accesses
+    plan.access
+        .sources
         .iter()
-        .filter_map(|a| a.access.as_ref())
+        .filter_map(|a| a.index.as_ref())
         .map(|ic| ic.render())
         .collect::<Vec<_>>()
         .join(" ")

@@ -12,7 +12,10 @@ mod common;
 
 use std::sync::Arc;
 
-use xqdb_core::{run_xquery, run_xquery_with_limits, run_xquery_with_options, Catalog, ExecOptions};
+use xqdb_core::{
+    run_xquery, run_xquery_with_limits, run_xquery_with_options, verify_derived_state, Catalog,
+    ExecOptions, SqlSession,
+};
 use xqdb_xdm::{Budget, ErrorCode, FaultInjector, FaultMode, Limits};
 use xqdb_workload::{create_paper_schema, load_orders, OrderParams};
 
@@ -108,6 +111,27 @@ fn storage_faults_are_typed_errors_not_degradation() {
     c.db.set_fault_injector(Some(Arc::new(FaultInjector::new(FaultMode::Always))));
     let err = run_xquery(&c, QUERIES[0]).expect_err("document fetch fault has no fallback");
     assert_eq!(err.code, ErrorCode::StorageFault);
+    // SQL SELECT and DELETE/UPDATE matching fetch through the same loop,
+    // so they hit the same fault point: a full scan, a scalar-narrowed
+    // fetch and an XMLEXISTS scan all fail typed.
+    let mut s = SqlSession::from_catalog(c);
+    for sql in [
+        "SELECT ordid FROM orders",
+        "SELECT orddoc FROM orders WHERE ordid = 3",
+        "SELECT ordid FROM orders \
+         WHERE XMLEXISTS('$o//lineitem[@price > 900]' passing orddoc as \"o\")",
+        "DELETE FROM orders WHERE XMLEXISTS('$o//lineitem[@price > 900]' passing orddoc as \"o\")",
+        "DELETE FROM orders WHERE ordid = 3",
+        "UPDATE orders SET orddoc = '<order/>' WHERE ordid = 3",
+    ] {
+        let err = s.execute(sql).expect_err("document fetch fault has no fallback");
+        assert_eq!(err.code, ErrorCode::StorageFault, "{sql}");
+    }
+    // The failed statements changed nothing.
+    s.catalog.db.set_fault_injector(None);
+    assert_eq!(s.catalog.db.table("ORDERS").expect("orders exists").live_len(), 30);
+    let report = verify_derived_state(&s.catalog).expect("verification runs");
+    assert!(report.is_clean(), "{report:?}");
 }
 
 #[test]
@@ -293,7 +317,7 @@ fn prefiltered_scans_byte_identical_across_threads_and_faults() {
 
 /// The holistic twig join is, like the pre-filter, a pure execution
 /// detail: {twig on, off} × {healthy, every-probe-fails} must all be
-/// byte-identical to the twig-less, unindexed baseline. The join reads only in-memory label streams (never the
+/// byte-identical to the twig-less, unindexed baseline. The join reads only in-memory label runs (never the
 /// pager or an index), so fault injection must not interact with it: the
 /// degradation matrix is the same whether the join ran or not.
 #[test]

@@ -167,7 +167,7 @@ fn recovery_matches_in_memory_baseline_across_crash_matrix() {
 /// the recovered catalog answers every paper query byte-identically to
 /// the in-memory baseline over the durable prefix, AND every derived
 /// structure passes the rebuild oracle — a crash must never leave an
-/// index entry, synopsis count, signature or label stream behind for a
+/// index entry, synopsis count, signature or label run behind for a
 /// row whose delete/replace was durable (or vice versa). Recovery runs
 /// twice per cell, so it is also checked idempotent.
 #[test]

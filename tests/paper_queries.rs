@@ -64,7 +64,7 @@ fn xquery(s: &SqlSession, q: &str) -> Vec<String> {
 fn uses_index(s: &SqlSession, q: &str) -> bool {
     let parsed = xqdb_xquery::parse_query(q).unwrap();
     let plan = plan_query(&s.catalog, parsed, &AnalysisEnv::new());
-    plan.accesses.iter().any(|a| a.access.is_some())
+    plan.access.sources.iter().any(|a| a.index.is_some())
 }
 
 #[test]

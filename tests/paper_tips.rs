@@ -38,7 +38,7 @@ fn orders_catalog(docs: &[&str], indexes: &[(&str, &str, &str)]) -> Catalog {
 fn uses_index(c: &Catalog, query: &str) -> bool {
     let q = xqdb_xquery::parse_query(query).unwrap();
     let plan = plan_query(c, q, &AnalysisEnv::new());
-    plan.accesses.iter().any(|a| a.access.is_some())
+    plan.access.sources.iter().any(|a| a.index.is_some())
 }
 
 fn run(c: &Catalog, query: &str) -> usize {
@@ -234,7 +234,7 @@ fn tip_9_predicates_before_construction() {
     )
     .unwrap();
     let plan = plan_query(&c, q, &AnalysisEnv::new());
-    assert!(plan.accesses.iter().all(|a| a.access.is_none()));
+    assert!(plan.access.sources.iter().all(|a| a.index.is_none()));
 }
 
 #[test]
