@@ -429,7 +429,7 @@ fn pager_report() {
 /// Pre-filter report: a selective, unindexed query (`/order[promo/code]`)
 /// over a large heterogeneous collection where ~1% of documents carry the
 /// promo element. The structural pre-filter skips the other 99% on their
-/// path signatures alone; the same run measures the plan cache's hit rate
+/// path postings alone; the same run measures the plan cache's hit rate
 /// over repeated executions. Records `BENCH_prefilter.json`. Document count
 /// overridable via `XQDB_BENCH_PREFILTER_DOCS`.
 fn prefilter_report() {
@@ -526,8 +526,8 @@ fn prefilter_report() {
 
 /// Twig-join trajectory: a descendant-axis branching query over a large
 /// heterogeneous collection, with the holistic twig join on vs off. The
-/// leading `//` step defeats the structural pre-filter's rooted-path
-/// signatures, so without the twig join the query falls back to full
+/// leading `//` step defeats the structural pre-filter's rooted
+/// paths, so without the twig join the query falls back to full
 /// navigation — exactly the class the labeling subsystem exists for.
 fn twig_report() {
     let docs: usize = std::env::var("XQDB_BENCH_TWIG_DOCS")

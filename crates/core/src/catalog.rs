@@ -99,6 +99,7 @@ impl Catalog {
             docs: t.live_len() as u64,
             pages: t.heap_pages().len() as u64,
             synopsis,
+            labels: t.labels(),
         })
     }
 

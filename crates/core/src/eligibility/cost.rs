@@ -18,6 +18,7 @@
 use std::ops::Bound;
 
 use xqdb_storage::PathSynopsis;
+use xqdb_twig::LabelStore;
 use xqdb_xdm::AtomicValue;
 use xqdb_xmlindex::{IndexType, ProbeRange, XmlIndex};
 use xqdb_xquery::ast::{Axis, KindTest, LocalTest, NameTest, NodeTest, NsTest};
@@ -39,6 +40,9 @@ pub struct CostModel<'a> {
     pub pages: u64,
     /// The owning table's path synopsis with per-path value histograms.
     pub synopsis: &'a PathSynopsis,
+    /// The owning table's labels: a path's posting length is its
+    /// document count.
+    pub labels: &'a LabelStore,
 }
 
 /// An estimate attached to a compiled access condition.
@@ -61,13 +65,19 @@ pub fn estimate_probe_entries(
     idx: &XmlIndex,
     range: &ProbeRange,
 ) -> f64 {
+    let mut paths: Vec<(&str, u64)> = model.synopsis.keyed_paths().collect();
+    paths.sort_unstable();
     let mut total = 0.0;
-    for (path, docs, stats) in model.synopsis.stats_entries() {
-        let Some(steps) = rendered_path_steps(&path) else { continue };
+    for (path, hash) in paths {
+        let docs = model.labels.posting(hash).len();
+        if docs == 0 {
+            continue;
+        }
+        let Some(steps) = rendered_path_steps(path) else { continue };
         if !pattern_covers(&steps, &idx.pattern.steps) {
             continue;
         }
-        total += match stats {
+        total += match model.synopsis.value_stats(hash) {
             Some(s) => estimate_in_range(s, range, idx.ty),
             None => docs as f64,
         };

@@ -11,7 +11,7 @@
 //!
 //! * [`catalog`] — tables + XML indexes, with maintenance on insert;
 //! * [`access`] — the one access-path pipeline (scalar filter → index
-//!   probe → twig join → signature pre-filter): both front ends and DML
+//!   probe → twig join → path pre-filter): both front ends and DML
 //!   compile their sources into one [`AccessPlan`], narrow them under one
 //!   [`AccessConfig`] and fetch the survivors through one loop;
 //! * `walk` — the one pass over a query (filtering-context analysis):

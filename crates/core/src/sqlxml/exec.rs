@@ -368,8 +368,8 @@ impl SqlSession {
     /// Execute a DELETE or UPDATE: resolve the WHERE clause over the
     /// target table exactly as a SELECT would (three-valued logic; only
     /// rows where it is TRUE match), then apply the mutation through the
-    /// catalog so every derived structure — indexes, synopsis, signatures,
-    /// label runs — is maintained incrementally and the change is
+    /// catalog so every derived structure — indexes, synopsis, path
+    /// postings, label runs — is maintained incrementally and the change is
     /// logged write-ahead (DELETE batches all matching rows into one WAL
     /// record; UPDATE logs one replace per row).
     fn run_dml(

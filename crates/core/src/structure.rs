@@ -1,6 +1,6 @@
 //! The use tree of a query, and the two structural filters derived from it.
 //!
-//! Both structural pre-filters — the signature prefilter
+//! Both structural pre-filters — the path prefilter
 //! ([`SourcePrefilter`]) and the holistic twig join ([`SourceTwig`]) —
 //! need the same fact about a query: which element/attribute structure a
 //! document **must** contain to contribute anything. The query walk
@@ -33,7 +33,8 @@
 //!   root (a bare source, a leading wildcard), or one found inside a branch
 //!   the pattern does not hold, drops the source. A source is routed
 //!   through the join only if some pattern has a descendant edge or a
-//!   branch — pure child chains are the cheaper signature prefilter's job.
+//!   branch — pure child chains are the prefilter's job: one posting list
+//!   per path, no label runs read.
 
 use std::collections::HashMap;
 
@@ -61,8 +62,8 @@ pub struct RequiredPath {
 }
 
 impl RequiredPath {
-    /// The path's signature hash — same incremental construction the
-    /// storage layer uses at insert time, so bits line up.
+    /// The path's hash — same incremental construction the storage layer
+    /// uses at insert time, so it keys the path's posting list.
     pub fn hash(&self) -> u64 {
         let mut h = PATH_HASH_SEED;
         for c in &self.components {
@@ -317,7 +318,7 @@ impl Structure {
         self.uses.retain(|u| keep(&u.source));
     }
 
-    /// Per-source signature prefilters: one conjunctive group per use.
+    /// Per-source path prefilters: one conjunctive group per use.
     pub(crate) fn prefilters(&self) -> HashMap<String, SourcePrefilter> {
         let mut groups: HashMap<&str, Vec<Vec<RequiredPath>>> = HashMap::new();
         for u in &self.uses {

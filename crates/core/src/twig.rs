@@ -3,7 +3,7 @@
 //! (`xqdb-twig`). The patterns come from the single query walk
 //! (`walk.rs`), derived in `structure.rs`: child/descendant edges and
 //! branching predicates survive there, which is exactly the query class
-//! the flat signature prefilter cannot serve.
+//! the flat path prefilter cannot serve.
 //!
 //! A row is kept iff **any** pattern (one per recognized use) matches it.
 //! Patterns only omit constraints, never add them, so a match set can only
@@ -51,7 +51,7 @@ impl<'a> PreparedTwig<'a> {
     /// synopsis. Returns `None` if the label store cannot vouch for
     /// every row.
     pub fn prepare(twig: &'a SourceTwig, table: &'a Table) -> Option<PreparedTwig<'a>> {
-        if !table.labels().is_complete_for(table.len() as u64) {
+        if !table.labels().runs_complete_for(table.len() as u64) {
             return None;
         }
         let joins = twig

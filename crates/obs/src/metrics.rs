@@ -52,7 +52,7 @@ pub enum Counter {
     TornTailTruncations,
     /// Nanoseconds spent in recovery (replay + index rebuild), cumulative.
     RecoveryNanos,
-    /// Documents skipped by the structural path-signature pre-filter.
+    /// Documents skipped by the structural path pre-filter.
     PrefilterDocsSkipped,
     /// Live rows the scalar filter dropped from their in-memory INTEGER
     /// cells, before any fetch.
@@ -204,7 +204,7 @@ impl Counter {
             Counter::TornTailTruncations => "torn WAL tails truncated during recovery",
             Counter::RecoveryNanos => "nanoseconds spent in recovery, cumulative",
             Counter::PrefilterDocsSkipped => {
-                "documents skipped by the structural path-signature pre-filter"
+                "documents skipped by the structural path pre-filter"
             }
             Counter::ScalarRowsSkipped => {
                 "rows dropped by the scalar filter from in-memory integer cells"

@@ -438,7 +438,7 @@ fn page_ranges(ids: &[u64]) -> String {
 ///    would (manifest adoption + WAL suffix replay). Failures are typed
 ///    errors, never panics, whatever garbage the directory holds.
 /// 3. **Rebuild oracle** — `verify_derived_state` compares every derived
-///    structure (index keys, synopsis, signatures, label runs) against
+///    structure (index keys, synopsis, postings, label runs) against
 ///    a from-scratch rebuild over the live rows; one verdict per table.
 ///
 /// Exit 0 only when all three pass.
@@ -566,10 +566,10 @@ fn run_labels(dir: &str, table: &str) -> i32 {
         t.name,
         t.len(),
         labels.labeled_rows(),
-        if labels.is_complete_for(t.len() as u64) {
+        if labels.runs_complete_for(t.len() as u64) {
             "complete (twig join eligible)"
         } else {
-            "incomplete (twig join declines; navigation answers instead)"
+            "holds postings only (twig join declines; navigation answers instead)"
         }
     );
     // Labels are keyed by path hash; render them through the synopsis,
@@ -620,7 +620,13 @@ fn run_stats(dir: &str, table: &str) -> i32 {
         return 2;
     };
     let synopsis = t.synopsis();
-    let entries = synopsis.stats_entries();
+    // A path's document count is the length of its posting list.
+    let mut entries: Vec<(&str, usize, u64)> = synopsis
+        .keyed_paths()
+        .map(|(path, hash)| (path, t.labels().posting(hash).len(), hash))
+        .filter(|&(_, docs, _)| docs > 0)
+        .collect();
+    entries.sort_unstable();
     println!(
         "table {} — {} row(s), {} path(s), statistics {}",
         t.name,
@@ -632,8 +638,8 @@ fn run_stats(dir: &str, table: &str) -> i32 {
             "incomplete (planner takes the first eligible index instead)"
         }
     );
-    for (path, docs, stats) in &entries {
-        match stats {
+    for &(path, docs, hash) in &entries {
+        match synopsis.value_stats(hash) {
             None => println!("  {path}: {docs} doc(s), no value statistics"),
             Some(s) => {
                 println!(

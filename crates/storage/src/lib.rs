@@ -31,9 +31,9 @@ pub mod value;
 
 pub use db::{Database, PersistenceHook};
 pub use synopsis::{
-    bucket_bounds, document_path_hashes, document_paths, extend_attribute, extend_element,
-    hash_rendered_path, observe_document_labeled, render_component, signature_for_document,
-    value_bucket, PathSignature, PathSynopsis, ValueStats, PATH_HASH_SEED,
+    bucket_bounds, document_paths, extend_attribute, extend_element, hash_rendered_path,
+    observe_document_labeled, render_component, value_bucket, PathSynopsis, ValueStats,
+    PATH_HASH_SEED,
 };
 pub use table::{Column, RowId, Table};
 pub use value::{sql_compare, SqlType, SqlValue};

@@ -97,11 +97,6 @@ pub enum SqlValue {
 }
 
 impl SqlValue {
-    /// True if this value is NULL.
-    pub fn is_null(&self) -> bool {
-        matches!(self, SqlValue::Null)
-    }
-
     /// Human-readable rendering for result rows (XML serialized).
     pub fn render(&self) -> String {
         match self {

@@ -163,11 +163,6 @@ impl WalWriter {
         self.next_seq
     }
 
-    /// The configured fsync mode.
-    pub fn fsync_mode(&self) -> FsyncMode {
-        self.config.fsync
-    }
-
     /// Append one record, returning `(sequence, frame bytes)`. The record
     /// is durable per the configured [`FsyncMode`] when this returns.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(u64, u64), XdmError> {

@@ -13,7 +13,6 @@
 //!   Section 2.1 (`varchar`, `date`, `timestamp`), plus `xs:boolean` for
 //!   effective boolean values.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::datetime::{Date, DateTime};
@@ -226,11 +225,6 @@ pub fn format_decimal(scaled: i128) -> String {
         s.push_str(&f);
     }
     s
-}
-
-/// Compare two decimals (already same scale).
-pub fn cmp_decimal(a: i128, b: i128) -> Ordering {
-    a.cmp(&b)
 }
 
 #[cfg(test)]

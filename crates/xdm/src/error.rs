@@ -137,11 +137,6 @@ impl XdmError {
         Self::new(ErrorCode::StorageFault, message)
     }
 
-    /// Shorthand for a parser-limit rejection.
-    pub fn parse_limit(message: impl Into<String>) -> Self {
-        Self::new(ErrorCode::ParseLimit, message)
-    }
-
     /// Shorthand for a write-ahead-log corruption error. The message should
     /// name the segment file so operators know what was quarantined.
     pub fn wal_corrupt(message: impl Into<String>) -> Self {

@@ -54,12 +54,6 @@ impl Limits {
         self
     }
 
-    /// Builder-style setter for the parser depth limit.
-    pub fn with_max_parse_depth(mut self, n: usize) -> Self {
-        self.max_parse_depth = Some(n);
-        self
-    }
-
     /// Builder-style setter for the document size limit.
     pub fn with_max_doc_bytes(mut self, n: usize) -> Self {
         self.max_doc_bytes = Some(n);

@@ -72,11 +72,6 @@ pub fn singleton_atomic(v: AtomicValue) -> Sequence {
     vec![Item::Atomic(v)]
 }
 
-/// Construct a singleton sequence from a node.
-pub fn singleton_node(n: NodeHandle) -> Sequence {
-    vec![Item::Node(n)]
-}
-
 /// Atomize every item of a sequence (`fn:data`).
 pub fn atomize(seq: &[Item]) -> XdmResult<Vec<AtomicValue>> {
     seq.iter().map(Item::atomize).collect()

@@ -26,17 +26,6 @@ pub fn query_to_string(q: &Query) -> String {
     out
 }
 
-/// Render a bare expression (no prolog) — panics never, but unresolved
-/// namespaces print with generated prefixes that need the full
-/// [`query_to_string`] to be reparseable.
-pub fn expr_to_string(e: &Expr) -> String {
-    let mut p = Printer::default();
-    p.scan_expr(e);
-    let mut out = String::new();
-    p.expr(&mut out, e);
-    out
-}
-
 #[derive(Default)]
 struct Printer {
     /// namespace uri → generated prefix.

@@ -94,30 +94,36 @@ if grep -rn --include='*.rs' -E '\b(TcpListener|TcpStream)\b' crates tests \
   exit 1
 fi
 
-# Structural label runs are written in exactly one place: `Table::push_row`
-# and `Table::replace_row` (through `Table::observe_row`) calling into
-# crates/twig's `LabelStore::write_run`. Any other writer could drift from
-# the insert path and break the labels-complete invariant the twig join's
-# soundness rests on. The rebuild oracle (core/src/verify.rs) is the one
+# Path postings and label runs are written in exactly one place: the table
+# layer in crates/storage, through crates/twig's LabelStore methods that
+# install or prune them — `write_run` (`Table::push_row`/`replace_row`
+# through `Table::observe_row`), `prune_row` (DELETE/REPLACE),
+# `install_posting` and `drop_runs` (recovery adopting a manifest's path
+# summary). Any other writer could drift from the insert path: a posting
+# the rows do not back makes the prefilter drop a document, a stale run
+# the twig join. The rebuild oracle (core/src/verify.rs) is the one
 # exception: it writes a scratch LabelStore from the live rows to *compare*
-# against the maintained one, and never installs it. The grep must find the
-# storage call site, or a rename would leave it passing vacuously.
-if ! grep -qn --include='*.rs' -rE '\.write_run\(' crates/storage/src; then
-  echo "error: no LabelStore::write_run call in crates/storage (update this confinement check to the label-writing method)" >&2
-  exit 1
-fi
-if grep -rn --include='*.rs' -E '\.write_run\(' crates tests \
+# against the maintained one, and never installs it. The grep must find
+# each method's storage call site, or a rename would leave it passing
+# vacuously.
+for method in write_run prune_row install_posting drop_runs; do
+  if ! grep -qn --include='*.rs' -rE "\.$method\(" crates/storage/src; then
+    echo "error: no LabelStore::$method call in crates/storage (update this confinement check to the posting-writing methods)" >&2
+    exit 1
+  fi
+done
+if grep -rn --include='*.rs' -E '\.(write_run|prune_row|install_posting|drop_runs)\(' crates tests \
     | grep -v '^crates/twig/' \
     | grep -v '^crates/storage/' \
     | grep -v '^crates/core/src/verify.rs'; then
-  echo "error: label-run writes outside crates/twig and crates/storage (labels are built only on the insert path)" >&2
+  echo "error: posting/label writes outside crates/twig and crates/storage (they are built only on the insert and recovery paths)" >&2
   exit 1
 fi
 
 # Tombstone bytes are written in exactly two places: the heap page code in
 # crates/pager (in-place retirement, reclamation compaction) and the table
 # layer in crates/storage that drives it. Any other writer could tombstone
-# a record without the synopsis/signature/label maintenance that keeps the
+# a record without the synopsis/posting/label maintenance that keeps the
 # rebuild oracle clean, or leave one on a page about to freeze. Retire rows
 # through Table::delete_row/replace_row; checkpoint-time reclamation goes
 # through Table::reclaim_tombstones (the one call site outside storage is
@@ -148,7 +154,7 @@ fi
 
 # Twig patterns and required paths are built in exactly one place: the
 # structural derivations in crates/core/src/structure.rs, which derive both
-# the signature-prefilter groups and the twig patterns from the query
+# the path-prefilter groups and the twig patterns from the query
 # walk's one record of the query's uses. A second construction site would
 # be a second extractor, free to drift from the first on what a query
 # requires. Exempt:

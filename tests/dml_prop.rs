@@ -14,7 +14,7 @@
 //! the erroring scan, which is the paper's Section 2.1 trade-off.)
 //! Every interleaving ends with a [`xqdb_core::verify_derived_state`]
 //! pass: after any random history, the incrementally-maintained index,
-//! synopsis, signatures and label runs must equal a from-scratch
+//! synopsis, postings and label runs must equal a from-scratch
 //! rebuild over the surviving rows.
 //!
 //! DELETE and UPDATE also match through `XMLEXISTS`, so their WHERE runs

@@ -469,7 +469,7 @@ fn query_30() {
 
 /// XQuery inputs of the structure characterization: the paper suite, one
 /// literal of each benchmark access shape, and the shapes where the
-/// signature prefilter and the twig pattern deliberately differ.
+/// path prefilter and the twig pattern deliberately differ.
 const STRUCTURE_XQUERIES: &[(&str, &str)] = &[
     ("xq_access range", "for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem/@price > 997] return $i"),
     ("xq_access between", "db2-fn:xmlcolumn('ORDERS.ORDDOC')//order[lineitem[@price > 0.5 and @price < 2.5]]/custid"),
@@ -498,7 +498,7 @@ const STRUCTURE_SQL: &[(&str, &str)] = &[
 /// rejected candidates — for every input above, over the paper data with
 /// and without the `li_price` index, stays exactly as recorded in
 /// `fixtures/explain_pinned.txt`. The structure lines are where the
-/// signature prefilter and the twig pattern differ on purpose
+/// path prefilter and the twig pattern differ on purpose
 /// (`for`-variable uses, `let` over a `for` path, filter predicates on the
 /// collection, descendant steps), so any change to the walk shows up here
 /// first.
